@@ -143,7 +143,7 @@ BM_SchedulerWakeupSelect(benchmark::State &state)
     }
     state.SetItemsProcessed(int64_t(total));
 }
-BENCHMARK(BM_SchedulerWakeupSelect)->Arg(32)->Arg(128);
+BENCHMARK(BM_SchedulerWakeupSelect)->Arg(32)->Arg(128)->Arg(512);
 
 void
 BM_RefSchedulerWakeupSelect(benchmark::State &state)

@@ -54,6 +54,19 @@ forEachSetBit(const std::vector<uint64_t> &v, Fn &&fn)
     }
 }
 
+/** forEachSetBit over the intersection of @p v and @p mask (a bitmap
+ *  of v.size() words), with the same per-word copy semantics. */
+template <typename Fn>
+inline void
+forEachSetBitAnd(const std::vector<uint64_t> &v, const uint64_t *mask,
+                 Fn &&fn)
+{
+    for (size_t w = 0; w < v.size(); ++w) {
+        for (uint64_t bits = v[w] & mask[w]; bits; bits &= bits - 1)
+            fn(w * 64 + size_t(std::countr_zero(bits)));
+    }
+}
+
 /** Source budget per issue-queue entry for each wakeup style. */
 int
 maxSrcsFor(WakeupStyle s)
@@ -109,6 +122,7 @@ Scheduler::Scheduler(const SchedParams &params)
     validBits_.resize(bitWords(n), 0);
     readyBits_.resize(bitWords(n), 0);
     watchBits_.resize(bitWords(n), 0);
+    consumers_.assign(kConsumerBuckets * bitWords(n), 0);
     freeList_.reserve(n);
     for (int i = int(n) - 1; i >= 0; --i)
         freeList_.push_back(i);
@@ -198,6 +212,12 @@ Scheduler::tagIsReady(Tag t) const
            testBit(tagReadyBits_, size_t(t));
 }
 
+bool
+Scheduler::consumerIndexed(Tag t, int idx) const
+{
+    return testBit(consumers_, consumerBit(t, idx));
+}
+
 void
 Scheduler::refreshReady(int idx)
 {
@@ -251,6 +271,8 @@ Scheduler::freeEntry(int idx)
     clearBit(validBits_, size_t(idx));
     clearBit(readyBits_, size_t(idx));
     clearBit(watchBits_, size_t(idx));
+    for (int s = 0; s < st.numSrcs; ++s)
+        clearBit(consumers_, consumerBit(srcTag_[size_t(idx)][size_t(s)], idx));
     ++c.gen;
     --occupied_;
     freeList_.push_back(idx);
@@ -263,6 +285,21 @@ Scheduler::slotDebt(Cycle c)
     if (slot.first != c)
         slot = {c, 0};
     return slot.second;
+}
+
+int
+Scheduler::addSource(int idx, Tag t)
+{
+    EntryState &st = state_[size_t(idx)];
+    int s = st.numSrcs++;
+    srcTag_[size_t(idx)][size_t(s)] = t;
+    bool rdy = tagIsReady(t);
+    if (!rdy)
+        st.wait |= uint8_t(1u << unsigned(s));
+    cold_[size_t(idx)].srcReadyAt[size_t(s)] =
+        rdy ? tagReadyAt_[size_t(t)] : kNoCycle;
+    setBit(consumers_, consumerBit(t, idx));
+    return s;
 }
 
 int
@@ -299,14 +336,8 @@ Scheduler::insert(const SchedOp &op, Cycle now, bool expect_tail)
         bool dup = false;
         for (int s = 0; s < st.numSrcs; ++s)
             dup = dup || srcTag_[size_t(idx)][size_t(s)] == t;
-        if (dup)
-            continue;
-        int s = st.numSrcs++;
-        srcTag_[size_t(idx)][size_t(s)] = t;
-        bool rdy = tagIsReady(t);
-        if (!rdy)
-            st.wait |= uint8_t(1u << unsigned(s));
-        c.srcReadyAt[size_t(s)] = rdy ? tagReadyAt_[size_t(t)] : kNoCycle;
+        if (!dup)
+            addSource(idx, t);
     }
     ++insertedOps_;
     ++insertedEntries_;
@@ -377,13 +408,7 @@ Scheduler::appendTail(int idx, const SchedOp &tail, Cycle now,
         return false;
 
     for (int f = 0; f < n_fresh; ++f) {
-        Tag t = fresh[size_t(f)];
-        int s = st.numSrcs++;
-        srcTag_[size_t(idx)][size_t(s)] = t;
-        bool rdy = tagIsReady(t);
-        if (!rdy)
-            st.wait |= uint8_t(1u << unsigned(s));
-        c.srcReadyAt[size_t(s)] = rdy ? tagReadyAt_[size_t(t)] : kNoCycle;
+        int s = addSource(idx, fresh[size_t(f)]);
         st.fromTail |= uint8_t(1u << unsigned(s));
     }
     if (c.dstTag == params_.traceTag || tail.dst == params_.traceTag)
@@ -500,10 +525,12 @@ Scheduler::deliverTag(Tag tag, Cycle now)
     if (debugTrace_)
         std::fprintf(stderr, "[sched] %lu: deliver tag=%d\n",
                      (unsigned long)now, tag);
-    // Wakeup broadcast: only entries still waiting on some source can
-    // be affected, so walk the watch bitmap and compare the packed
-    // tag plane for the waiting slots alone.
-    forEachSetBit(watchBits_, [&](size_t i) {
+    // Wakeup broadcast: only entries still waiting on some source and
+    // naming a tag of this tag's consumer bucket can be affected, so
+    // walk that intersection and compare the packed tag plane for the
+    // waiting slots alone.
+    const uint64_t *bucket = &consumers_[consumerBit(tag, 0) / 64];
+    forEachSetBitAnd(watchBits_, bucket, [&](size_t i) {
         const std::array<Tag, kMaxEntrySrcs> &tags = srcTag_[i];
         EntryState &st = state_[i];
         uint8_t woken = 0;
@@ -607,7 +634,11 @@ Scheduler::recallTag(Tag tag, Cycle now)
         std::fprintf(stderr, "[sched] %lu: recall tag=%d\n",
                      (unsigned long)now, tag);
 
-    forEachSetBit(validBits_, [&](size_t i) {
+    // Only entries in the tag's consumer bucket can name it. The
+    // recursive recalls below never insert or free, so the bucket and
+    // validBits_ stay fixed while this walk runs.
+    const uint64_t *bucket = &consumers_[consumerBit(tag, 0) / 64];
+    forEachSetBitAnd(validBits_, bucket, [&](size_t i) {
         EntryState &st = state_[i];
         EntryCold &c = cold_[i];
         uint8_t ready = uint8_t(~st.wait) & srcMask(st.numSrcs);
@@ -1210,6 +1241,15 @@ Scheduler::auditStructures()
                 return "entry " + std::to_string(i) +
                        " waits on a source slot past numSrcs";
             });
+        for (int s = 0; s < st.numSrcs; ++s) {
+            Tag t = srcTag_[i][size_t(s)];
+            integrity_.require(
+                consumerIndexed(t, int(i)), Check::TagLiveness, [i, t] {
+                    return "entry " + std::to_string(i) +
+                           " is missing from the consumer index bucket "
+                           "of its source tag " + std::to_string(t);
+                });
+        }
 
         if (c.outBcast >= 0) {
             bool in_pool = size_t(c.outBcast) < bcastCal_.poolSize();
@@ -1228,6 +1268,20 @@ Scheduler::auditStructures()
                            std::to_string(b.tag) + ")";
                 });
         }
+    }
+
+    // The index names valid entries only: a freed entry's bits must be
+    // gone before its slot is reused.
+    const size_t words = validBits_.size();
+    for (size_t w = 0; w < words; ++w) {
+        uint64_t named = 0;
+        for (unsigned b = 0; b < kConsumerBuckets; ++b)
+            named |= consumers_[b * words + w];
+        uint64_t stale = named & ~validBits_[w];
+        integrity_.require(stale == 0, Check::TagLiveness, [w, stale] {
+            return "consumer index names free entry " +
+                   std::to_string(w * 64 + size_t(std::countr_zero(stale)));
+        });
     }
 
     integrity_.require(n_valid == occupied_, Check::IqAccounting,

@@ -93,6 +93,10 @@ class Scheduler
      *  load with dynamic id @p seq; > dl1HitLatency means a miss. */
     using LoadLatencyFn = std::function<int(uint64_t seq)>;
 
+    /** Buckets of the consumer index (a power of two): tags t and
+     *  t + kConsumerBuckets share one bucket. */
+    static constexpr unsigned kConsumerBuckets = 256;
+
     explicit Scheduler(const SchedParams &params);
 
     void setLoadLatencyFn(LoadLatencyFn fn) { loadLatency_ = std::move(fn); }
@@ -140,6 +144,9 @@ class Scheduler
     int occupancy() const { return occupied_; }
     int capacity() const { return int(state_.size()); }
     bool tagIsReady(Tag t) const;
+    /** True if entry @p idx is in the consumer-index bucket of tag
+     *  @p t, i.e. a candidate the wakeup/recall walks for @p t visit. */
+    bool consumerIndexed(Tag t, int idx) const;
 
     // --- event-driven cycle skipping -----------------------------------
 
@@ -408,6 +415,30 @@ class Scheduler
     std::vector<uint64_t> watchBits_;
     /** Recompute entry @p idx's readyBits_/watchBits_ bits. */
     void refreshReady(int idx);
+
+    /**
+     * Consumer index: kConsumerBuckets bitmaps over the entries, each
+     * validBits_.size() words, flattened; sized once at construction.
+     * Bucket tag & (kConsumerBuckets - 1) has bit i set iff valid
+     * entry i names a tag of that bucket as a source. Bits are set by
+     * insert/appendTail as sources are added and cleared by freeEntry,
+     * so a bucket is a superset of a tag's consumers: the wakeup and
+     * recall walks visit only its entries (in ascending order, as
+     * before) and keep the exact tag compare.
+     */
+    std::vector<uint64_t> consumers_;
+    /** Bit of entry @p idx in tag @p t's bucket, indexing consumers_
+     *  as one flat bitmap. */
+    size_t
+    consumerBit(Tag t, int idx) const
+    {
+        return (unsigned(t) & (kConsumerBuckets - 1)) * validBits_.size() *
+                   64 +
+               size_t(idx);
+    }
+    /** Append source tag @p t to entry @p idx: its slot, wait bit,
+     *  ready time and consumer-index bit. Returns the slot. */
+    int addSource(int idx, Tag t);
     /** Free a squash-shrunken issued entry whose surviving ops have
      *  all completed once its broadcast has left the bus; no
      *  completion event remains to free it through the normal path. */

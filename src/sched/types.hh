@@ -159,7 +159,7 @@ struct SchedParams
     /** Maximum instructions per MOP entry (2..kMaxMopOps). */
     int maxMopSize = 2;
 
-    int numEntries = 32;   ///< 0 = unrestricted
+    int numEntries = 32;   ///< 0 = unrestricted (512 entries)
     int issueWidth = 4;
     /** Cycles from select to first execution cycle (Disp Disp RF RF). */
     int dispatchDepth = 4;

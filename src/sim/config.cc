@@ -87,6 +87,28 @@ makeCoreParams(const RunConfig &cfg)
     return p;
 }
 
+void
+validateRunConfig(const RunConfig &cfg)
+{
+    bool mop = cfg.machine == Machine::MopCam ||
+               cfg.machine == Machine::MopWiredOr;
+    if (mop && cfg.iqEntries == 1) {
+        throw std::invalid_argument(
+            std::string("--iq 1 deadlocks on ") + machineName(cfg.machine) +
+            ": a pending MOP head fills the queue and its tail can never "
+            "be admitted; use --iq 2 or more (or 0, unrestricted)");
+    }
+    bool select_free = cfg.machine == Machine::SelectFreeSquashDep ||
+                       cfg.machine == Machine::SelectFreeScoreboard;
+    if (select_free && cfg.policy == sched::PolicyId::LoadDelay) {
+        throw std::invalid_argument(
+            std::string("--policy loaddelay cannot run on ") +
+            machineName(cfg.machine) +
+            ": select-free machines broadcast before selection, when a "
+            "load's delay is not yet known");
+    }
+}
+
 pipeline::SimResult
 runBenchmark(const std::string &bench, const RunConfig &cfg,
              uint64_t insts)

@@ -83,6 +83,17 @@ struct RunConfig
 /** Build the Table 1 machine for one scheduler configuration. */
 pipeline::CoreParams makeCoreParams(const RunConfig &cfg);
 
+/**
+ * Reject configurations that cannot run to completion, with
+ * std::invalid_argument naming the options (mopsim exits 2):
+ *  - a MOP machine with a 1-entry issue queue: a pending MOP head
+ *    fills the queue and its tail is never admitted (tails need a
+ *    free entry, as in every figure run), so the run deadlocks;
+ *  - the load-delay policy on a select-free machine, which the
+ *    scheduler refuses at construction.
+ */
+void validateRunConfig(const RunConfig &cfg);
+
 /** Run @p insts instructions of a SPEC CINT2000-like workload. */
 pipeline::SimResult runBenchmark(const std::string &bench,
                                  const RunConfig &cfg, uint64_t insts);

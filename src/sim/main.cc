@@ -51,7 +51,8 @@ usage()
         "                     | staticfuse (decode-time pair fusion from\n"
         "                     a fixed pattern table, detector bypassed);\n"
         "                     also the per-script policy for --difftest\n"
-        "  --iq <n>           issue-queue entries (0 = unrestricted)\n"
+        "  --iq <n>           issue-queue entries (0 = unrestricted:\n"
+        "                     512 entries); MOP machines need >= 2\n"
         "  --insts <n>        instructions to simulate\n"
         "  --extra-stages <n> extra MOP formation stages (0-2)\n"
         "  --detect-delay <n> MOP detection latency in cycles\n"
@@ -260,6 +261,12 @@ main(int argc, char **argv)
     if (bench.empty() == kernel.empty()) {
         std::cerr << "pick exactly one of --bench / --kernel\n";
         usage();
+        return 2;
+    }
+    try {
+        sim::validateRunConfig(cfg);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "error: " << e.what() << "\n";
         return 2;
     }
 

@@ -445,9 +445,14 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
     std::vector<ItemState> st(script.items.size());
 
     // Pre-pass: program order fixes seq; every op gets a unique tag.
+    // Tags are spaced one consumer-index stride apart, so every live
+    // tag shares a single index bucket: the production wakeup and
+    // recall walks then see every entry with a source as a candidate
+    // and the exact tag compare alone decides, as in a full-queue scan.
     std::map<uint64_t, int> loadLat;
     std::map<uint64_t, size_t> seqToItem;
     {
+        constexpr Tag kTagStride = Tag(sched::Scheduler::kConsumerBuckets);
         uint64_t seq = 0;
         Tag tag = 0;
         for (size_t i = 0; i < script.items.size(); ++i) {
@@ -456,7 +461,10 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
                 continue;
             st[i].seq = ++seq;
             seqToItem[st[i].seq] = i;
-            st[i].tag = it.op == isa::OpClass::Branch ? kNoTag : tag++;
+            if (it.op != isa::OpClass::Branch) {
+                st[i].tag = tag;
+                tag += kTagStride;
+            }
             if (it.op == isa::OpClass::Load)
                 loadLat[st[i].seq] = it.memLat > 0 ? it.memLat
                                                    : p.dl1HitLatency;

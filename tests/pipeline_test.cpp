@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "prog/interpreter.hh"
 #include "prog/kernels.hh"
+#include "sched/policy.hh"
 #include "sim/config.hh"
 #include "trace/profiles.hh"
 
@@ -253,6 +255,56 @@ TEST(SyntheticPipeline, DeterministicResults)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.groupedFrac(), b.groupedFrac());
     EXPECT_EQ(a.replays, b.replays);
+}
+
+TEST(Termination, TinyQueuesCompleteOrAreRejected)
+{
+    // machine x policy x iq 1..4 x mop-size 2..4: validateRunConfig
+    // (mopsim exits 2 on it) rejects exactly the cells that cannot
+    // finish, and every other cell runs its budget to the end.
+    int rejected = 0;
+    for (Machine m : kMachines) {
+        bool mop = m == Machine::MopCam || m == Machine::MopWiredOr;
+        bool select_free = m == Machine::SelectFreeSquashDep ||
+                           m == Machine::SelectFreeScoreboard;
+        for (sched::PolicyId pol : sched::registeredPolicies()) {
+            for (int iq = 1; iq <= 4; ++iq) {
+                for (int size = 2; size <= 4; ++size) {
+                    RunConfig cfg;
+                    cfg.machine = m;
+                    cfg.policy = pol;
+                    cfg.iqEntries = iq;
+                    cfg.mopSize = size;
+                    std::string cell = std::string(sim::machineName(m)) +
+                                       " " + sched::policyIdToken(pol) +
+                                       " iq " + std::to_string(iq) +
+                                       " mop-size " + std::to_string(size);
+                    bool deadlocks = mop && iq == 1;
+                    bool refused =
+                        select_free && pol == sched::PolicyId::LoadDelay;
+                    if (deadlocks || refused) {
+                        EXPECT_THROW(sim::validateRunConfig(cfg),
+                                     std::invalid_argument)
+                            << cell;
+                        ++rejected;
+                        continue;
+                    }
+                    EXPECT_NO_THROW(sim::validateRunConfig(cfg)) << cell;
+                    pipeline::SimResult r;
+                    EXPECT_NO_THROW(r = sim::runBenchmark("gzip", cfg, 2000))
+                        << cell;
+                    EXPECT_EQ(r.insts, 2000u) << cell;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(rejected, 2 * 3 * 3 + 2 * 4 * 3);
+
+    // Why the iq-1 MOP cells are rejected: run anyway, they deadlock.
+    RunConfig cfg;
+    cfg.machine = Machine::MopWiredOr;
+    cfg.iqEntries = 1;
+    EXPECT_THROW(sim::runBenchmark("gzip", cfg, 2000), sched::DeadlockError);
 }
 
 } // namespace

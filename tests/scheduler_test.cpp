@@ -546,6 +546,149 @@ TEST_P(Select, UnpipelinedMopWaitsForWholeEntryFuSequence)
     EXPECT_GE(h.issuedAt(0), h.issuedAt(9));
 }
 
+// --- consumer index: tags t, t+K, t+2K share one bucket --------------
+
+constexpr Tag kK = Tag(sched::Scheduler::kConsumerBuckets);
+
+/** Both harnesses completed the same ops with identical timing. */
+void
+expectSameSchedule(const Harness &a, const Harness &b)
+{
+    ASSERT_EQ(a.done.size(), b.done.size());
+    for (const auto &[seq, ea] : a.done) {
+        ASSERT_TRUE(b.done.count(seq)) << "seq " << seq;
+        const ExecEvent &eb = b.done.at(seq);
+        EXPECT_EQ(ea.ready, eb.ready) << "seq " << seq;
+        EXPECT_EQ(ea.issued, eb.issued) << "seq " << seq;
+        EXPECT_EQ(ea.execStart, eb.execStart) << "seq " << seq;
+        EXPECT_EQ(ea.complete, eb.complete) << "seq " << seq;
+        EXPECT_EQ(ea.wasMiss, eb.wasMiss) << "seq " << seq;
+        EXPECT_EQ(ea.replayed, eb.replayed) << "seq " << seq;
+    }
+    EXPECT_EQ(a.s.replayInvalidations(), b.s.replayInvalidations());
+}
+
+TEST(ConsumerIndex, DeliverWakesOnlyExactMatches)
+{
+    // Every tag below lands in bucket 5. Only the consumer of the one
+    // tag that is broadcast may wake; the others stay waiting.
+    Harness h(Harness::params(LoopPolicy::Atomic));
+    const Tag never = 5 + 3 * kK;  // no producer
+    h.s.insert(Harness::alu(0, 5), h.now);
+    h.s.insert(Harness::alu(1, 100, 5), h.now);
+    h.s.insert(Harness::alu(2, 5 + kK, never), h.now);
+    h.s.insert(Harness::alu(3, 5 + 2 * kK, never), h.now);
+    h.s.insert(Harness::alu(4, 101, 5 + kK), h.now);
+    h.s.insert(Harness::alu(5, 102, 5 + 2 * kK), h.now);
+    for (int i = 0; i < 20; ++i)
+        h.tick();
+    EXPECT_TRUE(h.done.count(0));
+    EXPECT_TRUE(h.done.count(1));
+    for (uint64_t seq = 2; seq <= 5; ++seq)
+        EXPECT_FALSE(h.done.count(seq)) << seq;
+    EXPECT_TRUE(h.s.tagIsReady(5));
+    EXPECT_FALSE(h.s.tagIsReady(5 + kK));
+    EXPECT_FALSE(h.s.tagIsReady(5 + 2 * kK));
+    EXPECT_EQ(h.s.occupancy(), 4);
+    EXPECT_NO_THROW(h.s.auditStructures());
+    h.s.squashAfter(1, h.now);
+    h.runUntilIdle();
+    EXPECT_NO_THROW(h.s.auditStructures());
+}
+
+TEST(ConsumerIndex, RecallReplaysOnlyExactConsumers)
+{
+    // A missing load's recall must replay its own consumers and
+    // nothing else, whether the other in-flight tags share its bucket
+    // (stride K) or not (stride 1): the two schedules are identical.
+    auto run = [](Harness &h, Tag stride) {
+        auto tag = [stride](int n) { return Tag(3 + n * stride); };
+        h.s.setLoadLatencyFn([](uint64_t seq) { return seq == 0 ? 10 : 2; });
+        h.s.insert(Harness::op(0, OpClass::Load, tag(0)), h.now);
+        h.s.insert(Harness::alu(1, tag(1)), h.now);
+        h.s.insert(Harness::alu(2, tag(2), tag(0)), h.now);  // child
+        h.s.insert(Harness::alu(3, tag(3), tag(1)), h.now);  // bystander
+        h.s.insert(Harness::alu(4, tag(4), tag(2)), h.now);  // grandchild
+        h.s.insert(Harness::alu(5, tag(5), tag(3)), h.now);  // bystander
+        h.runUntilIdle();
+    };
+    Harness spread(Harness::params(LoopPolicy::Atomic));
+    Harness alias(Harness::params(LoopPolicy::Atomic));
+    run(spread, 1);
+    run(alias, kK);
+    expectSameSchedule(spread, alias);
+    EXPECT_TRUE(alias.done.at(2).replayed);
+    EXPECT_TRUE(alias.done.at(4).replayed);
+    EXPECT_FALSE(alias.done.at(3).replayed);
+    EXPECT_FALSE(alias.done.at(5).replayed);
+    EXPECT_EQ(alias.s.replayInvalidations(), 2u);
+    alias.assertDataflow({{0, 2}, {2, 4}, {1, 3}, {3, 5}});
+}
+
+TEST(ConsumerIndex, FreedEntryInheritsNoStaleBits)
+{
+    SchedParams p = Harness::params(LoopPolicy::Atomic);
+    p.numEntries = 2;
+    Harness h(p);
+    const Tag x = 7 + kK;
+    int e = h.s.insert(Harness::alu(10, 1, x), h.now);
+    EXPECT_TRUE(h.s.consumerIndexed(x, e));
+    EXPECT_TRUE(h.s.consumerIndexed(7, e));  // same bucket as x
+    h.s.squashAfter(9, h.now);
+    EXPECT_FALSE(h.s.consumerIndexed(x, e));
+    EXPECT_NO_THROW(h.s.auditStructures());
+
+    // The slot is reused by x's producer, which names no source, and
+    // by a consumer of 7 (x's bucket): only the latter is indexed.
+    int prod = h.s.insert(Harness::alu(11, x), h.now);
+    EXPECT_EQ(prod, e);
+    int cons = h.s.insert(Harness::alu(12, 2, 7), h.now);
+    EXPECT_FALSE(h.s.consumerIndexed(x, prod));
+    EXPECT_TRUE(h.s.consumerIndexed(7, cons));
+    EXPECT_NO_THROW(h.s.auditStructures());
+    for (int i = 0; i < 20; ++i)
+        h.tick();
+    EXPECT_TRUE(h.done.count(11));
+    EXPECT_FALSE(h.done.count(12));  // x's broadcast must not wake it
+    EXPECT_EQ(h.s.occupancy(), 1);
+    h.s.squashAfter(11, h.now);
+    EXPECT_EQ(h.s.occupancy(), 0);
+    EXPECT_NO_THROW(h.s.auditStructures());
+}
+
+TEST(ConsumerIndex, SquashShrunkMopKeepsLeftoverBits)
+{
+    // A squash drops a MOP's tail; the source it contributed is forced
+    // ready but stays in the entry (Section 5.3.2), and so does its
+    // index bit. When that tag is later recalled by a load miss, the
+    // shrunken entry is still compared against it and replays, as it
+    // did before the index existed, with or without aliasing.
+    auto run = [](Harness &h, Tag stride) {
+        auto tag = [stride](int n) { return Tag(3 + n * stride); };
+        h.s.setLoadLatencyFn([](uint64_t) { return 10; });
+        int e = h.s.insert(Harness::alu(0, tag(0)), h.now, true);
+        h.s.insert(Harness::op(1, OpClass::Load, tag(1)), h.now);
+        h.s.insert(Harness::alu(2, tag(2), tag(0)), h.now);
+        EXPECT_TRUE(h.s.appendTail(e, Harness::alu(5, tag(0), tag(0), tag(1)),
+                                   h.now));
+        h.tick();
+        h.s.squashAfter(3, h.now);
+        EXPECT_TRUE(h.s.consumerIndexed(tag(1), e));
+        h.runUntilIdle();
+    };
+    Harness spread(Harness::params(LoopPolicy::TwoCycle));
+    Harness alias(Harness::params(LoopPolicy::TwoCycle));
+    run(spread, 1);
+    run(alias, kK);
+    expectSameSchedule(spread, alias);
+    EXPECT_FALSE(alias.done.count(5));
+    // Values of the full-queue scan the index replaced.
+    EXPECT_TRUE(alias.done.at(0).replayed);
+    EXPECT_EQ(alias.done.at(0).issued, 12u);
+    EXPECT_EQ(alias.done.at(2).issued, 14u);
+    EXPECT_EQ(alias.s.replayInvalidations(), 2u);
+}
+
 MOP_INSTANTIATE_PER_POLICY(Mop);
 MOP_INSTANTIATE_PER_POLICY(Deadlock);
 MOP_INSTANTIATE_PER_POLICY(Select);
