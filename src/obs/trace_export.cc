@@ -3,6 +3,7 @@
 #include <inttypes.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "isa/uop.hh"
 
@@ -38,7 +39,11 @@ TraceExporter::TraceExporter(const std::string &path, uint32_t version)
 
 TraceExporter::~TraceExporter()
 {
-    close();
+    try {
+        close();
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+    }
 }
 
 void
@@ -52,14 +57,33 @@ TraceExporter::push(const trace::CycleEvent &ev)
 void
 TraceExporter::flush()
 {
-    for (const auto &ev : ring_) {
-        if (json_)
+    if (json_) {
+        for (const auto &ev : ring_)
             writeJson(ev);
-        else
-            bin_->write(ev);
-        ++emitted_;
+        if (std::ferror(jsonFile_))
+            fail("write failed");
+    } else {
+        try {
+            bin_->writeInPlace(ring_.data(), ring_.size());
+        } catch (const std::exception &e) {
+            fail(e.what());
+        }
     }
+    emitted_ += ring_.size();
     ring_.clear();
+}
+
+void
+TraceExporter::fail(const char *what)
+{
+    closed_ = true;
+    ring_.clear();
+    if (jsonFile_) {
+        std::fclose(jsonFile_);
+        jsonFile_ = nullptr;
+    }
+    bin_.reset();
+    throw std::runtime_error("trace " + path_ + ": " + what);
 }
 
 void
@@ -103,10 +127,15 @@ TraceExporter::close()
     closed_ = true;
     if (json_) {
         std::fputs("\n]}\n", jsonFile_);
-        std::fclose(jsonFile_);
-        jsonFile_ = nullptr;
+        const bool failed = std::ferror(jsonFile_) != 0;
+        if (std::fclose(std::exchange(jsonFile_, nullptr)) != 0 || failed)
+            fail("write failed");
     } else {
-        bin_->close();
+        try {
+            bin_->close();
+        } catch (const std::exception &e) {
+            fail(e.what());
+        }
     }
 }
 

@@ -36,16 +36,22 @@ class TraceExporter
      *  @throws std::runtime_error if @p path cannot be created. */
     explicit TraceExporter(const std::string &path,
                            uint32_t version = 2);
+    /** Closes the sink if close() was not called. Never throws: a
+     *  failure at that point is printed to stderr instead. */
     ~TraceExporter();
 
     TraceExporter(const TraceExporter &) = delete;
     TraceExporter &operator=(const TraceExporter &) = delete;
 
-    /** Queue an event; flushes the ring to the sink when full. */
+    /** Queue an event; flushes the ring to the sink when full.
+     *  @throws std::runtime_error naming the path if the sink fails;
+     *  the exporter is then closed, with its buffered events lost. */
     void push(const trace::CycleEvent &ev);
 
     /** Flush buffered events and finalize the sink (JSON footer).
-     *  Idempotent; further pushes are invalid. */
+     *  Idempotent, also after a failure; further pushes are invalid.
+     *  @throws std::runtime_error naming the path if any event or the
+     *  footer failed to reach the file (reported once). */
     void close();
 
     uint64_t emitted() const { return emitted_; }
@@ -56,6 +62,9 @@ class TraceExporter
 
     void flush();
     void writeJson(const trace::CycleEvent &ev);
+    /** Release the sinks without further error checks, mark the
+     *  exporter closed and throw the failure of @p what. */
+    [[noreturn]] void fail(const char *what);
 
     std::string path_;
     bool json_;

@@ -231,6 +231,71 @@ Scheduler::refreshReady(int idx)
         setBit(watchBits_, size_t(idx));
     else
         clearBit(watchBits_, size_t(idx));
+    if (stallProbe_)
+        refreshStall(idx);
+}
+
+bool
+Scheduler::tagMissPending(Tag t) const
+{
+    return size_t(t) < tagCap_ && testBit(tagMissPending_, size_t(t));
+}
+
+uint8_t
+Scheduler::stallClassOf(int idx) const
+{
+    const EntryState &st = state_[size_t(idx)];
+    if (!(st.flags & kFValid))
+        return 0;
+    uint8_t cls = 0;
+    if (st.flags & kFIssued)
+        cls |= 1u << kPlaneIssued;
+    if (st.flags & kFPending)
+        cls |= 1u << kPlanePending;
+    if (st.flags & kFWrongPath)
+        cls |= 1u << kPlaneWrongPath;
+    if (st.flags & kFReplayed)
+        cls |= 1u << kPlaneReplayed;
+    const std::array<Tag, kMaxEntrySrcs> &tags = srcTag_[size_t(idx)];
+    for (uint8_t m = st.wait; m; m &= uint8_t(m - 1)) {
+        if (tagMissPending(tags[size_t(std::countr_zero(unsigned(m)))])) {
+            cls |= 1u << kPlaneMissWait;
+            break;
+        }
+    }
+    return cls;
+}
+
+void
+Scheduler::refreshStall(int idx)
+{
+    const uint8_t cls = stallClassOf(idx);
+    const size_t w = size_t(idx) >> 6;
+    const uint64_t bit = uint64_t(1) << (unsigned(idx) & 63);
+    for (unsigned p = 0; p < kNumStallPlanes; ++p) {
+        uint64_t &word = stallBits_[p][w];
+        word = (cls >> p) & 1 ? word | bit : word & ~bit;
+    }
+}
+
+void
+Scheduler::markMissPending(Tag t)
+{
+    setBit(tagMissPending_, size_t(t));
+    const uint64_t *bucket = &consumers_[consumerBit(t, 0) / 64];
+    forEachSetBitAnd(watchBits_, bucket,
+                     [&](size_t i) { refreshStall(int(i)); });
+}
+
+void
+Scheduler::setStallProbe(bool on)
+{
+    stallProbe_ = on;
+    if (!on)
+        return;
+    for (auto &plane : stallBits_)
+        plane.assign(validBits_.size(), 0);
+    forEachSetBit(validBits_, [&](size_t i) { refreshStall(int(i)); });
 }
 
 bool
@@ -271,6 +336,8 @@ Scheduler::freeEntry(int idx)
     clearBit(validBits_, size_t(idx));
     clearBit(readyBits_, size_t(idx));
     clearBit(watchBits_, size_t(idx));
+    if (stallProbe_)
+        refreshStall(idx);
     for (int s = 0; s < st.numSrcs; ++s)
         clearBit(consumers_, consumerBit(srcTag_[size_t(idx)][size_t(s)], idx));
     ++c.gen;
@@ -685,6 +752,8 @@ Scheduler::issueEntry(int idx, Cycle now, std::vector<MopIssue> *mop_issues)
     c.issueCycle = now;
     c.opDone = 0;
     clearBit(readyBits_, size_t(idx));
+    if (stallProbe_)
+        refreshStall(idx);
     if (debugTrace_)
         std::fprintf(stderr, "[sched] %lu: issue seq=%lu tag=%d\n",
                      (unsigned long)now, (unsigned long)c.ops[0].seq,
@@ -772,7 +841,7 @@ Scheduler::issueEntry(int idx, Cycle now, std::vector<MopIssue> *mop_issues)
                 // wait out the predicted miss latency. Charge them to
                 // the dcache-miss cause from issue until the single,
                 // correctly-timed broadcast delivers.
-                setBit(tagMissPending_, size_t(c.dstTag));
+                markMissPending(c.dstTag);
             }
         }
         c.opComplete[size_t(o)] = complete;
@@ -904,51 +973,47 @@ Scheduler::doSelect(Cycle now, std::vector<MopIssue> *mop_issues)
 void
 Scheduler::collectStallSnapshot(Cycle now, StallSnapshot &snap) const
 {
+    if (!stallProbe_)
+        throw std::logic_error(
+            "collectStallSnapshot needs the stall probe switched on");
     snap = StallSnapshot{};
     snap.issuedSlots = lastIssueSlots_ - lastIssueSlotsWp_;
     snap.wrongPath = lastIssueSlotsWp_;
-    forEachSetBit(validBits_, [&](size_t i) {
-        const EntryState &st = state_[i];
-        if (st.flags & kFIssued)
-            return;  // in flight; its slot was charged at issue time
-        if (st.flags & kFWrongPath) {
-            // Doomed occupancy: whatever a wrong-path entry waits on,
-            // the slot it denies the right path is a wrong-path cost.
-            ++snap.wrongPath;
-            return;
+    const auto &pl = stallBits_;
+    for (size_t w = 0; w < validBits_.size(); ++w) {
+        // Issued entries are in flight; their slot was charged at issue
+        // time. Each remaining entry goes to the first bucket it fits:
+        // wrong-path occupancy (doomed, whatever it waits on), then MOP
+        // heads pending their tail.
+        uint64_t live = validBits_[w] & ~pl[kPlaneIssued][w];
+        const uint64_t wrong = live & pl[kPlaneWrongPath][w];
+        live &= ~wrong;
+        const uint64_t pending = live & pl[kPlanePending][w];
+        live &= ~pending;
+        // Entries with all sources ready that requested selection this
+        // cycle and were not granted (width exhausted, FU conflict, or
+        // a dropped grant) lost select.
+        const uint64_t ready = live & readyBits_[w];
+        uint64_t losers = 0;
+        for (uint64_t b = ready; b; b &= b - 1) {
+            unsigned i = unsigned(std::countr_zero(b));
+            if (minIssue_[w * 64 + i] <= now)
+                losers |= uint64_t(1) << i;
         }
-        if (st.flags & kFPending) {
-            ++snap.pendingHeads;
-            return;
-        }
-        if (st.wait == 0) {
-            if (minIssue_[i] <= now) {
-                // Requested selection this cycle and was not granted
-                // (width exhausted, FU conflict, or a dropped grant).
-                ++snap.readyLosers;
-            } else if (st.flags & kFReplayed) {
-                ++snap.replayWait;  // serving its replay penalty
-            } else {
-                ++snap.wakeupWait;  // insert-to-select latency
-            }
-            return;
-        }
-        bool miss = false;
-        for (uint8_t m = st.wait; m; m &= uint8_t(m - 1)) {
-            unsigned s = unsigned(std::countr_zero(unsigned(m)));
-            Tag t = srcTag_[i][s];
-            if (t != kNoTag && size_t(t) < tagCap_ &&
-                testBit(tagMissPending_, size_t(t))) {
-                miss = true;
-            }
-        }
-        if (miss)
-            ++snap.missWait;
-        else if (st.flags & kFReplayed)
-            ++snap.replayWait;
-        else
-            ++snap.wakeupWait;
-    });
+        const uint64_t waiting = live & watchBits_[w];
+        const uint64_t miss = waiting & pl[kPlaneMissWait][w];
+        // The rest are ready entries before their select-request cycle
+        // (insert-to-select latency, or a replay penalty) and entries
+        // waiting on a plain wakeup.
+        const uint64_t rest = (ready & ~losers) | (waiting & ~miss);
+        const uint64_t replayed = rest & pl[kPlaneReplayed][w];
+        snap.wrongPath += std::popcount(wrong);
+        snap.pendingHeads += std::popcount(pending);
+        snap.readyLosers += std::popcount(losers);
+        snap.missWait += std::popcount(miss);
+        snap.replayWait += std::popcount(replayed);
+        snap.wakeupWait += std::popcount(rest & ~replayed);
+    }
 }
 
 void
@@ -981,7 +1046,7 @@ Scheduler::tick(Cycle now, std::vector<ExecEvent> &completed,
         // Until the corrected wakeup fires, consumers of this tag
         // are stalled by the miss, not by generic wakeup wait.
         if (stallProbe_ && c.dstTag != kNoTag)
-            setBit(tagMissPending_, size_t(c.dstTag));
+            markMissPending(c.dstTag);
         scheduleBcast(ev.entry, ev.correctedBcast, false);
     });
 
@@ -1188,6 +1253,20 @@ Scheduler::auditStructures()
                 return "entry " + std::to_string(i) +
                        " wakeup watch bitmap stale";
             });
+        if (stallProbe_) {
+            const uint8_t want_cls = stallClassOf(int(i));
+            for (unsigned p = 0; p < kNumStallPlanes; ++p) {
+                integrity_.require(
+                    testBit(stallBits_[p], i) == bool((want_cls >> p) & 1),
+                    Check::IqAccounting, [i, p] {
+                        static const char *const names[kNumStallPlanes] = {
+                            "issued", "pending", "wrong-path", "replayed",
+                            "miss-wait"};
+                        return "entry " + std::to_string(i) + " " +
+                               names[p] + " stall-class bitmap stale";
+                    });
+            }
+        }
         if (!valid)
             continue;
         ++n_valid;

@@ -214,16 +214,20 @@ class Scheduler
     // --- stall attribution probe (observability layer) -----------------
 
     /** Enable bookkeeping for collectStallSnapshot (miss-pending tag
-     *  bits and the per-cycle issue-slot count). Off by default; the
-     *  hot path then carries only dead branches. */
-    void setStallProbe(bool on) { stallProbe_ = on; }
+     *  bits, the stall-class planes and the per-cycle issue-slot
+     *  count). Off by default; the hot path then carries only dead
+     *  branches. Switching it on rebuilds the planes from the queue. */
+    void setStallProbe(bool on);
     bool stallProbe() const { return stallProbe_; }
 
     /**
      * Classify every occupied entry for cycle @p now, after tick(now)
      * has run. issuedSlots counts select slots spent on useful work
      * this cycle (including MOP slot debt); every non-issued entry is
-     * charged to exactly one waiting cause. Requires setStallProbe.
+     * charged to exactly one waiting cause. Reads the stall-class
+     * planes word by word, so it costs O(bitmap words) plus one
+     * minIssue test per fully ready entry. Requires setStallProbe
+     * (throws std::logic_error otherwise).
      */
     void collectStallSnapshot(Cycle now, StallSnapshot &snap) const;
 
@@ -413,8 +417,44 @@ class Scheduler
      *  source: the only entries a wakeup broadcast can affect, and
      *  the only ones deliverTag compares tags against. */
     std::vector<uint64_t> watchBits_;
-    /** Recompute entry @p idx's readyBits_/watchBits_ bits. */
+    /** Recompute entry @p idx's readyBits_/watchBits_ bits, and its
+     *  stall-class bits under the stall probe. */
     void refreshReady(int idx);
+
+    /**
+     * Stall-class planes, one bitmap over the entries each, kept only
+     * under the stall probe (empty otherwise). Bit i of the first four
+     * mirrors valid entry i's kFIssued / kFPending / kFWrongPath /
+     * kFReplayed flag; kPlaneMissWait has bit i set iff entry i waits
+     * on a source whose tagMissPending_ bit is set. An entry's bits
+     * are rewritten by refreshStall wherever its flags or wait mask
+     * change: from refreshReady (insert, appendTail, clearPending,
+     * wakeup, recall, invalidate, squash), issueEntry and freeEntry.
+     * Setting a tag's miss bit refreshes its waiting consumers
+     * (markMissPending); the bit is cleared only by the delivery that
+     * wakes, and so refreshes, every consumer of the tag.
+     */
+    enum StallPlane : unsigned
+    {
+        kPlaneIssued,
+        kPlanePending,
+        kPlaneWrongPath,
+        kPlaneReplayed,
+        kPlaneMissWait,
+        kNumStallPlanes,
+    };
+    std::array<std::vector<uint64_t>, kNumStallPlanes> stallBits_;
+    /** Entry @p idx's plane bits as its state dictates: bit p set iff
+     *  plane p should hold the entry (0 for a free entry). */
+    uint8_t stallClassOf(int idx) const;
+    /** Rewrite entry @p idx's bit in every stall-class plane. Kept out
+     *  of line so the probe-off refreshReady stays a leaf. */
+    [[gnu::noinline]] void refreshStall(int idx);
+    /** True if tag @p t has an uncorrected DL1-miss wakeup pending. */
+    bool tagMissPending(Tag t) const;
+    /** Set tag @p t's miss-pending bit and refresh the entries waiting
+     *  on it (found through its consumer-index bucket). */
+    void markMissPending(Tag t);
 
     /**
      * Consumer index: kConsumerBuckets bitmaps over the entries, each

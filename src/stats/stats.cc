@@ -1,6 +1,7 @@
 #include "stats/stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iomanip>
 #include <numeric>
@@ -19,6 +20,8 @@ Histogram::Histogram(int64_t lo, int64_t hi, size_t buckets)
     bucketSize_ = (hi - lo + int64_t(buckets) - 1) / int64_t(buckets);
     if (bucketSize_ <= 0)
         bucketSize_ = 1;
+    if (std::has_single_bit(uint64_t(bucketSize_)))
+        bucketShift_ = std::countr_zero(uint64_t(bucketSize_));
 }
 
 void
@@ -31,7 +34,9 @@ Histogram::sample(int64_t v, uint64_t weight)
     } else if (v >= hi_) {
         overflow_ += weight;
     } else {
-        counts_[size_t((v - lo_) / bucketSize_)] += weight;
+        int64_t off = v - lo_;  // >= 0: shift and divide agree
+        counts_[size_t(bucketShift_ >= 0 ? off >> bucketShift_
+                                         : off / bucketSize_)] += weight;
     }
 }
 

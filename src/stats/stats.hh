@@ -125,6 +125,9 @@ class Histogram
     int64_t lo_;
     int64_t hi_;
     int64_t bucketSize_;
+    /** log2(bucketSize_) when it is a power of two, else -1: sample()
+     *  then shifts instead of dividing. */
+    int bucketShift_ = -1;
     std::vector<uint64_t> counts_;
     uint64_t underflow_ = 0;
     uint64_t overflow_ = 0;

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace mop::trace
 {
@@ -207,6 +209,10 @@ struct EventRecord
 };
 static_assert(sizeof(EventRecord) == 112,
               "v2 event record must be 112 bytes");
+// EventTraceWriter::writeInPlace packs each record over its source.
+static_assert(sizeof(CycleEvent) == sizeof(EventRecord) &&
+                  std::is_trivially_copyable_v<CycleEvent>,
+              "a cycle event must be reusable as its on-disk record");
 
 EventRecord
 packEvent(const CycleEvent &ev)
@@ -295,25 +301,38 @@ EventTraceWriter::EventTraceWriter(const std::string &path,
 
 EventTraceWriter::~EventTraceWriter()
 {
-    close();
+    if (f_)
+        std::fclose(f_);
 }
 
 void
 EventTraceWriter::write(const CycleEvent &ev)
 {
-    EventRecord r = packEvent(ev);
-    if (std::fwrite(&r, sizeof(r), 1, f_) != 1)
+    CycleEvent one = ev;
+    writeInPlace(&one, 1);
+}
+
+void
+EventTraceWriter::writeInPlace(CycleEvent *evs, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        const EventRecord r = packEvent(evs[i]);
+        std::memcpy(static_cast<void *>(&evs[i]), &r, sizeof(r));
+    }
+    if (std::fwrite(evs, sizeof(EventRecord), n, f_) != n)
         throw std::runtime_error("event trace write failed");
-    ++count_;
+    count_ += n;
 }
 
 void
 EventTraceWriter::close()
 {
-    if (f_) {
-        std::fclose(f_);
-        f_ = nullptr;
-    }
+    if (!f_)
+        return;
+    FILE *f = std::exchange(f_, nullptr);
+    const bool failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || failed)
+        throw std::runtime_error("event trace write failed");
 }
 
 EventTraceReader::EventTraceReader(const std::string &path)

@@ -147,14 +147,29 @@ class EventTraceWriter
      *  @p version is not a writable version. */
     explicit EventTraceWriter(const std::string &path,
                               uint32_t version = 2);
+
+    /** Releases the file if close() was not called, reporting no
+     *  error: the final flush's result reaches callers only through
+     *  close(). */
     ~EventTraceWriter();
 
     EventTraceWriter(const EventTraceWriter &) = delete;
     EventTraceWriter &operator=(const EventTraceWriter &) = delete;
 
+    /** Write one record (writeInPlace on a copy of @p ev).
+     *  @throws std::runtime_error if the write fails. */
     void write(const CycleEvent &ev);
+    /**
+     * Write @p n records with a single fwrite, using @p evs itself as
+     * the pack buffer: each event is overwritten by its on-disk record
+     * (same size), so the array's contents are unspecified afterwards.
+     * @throws std::runtime_error if the write fails.
+     */
+    void writeInPlace(CycleEvent *evs, size_t n);
     uint64_t written() const { return count_; }
-    /** Flush and close; further writes are invalid. */
+    /** Flush and close; further writes are invalid. Idempotent.
+     *  @throws std::runtime_error if any buffered byte failed to reach
+     *  the file (the file is released either way). */
     void close();
 
   private:

@@ -68,6 +68,16 @@ class IntegrityChecker
             fail(c, msg);
     }
 
+    /** Literal-message form: a string literal would otherwise convert
+     *  to the std::string overload's argument on every call, pass or
+     *  fail; here the string is built only on failure. */
+    void
+    require(bool ok, Check c, const char *msg)
+    {
+        if (!ok) [[unlikely]]
+            fail(c, msg);
+    }
+
     /**
      * Hot-path variant: the diagnostic is a callable returning the
      * message, invoked only on failure. Checks sitting on per-commit

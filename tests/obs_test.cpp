@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -346,6 +348,97 @@ TEST(TraceExport, TracingDoesNotPerturbSimulation)
     };
     EXPECT_EQ(sig(plain), sig(observed));
     EXPECT_EQ(sig(plain), sig(traced));
+}
+
+/** A path that fails every write with ENOSPC and whose extension picks
+ *  the exporter's sink: a symlink @p name to /dev/full in the test
+ *  temp dir. Empty when the platform has no /dev/full. */
+std::string
+fullDevicePath(const char *name)
+{
+    namespace fs = std::filesystem;
+    if (!fs::exists("/dev/full"))
+        return "";
+    fs::path link = fs::path(::testing::TempDir()) / name;
+    fs::remove(link);
+    fs::create_symlink("/dev/full", link);
+    return link.string();
+}
+
+TEST(TraceExport, FullDeviceFailsOnceWithoutAbort)
+{
+    // Both sinks, both failure points: a ring flush mid-run (more
+    // events than the ring holds) and the final flush in close(). Each
+    // reports one error naming the path; a later close() and the
+    // destructor stay silent instead of re-flushing and throwing.
+    for (const char *name : {"obs_full.evt", "obs_full.json"}) {
+        for (uint64_t events : {uint64_t(10), uint64_t(10000)}) {
+            std::string path = fullDevicePath(name);
+            if (path.empty())
+                GTEST_SKIP() << "no /dev/full";
+            int errors = 0;
+            ::testing::internal::CaptureStderr();
+            {
+                obs::TraceExporter exp(path);
+                try {
+                    for (uint64_t i = 0; i < events; ++i)
+                        exp.push(makeEvent(i));
+                    exp.close();
+                } catch (const std::runtime_error &e) {
+                    ++errors;
+                    EXPECT_NE(std::string(e.what()).find(path),
+                              std::string::npos)
+                        << e.what();
+                }
+                EXPECT_NO_THROW(exp.close());
+            }
+            EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+            EXPECT_EQ(errors, 1) << name << " " << events;
+            std::filesystem::remove(path);
+        }
+    }
+}
+
+TEST(TraceExport, UnclosedFailureIsReportedByTheDestructor)
+{
+    // Never closed: the destructor's final flush fails. It must not
+    // throw (that would terminate) and must not drop the error.
+    for (const char *name : {"obs_unclosed.evt", "obs_unclosed.json"}) {
+        std::string path = fullDevicePath(name);
+        if (path.empty())
+            GTEST_SKIP() << "no /dev/full";
+        ::testing::internal::CaptureStderr();
+        {
+            obs::TraceExporter exp(path);
+            exp.push(makeEvent(1));
+        }
+        std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+        EXPECT_NE(err.find(path), std::string::npos) << err;
+        std::filesystem::remove(path);
+    }
+}
+
+TEST(TraceExport, SimulationOntoFullDeviceThrowsOnce)
+{
+    // The mopsim path: the run throws out of OooCore::run, and
+    // unwinding destroys the exporter without a second report.
+    for (const char *name : {"obs_sim_full.evt", "obs_sim_full.json"}) {
+        std::string path = fullDevicePath(name);
+        if (path.empty())
+            GTEST_SKIP() << "no /dev/full";
+        sim::RunConfig cfg;
+        cfg.machine = sim::Machine::Base;
+        cfg.iqEntries = 32;
+        cfg.obs.enabled = true;
+        cfg.obs.traceOut = path;
+        ::testing::internal::CaptureStderr();
+        EXPECT_THROW(sim::runBenchmark("mcf", cfg, 3000),
+                     std::runtime_error)
+            << name;
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(), "") << name;
+        std::filesystem::remove(path);
+    }
 }
 
 // ---------------------------------------------------------------------

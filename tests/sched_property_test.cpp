@@ -15,7 +15,8 @@
  *  5. stall accounting: with the stall probe on, every issue slot of
  *     every cycle is charged to exactly one cause
  *     (sum(causes) == issueWidth * cycles), including under fault
- *     injection, and the structural audit stays clean.
+ *     injection and across wrong-path squashes, and the structural
+ *     audit (which checks the stall-class bitmaps) passes every cycle.
  */
 
 #include <gtest/gtest.h>
@@ -185,20 +186,29 @@ TEST_P(SchedProperty, RandomDagsCompleteInDataflowOrder)
     }
 }
 
+/** The end of a mispredict episode: squashAfter(seq) once every op
+ *  has been inserted and @p delay further cycles have run. */
+struct EpisodeSquash
+{
+    uint64_t seq;
+    int delay;
+};
+
 /**
  * Drive one random DAG through a probed scheduler, charging every
- * cycle's issue slots into @p acc. Audits the queue structures every
- * few cycles. Returns false if the run aborted on a (fault-induced)
- * integrity or deadlock error — acceptable only when @p faulted.
+ * cycle's issue slots into @p acc and auditing the queue structures
+ * every cycle. Returns false if the run gave up (no forward progress,
+ * or a MOP tail the scheduler refused).
  */
 bool
 runProbedSchedule(Harness &h, std::vector<GenOp> &dag,
-                  mop::obs::StallAccounting &acc)
+                  mop::obs::StallAccounting &acc,
+                  const EpisodeSquash *squash = nullptr)
 {
-    std::map<uint64_t, uint64_t> mop_pair;
     sched::StallSnapshot snap;
     size_t fed = 0;
     int guard = 0;
+    int since_fed = 0;
     while (fed < dag.size() || h.s.occupancy() > 0) {
         if (guard++ >= 60000)
             return false;
@@ -214,14 +224,14 @@ runProbedSchedule(Harness &h, std::vector<GenOp> &dag,
                 fed += 1;
             }
         }
+        if (squash && fed == dag.size() && since_fed++ == squash->delay)
+            h.s.squashAfter(squash->seq, h.now);
         Cycle c = h.now;
         h.tick();
         h.s.collectStallSnapshot(c, snap);
         acc.charge(snap, mop::obs::StallCause::Frontend);
-        if (guard % 16 == 0)
-            h.s.auditStructures();
+        h.s.auditStructures();
     }
-    h.s.auditStructures();
     return true;
 }
 
@@ -270,43 +280,132 @@ TEST(SchedStallFaults, HoldsUnderEveryFaultKind)
 {
     // Fault injection perturbs wakeup/select arbitrarily; whatever the
     // scheduler does, every charged cycle must still account for
-    // exactly issueWidth slots. Detection (integrity/deadlock throws)
-    // is an acceptable outcome; a broken invariant is not.
-    for (size_t k = 0; k < mop::verify::kNumFaultKinds; ++k) {
-        for (int seed = 1; seed <= 4; ++seed) {
-            mop::verify::FaultSpec spec;
-            spec.rate[k] = 0.05;
-            spec.seed = uint64_t(seed);
-            mop::verify::FaultInjector inj(spec);
+    // exactly issueWidth slots, under every behaviour policy.
+    // Detection (integrity/deadlock throws) is an acceptable outcome; a
+    // broken invariant is not.
+    for (sched::PolicyId pid : sched::registeredPolicies()) {
+        for (size_t k = 0; k < mop::verify::kNumFaultKinds; ++k) {
+            for (int seed = 1; seed <= 4; ++seed) {
+                mop::verify::FaultSpec spec;
+                spec.rate[k] = 0.05;
+                spec.seed = uint64_t(seed);
+                mop::verify::FaultInjector inj(spec);
 
-            std::mt19937 rng(uint32_t(seed) * 7919 + uint32_t(k));
-            std::vector<GenOp> dag = makeDag(rng, true, 40);
+                std::mt19937 rng(uint32_t(seed) * 7919 + uint32_t(k));
+                std::vector<GenOp> dag = makeDag(rng, true, 40);
 
-            SchedParams p = Harness::params(LoopPolicy::TwoCycle);
-            p.numEntries = 16;
-            p.issueWidth = 2;
-            p.watchdogCycles = 5000;
-            Harness h(p);
-            h.s.setFaultInjector(&inj);
-            h.s.setStallProbe(true);
+                SchedParams p = Harness::params(LoopPolicy::TwoCycle, pid);
+                p.numEntries = 16;
+                p.issueWidth = 2;
+                p.watchdogCycles = 5000;
+                Harness h(p);
+                h.s.setFaultInjector(&inj);
+                h.s.setStallProbe(true);
 
-            mop::obs::StallAccounting acc(p.issueWidth);
-            try {
-                runProbedSchedule(h, dag, acc);
-            } catch (const mop::verify::IntegrityError &) {
-                // structured detection: fine
-            } catch (const sched::DeadlockError &) {
-                // fault-induced deadlock, diagnosed: fine
+                mop::obs::StallAccounting acc(p.issueWidth);
+                try {
+                    runProbedSchedule(h, dag, acc);
+                } catch (const mop::verify::IntegrityError &) {
+                    // structured detection: fine
+                } catch (const sched::DeadlockError &) {
+                    // fault-induced deadlock, diagnosed: fine
+                }
+                ASSERT_NO_THROW(acc.verifyInvariant())
+                    << sched::policyIdToken(pid) << " "
+                    << mop::verify::faultKindName(mop::verify::FaultKind(k))
+                    << " seed " << seed;
+                EXPECT_EQ(acc.totalSlots(),
+                          uint64_t(p.issueWidth) * acc.cycles())
+                    << sched::policyIdToken(pid) << " "
+                    << mop::verify::faultKindName(mop::verify::FaultKind(k))
+                    << " seed " << seed;
             }
-            ASSERT_NO_THROW(acc.verifyInvariant())
-                << mop::verify::faultKindName(mop::verify::FaultKind(k))
-                << " seed " << seed;
-            EXPECT_EQ(acc.totalSlots(),
-                      uint64_t(p.issueWidth) * acc.cycles())
-                << mop::verify::faultKindName(mop::verify::FaultKind(k))
-                << " seed " << seed;
         }
     }
+}
+
+class SchedStallWrongPath : public PerPolicyTest
+{
+};
+
+TEST_P(SchedStallWrongPath, SquashedEpisodesKeepPlanesExact)
+{
+    // A mispredict episode as the core drives it: every op after the
+    // branch anchor is wrong-path, queued and issued alongside the
+    // right path, then squashed at the anchor while some are still
+    // waiting (splitting a MOP when the anchor is its head). The
+    // stall-class bitmaps must follow every free and flag change of
+    // the squash, and wrong-path occupancy must be charged.
+    const LoopPolicy policies[] = {
+        LoopPolicy::Atomic,
+        LoopPolicy::TwoCycle,
+        LoopPolicy::SelectFreeSquashDep,
+        LoopPolicy::SelectFreeScoreboard,
+    };
+    uint64_t wrong_slots = 0;
+    for (int seed = 0; seed < 400; ++seed) {
+        LoopPolicy pol = effectiveLoop(policies[seed % 4]);
+        std::mt19937 rng(uint32_t(seed) * 40503u + 11);
+        std::vector<GenOp> dag =
+            makeDag(rng, pol == LoopPolicy::TwoCycle, 40);
+        const size_t anchor = 8 + size_t(seed) % 16;
+        for (size_t i = anchor + 1; i < dag.size(); ++i)
+            dag[i].op.wrongPath = true;
+
+        SchedParams p = params(pol);
+        p.numEntries = 16;
+        p.issueWidth = 2 + seed % 3;
+        Harness h(p);
+        h.s.setStallProbe(true);
+        h.s.setLoadLatencyFn([seed](uint64_t seq) {
+            std::mt19937 r(uint32_t(seq) * 131 + uint32_t(seed));
+            return int(r() % 10) < 6 ? 2 : 60;
+        });
+
+        mop::obs::StallAccounting acc(p.issueWidth);
+        const EpisodeSquash squash{dag[anchor].op.seq, seed % 7};
+        ASSERT_TRUE(runProbedSchedule(h, dag, acc, &squash))
+            << "seed " << seed;
+        ASSERT_NO_THROW(acc.verifyInvariant()) << "seed " << seed;
+        wrong_slots += acc.slots(mop::obs::StallCause::WrongPath);
+    }
+    EXPECT_GT(wrong_slots, 0u);
+}
+
+TEST(SchedStallProbe, SwitchingOnMidRunRebuildsThePlanes)
+{
+    // The stall-class bitmaps exist only under the probe. Switching it
+    // on over a busy queue (issued, waiting, ready and pending entries,
+    // loads in a miss shadow) must rebuild them from the entries, so
+    // the audit passes at once and keeps passing.
+    std::mt19937 rng(7);
+    std::vector<GenOp> dag = makeDag(rng, false, 24);
+    Harness h(Harness::params(LoopPolicy::TwoCycle));
+    h.s.setLoadLatencyFn([](uint64_t seq) { return seq % 3 ? 2 : 60; });
+    for (size_t i = 0; i < dag.size(); ++i) {
+        h.s.insert(dag[i].op, h.now, false);
+        if (i % 4 == 3)
+            h.tick();
+    }
+    // A MOP head whose tail has not arrived yet.
+    int head = h.s.insert(Harness::alu(dag.size(), Tag(dag.size() + 100)),
+                          h.now, true);
+    h.s.setStallProbe(true);
+    ASSERT_NO_THROW(h.s.auditStructures());
+
+    mop::obs::StallAccounting acc(h.s.params().issueWidth);
+    sched::StallSnapshot snap;
+    for (int c = 0; c < 400 && h.s.occupancy() > 0; ++c) {
+        if (c == 20)
+            h.s.clearPending(head);
+        Cycle now = h.now;
+        h.tick();
+        h.s.collectStallSnapshot(now, snap);
+        acc.charge(snap, mop::obs::StallCause::Frontend);
+        ASSERT_NO_THROW(h.s.auditStructures()) << "cycle " << now;
+    }
+    EXPECT_EQ(h.s.occupancy(), 0);
+    EXPECT_NO_THROW(acc.verifyInvariant());
 }
 
 class SchedOracle : public PerPolicyTest
@@ -355,6 +454,7 @@ INSTANTIATE_TEST_SUITE_P(
     propertyName);
 
 MOP_INSTANTIATE_PER_POLICY(SchedStallInvariant);
+MOP_INSTANTIATE_PER_POLICY(SchedStallWrongPath);
 MOP_INSTANTIATE_PER_POLICY(SchedOracle);
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "stats/stats.hh"
 #include "stats/table.hh"
@@ -60,6 +61,49 @@ TEST(HistogramStat, BucketsAndOverflow)
     EXPECT_EQ(h.underflow(), 1u);
     EXPECT_EQ(h.bucketCount(0), 2u);  // 0,1
     EXPECT_EQ(h.bucketCount(4), 2u);  // 8,9
+}
+
+TEST(HistogramStat, ShiftAndDivideBucketingAgree)
+{
+    // Power-of-two bucket sizes (1, 2, 8) take sample()'s shift path,
+    // the others (3, 5) its division: both must put every sample where
+    // floor((v - lo) / size) says, including across a negative lo and
+    // at the top edge (hi - 1 is the last bucket, hi overflows).
+    for (int64_t size : {1, 2, 3, 5, 8}) {
+        const int64_t lo = -7;
+        const size_t buckets = 6;
+        const int64_t hi = lo + size * int64_t(buckets);
+        Histogram h(lo, hi, buckets);
+        std::vector<uint64_t> want(buckets, 0);
+        uint64_t under = 0, over = 0, total = 0;
+        double sum = 0;
+        for (int64_t v = lo - 3; v <= hi + 3; ++v) {
+            const uint64_t w = uint64_t(v - lo + 4);  // distinct weights
+            h.sample(v, w);
+            total += w;
+            sum += double(v) * double(w);
+            if (v < lo)
+                under += w;
+            else if (v >= hi)
+                over += w;
+            else
+                want[size_t((v - lo) / size)] += w;
+        }
+        ASSERT_EQ(h.numBuckets(), buckets);
+        for (size_t b = 0; b < buckets; ++b)
+            EXPECT_EQ(h.bucketCount(b), want[b])
+                << "size " << size << " bucket " << b;
+        EXPECT_EQ(h.underflow(), under) << "size " << size;
+        EXPECT_EQ(h.overflow(), over) << "size " << size;
+        EXPECT_EQ(h.total(), total) << "size " << size;
+        EXPECT_DOUBLE_EQ(h.mean(), sum / double(total)) << "size " << size;
+
+        Histogram edge(lo, hi, buckets);
+        edge.sample(hi - 1);
+        edge.sample(hi);
+        EXPECT_EQ(edge.bucketCount(buckets - 1), 1u) << "size " << size;
+        EXPECT_EQ(edge.overflow(), 1u) << "size " << size;
+    }
 }
 
 TEST(HistogramStat, CountInRange)

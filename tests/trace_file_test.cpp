@@ -9,6 +9,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -255,6 +258,56 @@ TEST(EventTraceVersion, V2RoundTripPreservesLifecycle)
     ASSERT_TRUE(rd.next(out));
     EXPECT_EQ(out, in);
     std::remove(path.c_str());
+}
+
+TEST(EventTraceWriter, BatchWriteMatchesSingleWrites)
+{
+    // writeInPlace packs the records over its input: the file must be
+    // byte-for-byte what one write() per event produces.
+    std::vector<CycleEvent> evs(5);
+    for (size_t i = 0; i < evs.size(); ++i) {
+        evs[i].kind = i % 2 ? CycleEvent::Kind::Counter
+                            : CycleEvent::Kind::Uop;
+        evs[i].op = uint8_t(i);
+        evs[i].flags = uint8_t(1u << i);
+        evs[i].seq = 100 + i;
+        evs[i].commit = 7 * i;
+        evs[i].dep = {i, CycleEvent::kNone};
+    }
+    std::string one = tmpPath("single.evt"), batch = tmpPath("batch.evt");
+    {
+        EventTraceWriter w(one);
+        for (const CycleEvent &ev : evs)
+            w.write(ev);
+        w.close();
+    }
+    std::vector<CycleEvent> packed = evs;
+    {
+        EventTraceWriter w(batch);
+        w.writeInPlace(packed.data(), packed.size());
+        EXPECT_EQ(w.written(), evs.size());
+        w.close();
+    }
+    auto bytes = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    EXPECT_EQ(bytes(one), bytes(batch));
+    EXPECT_EQ(readEventTrace(batch), evs);
+    std::remove(one.c_str());
+    std::remove(batch.c_str());
+}
+
+TEST(EventTraceWriter, CloseReportsAFailedFinalFlush)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    // One record fits the stdio buffer, so nothing fails until close()
+    // pushes it to the device; that loss must be reported, once.
+    EventTraceWriter w("/dev/full");
+    w.write(CycleEvent{});
+    EXPECT_THROW(w.close(), std::runtime_error);
+    EXPECT_NO_THROW(w.close());
 }
 
 TEST(EventTraceVersion, RejectsFutureVersionWithClearError)

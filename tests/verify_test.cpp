@@ -153,6 +153,27 @@ TEST(Integrity, RequirePassesAndFailThrows)
     EXPECT_EQ(c.totalViolations(), 1u);
 }
 
+TEST(Integrity, LiteralMessageIsBuiltOnlyOnFailure)
+{
+    // A literal binds to the const char * overload (no std::string on
+    // the pass path) and still reaches the thrown error on failure.
+    using Check = verify::IntegrityChecker::Check;
+    verify::IntegrityChecker c;
+    EXPECT_NO_THROW(c.require(true, Check::StallAccounting, "unused"));
+    try {
+        c.require(false, Check::StallAccounting,
+                  "slots charged past the issue width");
+        FAIL() << "require(false, ...) must throw";
+    } catch (const verify::IntegrityError &e) {
+        EXPECT_EQ(e.check(), "stall-accounting");
+        EXPECT_NE(std::string(e.what()).find(
+                      "slots charged past the issue width"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(c.violations(Check::StallAccounting), 1u);
+}
+
 TEST(Integrity, ViolationCountersAppearInStats)
 {
     verify::IntegrityChecker c;
