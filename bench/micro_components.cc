@@ -9,6 +9,7 @@
 
 #include "analysis/characterize.hh"
 #include "core/mop_detector.hh"
+#include "core/mop_pointer.hh"
 #include "mem/cache.hh"
 #include "sched/scheduler.hh"
 #include "pipeline/ooo_core.hh"
@@ -36,13 +37,24 @@ BM_SyntheticGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_SyntheticGeneration);
 
-void
-BM_MopDetectionStep(benchmark::State &state)
+/** gzip's decoded µop stream, the input of the formation benchmarks. */
+std::vector<isa::MicroOp>
+gzipUops()
 {
     trace::SyntheticSource src(trace::profileFor("gzip"));
     std::vector<isa::MicroOp> uops(4096);
     for (auto &u : uops)
         src.next(u);
+    return uops;
+}
+
+void
+BM_MopDetectionStep(benchmark::State &state)
+{
+    // Groups of four, each followed by a drain at its cycle, as
+    // OooCore runs the detector: pointers land after the detection
+    // latency, so heads seen again are covered (the steady state).
+    std::vector<isa::MicroOp> uops = gzipUops();
     core::MopPointerCache cache;
     core::DetectorParams params;
     core::MopDetector det(params, cache);
@@ -51,13 +63,44 @@ BM_MopDetectionStep(benchmark::State &state)
     for (auto _ : state) {
         det.observe(uops[i % uops.size()], id);
         ++i;
-        if (++id % 4 == 0)
+        if (++id % 4 == 0) {
             det.endGroup(id / 4);
+            det.drain(id / 4);
+        }
     }
-    det.drain(~0ULL >> 1);
+    benchmark::DoNotOptimize(cache.writes());
     state.SetItemsProcessed(int64_t(state.iterations()));
+    state.counters["pointers"] = double(cache.size());
 }
 BENCHMARK(BM_MopDetectionStep);
+
+void
+BM_PointerCacheProbe(benchmark::State &state)
+{
+    // Formation probes the pointer table once per inserted µop: probe
+    // gzip's PCs against the table its own detection filled.
+    std::vector<isa::MicroOp> uops = gzipUops();
+    core::MopPointerCache cache;
+    core::DetectorParams params;
+    params.detectLatency = 0;
+    core::MopDetector det(params, cache);
+    for (size_t k = 0; k < uops.size(); ++k) {
+        det.observe(uops[k], k);
+        if (k % 4 == 3) {
+            det.endGroup(k / 4);
+            det.drain(k / 4);
+        }
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        core::PointerProbe p = cache.probe(uops[i % uops.size()].pc);
+        benchmark::DoNotOptimize(p);
+        ++i;
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+    state.counters["pointers"] = double(cache.size());
+}
+BENCHMARK(BM_PointerCacheProbe);
 
 void
 BM_WiredOrWakeup(benchmark::State &state)

@@ -23,11 +23,9 @@
 #ifndef MOP_CORE_MOP_POINTER_HH
 #define MOP_CORE_MOP_POINTER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "stats/stats.hh"
+#include <vector>
 
 namespace mop::core
 {
@@ -50,16 +48,33 @@ struct MopPointer
     bool valid() const { return offset != 0; }
 };
 
+/** Everything the table holds for one head PC, read in one lookup. */
+struct PointerProbe
+{
+    MopPointer ptr;        ///< invalid when no pointer is resident
+    uint8_t excluded = 0;  ///< filter exclusions: bit k = offset k
+};
+
 /**
  * Pointer storage coupled to the instruction cache, plus the
  * last-arriving-operand exclusion set (Section 5.4.2): deleted
  * pointers are remembered so re-detection picks an alternative pair.
+ *
+ * One flat open-addressed table keyed by PC (linear probing, deletion
+ * by backward shift) holds the pointer and the exclusion mask of a
+ * head side by side; a slot lives while it holds either. Nothing
+ * iterates the table, so its layout never reaches an output.
  */
 class MopPointerCache
 {
   public:
+    MopPointerCache();
+
+    /** Pointer and exclusion mask of the instruction at @p pc. */
+    PointerProbe probe(uint64_t pc) const { return slots_[find(pc)].entry; }
+
     /** Look up the pointer for the instruction at @p pc. */
-    MopPointer lookup(uint64_t pc) const;
+    MopPointer lookup(uint64_t pc) const { return probe(pc).ptr; }
 
     /** Detection writes a pointer (after its detection latency). */
     void write(uint64_t pc, const MopPointer &p);
@@ -69,20 +84,49 @@ class MopPointerCache
     void deleteAndExclude(uint64_t pc);
 
     /** Is (head @p pc, @p offset) excluded by the filter? */
-    bool isExcluded(uint64_t pc, uint8_t offset) const;
+    bool
+    isExcluded(uint64_t pc, uint8_t offset) const
+    {
+        return (probe(pc).excluded >> (offset & 7)) & 1;
+    }
 
-    /** IL1 eviction: drop pointers of instructions in the line. */
+    /** IL1 eviction: drop pointers of instructions in the line. The
+     *  exclusions of those instructions stay. */
     void evictLine(uint64_t line_addr, uint32_t line_bytes);
 
-    size_t size() const { return map_.size(); }
+    /**
+     * Mutation count: bumped by every call that changes what probe()
+     * returns for some PC (an applied write, a delete, an eviction
+     * that drops a pointer) and by nothing else. A probe taken at
+     * version v is still exact while version() == v.
+     */
+    uint64_t version() const { return version_; }
+
+    size_t size() const { return pointers_; }
     uint64_t writes() const { return writes_; }
     uint64_t filterDeletions() const { return filterDeletions_; }
     uint64_t lineEvictions() const { return lineEvictions_; }
 
   private:
-    std::unordered_map<uint64_t, MopPointer> map_;
-    /** head pc -> bitmask of excluded offsets (bit k = offset k). */
-    std::unordered_map<uint64_t, uint8_t> excluded_;
+    struct Slot
+    {
+        uint64_t pc = 0;
+        PointerProbe entry;
+
+        bool used() const { return entry.ptr.valid() || entry.excluded; }
+    };
+
+    /** Index of @p pc's slot, or of the free slot that ends its probe
+     *  run. */
+    size_t find(uint64_t pc) const;
+    /** Free slot @p i, shifting later members of its run back. */
+    void erase(size_t i);
+    void grow();
+
+    std::vector<Slot> slots_;  ///< power-of-two size, at most half used
+    size_t used_ = 0;
+    size_t pointers_ = 0;
+    uint64_t version_ = 0;
     uint64_t writes_ = 0;
     uint64_t filterDeletions_ = 0;
     uint64_t lineEvictions_ = 0;

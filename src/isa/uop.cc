@@ -5,97 +5,6 @@
 namespace mop::isa
 {
 
-int
-opLatency(OpClass c)
-{
-    switch (c) {
-      case OpClass::IntAlu:
-      case OpClass::StoreAddr:
-      case OpClass::StoreData:
-      case OpClass::Branch:
-      case OpClass::Jump:
-      case OpClass::JumpInd:
-        return 1;
-      case OpClass::IntMult:
-        return 3;
-      case OpClass::IntDiv:
-        return 20;
-      case OpClass::Load:
-        return 1;  // address generation; cache access added by the core
-      case OpClass::FpAlu:
-        return 2;
-      case OpClass::FpMult:
-        return 4;
-      case OpClass::FpDiv:
-        return 24;
-      case OpClass::Nop:
-        return 0;
-    }
-    return 1;
-}
-
-FuKind
-opFuKind(OpClass c)
-{
-    switch (c) {
-      case OpClass::IntAlu:
-      case OpClass::StoreAddr:
-      case OpClass::Branch:
-      case OpClass::Jump:
-      case OpClass::JumpInd:
-        return FuKind::IntAluFu;
-      case OpClass::IntMult:
-      case OpClass::IntDiv:
-        return FuKind::IntMultDiv;
-      case OpClass::Load:
-      case OpClass::StoreData:
-        return FuKind::MemPort;
-      case OpClass::FpAlu:
-        return FuKind::FpAluFu;
-      case OpClass::FpMult:
-      case OpClass::FpDiv:
-        return FuKind::FpMultDiv;
-      case OpClass::Nop:
-        return FuKind::None;
-    }
-    return FuKind::IntAluFu;
-}
-
-bool
-opUnpipelined(OpClass c)
-{
-    return c == OpClass::IntDiv || c == OpClass::FpDiv;
-}
-
-bool
-opIsControl(OpClass c)
-{
-    return c == OpClass::Branch || c == OpClass::Jump ||
-           c == OpClass::JumpInd;
-}
-
-bool
-opIsIndirectControl(OpClass c)
-{
-    return c == OpClass::JumpInd;
-}
-
-bool
-opIsMopCandidate(OpClass c)
-{
-    switch (c) {
-      case OpClass::IntAlu:
-      case OpClass::StoreAddr:
-      case OpClass::Branch:
-      case OpClass::Jump:
-        return true;
-      // Indirect control breaks MOP pointer encoding; conservatively a
-      // non-candidate so it can never be grouped (Section 5.1.3).
-      default:
-        return false;
-    }
-}
-
 const char *
 opClassName(OpClass c)
 {

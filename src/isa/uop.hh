@@ -65,28 +65,100 @@ constexpr int16_t kFpZeroReg = 63;
 
 /** Execution latency in cycles once the op reaches its FU.
  *  Loads add the memory-hierarchy access on top of address generation. */
-int opLatency(OpClass c);
+constexpr int
+opLatency(OpClass c)
+{
+    switch (c) {
+      case OpClass::IntAlu:
+      case OpClass::StoreAddr:
+      case OpClass::StoreData:
+      case OpClass::Branch:
+      case OpClass::Jump:
+      case OpClass::JumpInd:
+        return 1;
+      case OpClass::IntMult:
+        return 3;
+      case OpClass::IntDiv:
+        return 20;
+      case OpClass::Load:
+        return 1;  // address generation; cache access added by the core
+      case OpClass::FpAlu:
+        return 2;
+      case OpClass::FpMult:
+        return 4;
+      case OpClass::FpDiv:
+        return 24;
+      case OpClass::Nop:
+        return 0;
+    }
+    return 1;
+}
 
 /** Which functional-unit pool executes this op class. */
-FuKind opFuKind(OpClass c);
+constexpr FuKind
+opFuKind(OpClass c)
+{
+    switch (c) {
+      case OpClass::IntAlu:
+      case OpClass::StoreAddr:
+      case OpClass::Branch:
+      case OpClass::Jump:
+      case OpClass::JumpInd:
+        return FuKind::IntAluFu;
+      case OpClass::IntMult:
+      case OpClass::IntDiv:
+        return FuKind::IntMultDiv;
+      case OpClass::Load:
+      case OpClass::StoreData:
+        return FuKind::MemPort;
+      case OpClass::FpAlu:
+        return FuKind::FpAluFu;
+      case OpClass::FpMult:
+      case OpClass::FpDiv:
+        return FuKind::FpMultDiv;
+      case OpClass::Nop:
+        return FuKind::None;
+    }
+    return FuKind::IntAluFu;
+}
 
 /** True for ops whose FU does not accept a new op every cycle. */
-bool opUnpipelined(OpClass c);
+constexpr bool
+opUnpipelined(OpClass c)
+{
+    return c == OpClass::IntDiv || c == OpClass::FpDiv;
+}
 
 /** True if this class transfers control. */
-bool opIsControl(OpClass c);
+constexpr bool
+opIsControl(OpClass c)
+{
+    return c == OpClass::Branch || c == OpClass::Jump ||
+           c == OpClass::JumpInd;
+}
 
 /** True if control transfer target cannot be encoded in a MOP pointer
  *  control bit (indirect jumps, Section 5.1.3). */
-bool opIsIndirectControl(OpClass c);
+constexpr bool
+opIsIndirectControl(OpClass c)
+{
+    return c == OpClass::JumpInd;
+}
 
 /**
  * True for MOP candidate classes: single-cycle ALU, store address
  * generation and control instructions (Section 4.1). Store-data ops are
  * not candidates; they represent the half of a store the paper does not
  * count (Figure 7 counts each store once, as its address generation).
+ * Indirect control breaks MOP pointer encoding, so it is conservatively
+ * a non-candidate and can never be grouped (Section 5.1.3).
  */
-bool opIsMopCandidate(OpClass c);
+constexpr bool
+opIsMopCandidate(OpClass c)
+{
+    return c == OpClass::IntAlu || c == OpClass::StoreAddr ||
+           c == OpClass::Branch || c == OpClass::Jump;
+}
 
 const char *opClassName(OpClass c);
 

@@ -83,6 +83,9 @@ OooCore::OooCore(const CoreParams &params, trace::TraceSource &source)
     lastWriter_.fill(-1);
     ckptLastWriter_.fill(-1);
     rob_.init(params_.robSize);
+    frontendLimit_ = size_t(
+        std::max(params_.fetchWidth * (params_.frontendDepth + 4), 0));
+    frontend_.init(frontendLimit_ + size_t(std::max(params_.fetchWidth, 1)));
     completedScratch_.reserve(64);
     mopScratch_.reserve(64);
     skipEnabled_ =
@@ -233,7 +236,7 @@ OooCore::squashWrongPath(uint64_t boundary)
 
     // Frontend wrong-path µops that never dispatched get no rows.
     while (!frontend_.empty() && frontend_.back().dynId > boundary)
-        frontend_.pop_back();
+        frontend_.popBack();
 
     sched_->squashAfter(boundary, now_);
 
@@ -454,7 +457,7 @@ OooCore::doQueueInsert()
             ckptLastWriter_ = lastWriter_;
             haveCkpt_ = true;
         }
-        frontend_.pop_front();
+        frontend_.popFront();
         ++inserted;
     }
     // MOP detection and the Figure 11 group window only matter when
@@ -486,10 +489,8 @@ OooCore::doFetch()
     if (traceDone_)
         return;
     // Keep the frontend from ballooning when the queue stage stalls.
-    if (frontend_.size() >=
-        size_t(params_.fetchWidth * (params_.frontendDepth + 4))) {
+    if (frontend_.size() >= frontendLimit_)
         return;
-    }
 
     for (int slot = 0; slot < params_.fetchWidth; ++slot) {
         if (!havePending_) {
@@ -517,7 +518,7 @@ OooCore::doFetch()
             continue;  // filtered by the decoder (consumes a slot)
 
         uint64_t dyn_id = nextDynId_++;
-        frontend_.push_back(InFlight{
+        frontend_.pushBack(InFlight{
             u, dyn_id, now_,
             now_ + sched::Cycle(params_.frontendDepth +
                                 params_.extraFormationStages)});
@@ -585,10 +586,8 @@ OooCore::doFetch()
 void
 OooCore::doWrongPathFetch()
 {
-    if (frontend_.size() >=
-        size_t(params_.fetchWidth * (params_.frontendDepth + 4))) {
+    if (frontend_.size() >= frontendLimit_)
         return;
-    }
 
     for (int slot = 0; slot < params_.fetchWidth; ++slot) {
         const isa::MicroOp *u = wpSynth_.peek();
@@ -612,7 +611,7 @@ OooCore::doWrongPathFetch()
         wpSynth_.pop();
         uint64_t dyn_id = nextDynId_++;
         wu.seq = dyn_id;
-        frontend_.push_back(InFlight{
+        frontend_.pushBack(InFlight{
             wu, dyn_id, now_,
             now_ + sched::Cycle(params_.frontendDepth +
                                 params_.extraFormationStages),
@@ -756,11 +755,8 @@ OooCore::maybeSkipIdle()
     bool fetch_live = waitingBranch_
                           ? (wpActive_ && wpSynth_.hasMore())
                           : !traceDone_;
-    if (fetch_live &&
-        frontend_.size() <
-            size_t(params_.fetchWidth * (params_.frontendDepth + 4))) {
+    if (fetch_live && frontend_.size() < frontendLimit_)
         fold(std::max(fetchStallUntil_, now_ + 1));
-    }
 
     if (t == sched::kNoCycle)
         return;  // nothing pending anywhere: the run is ending

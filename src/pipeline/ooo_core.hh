@@ -46,8 +46,8 @@
 #ifndef MOP_PIPELINE_OOO_CORE_HH
 #define MOP_PIPELINE_OOO_CORE_HH
 
-#include <deque>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -316,6 +316,58 @@ class OooCore
         size_t size_ = 0;
     };
 
+    /**
+     * Fixed-capacity power-of-two FIFO of fetched µops awaiting the
+     * queue stage. Fetch stops adding at frontendLimit_ entries and then
+     * adds at most one fetch group, which bounds the capacity; a push
+     * beyond it is a pipeline bug and throws.
+     */
+    class FrontendRing
+    {
+      public:
+        void
+        init(size_t capacity)
+        {
+            size_t cap = 1;
+            while (cap < capacity)
+                cap <<= 1;
+            mask_ = cap - 1;
+            slots_.resize(cap);
+        }
+
+        bool empty() const { return size_ == 0; }
+        size_t size() const { return size_; }
+
+        InFlight &front() { return slots_[head_]; }
+        const InFlight &front() const { return slots_[head_]; }
+        InFlight &back() { return slots_[(head_ + size_ - 1) & mask_]; }
+
+        void
+        pushBack(const InFlight &f)
+        {
+            if (size_ > mask_)
+                throw std::logic_error("frontend FIFO overflow");
+            slots_[(head_ + size_) & mask_] = f;
+            ++size_;
+        }
+
+        void
+        popFront()
+        {
+            head_ = (head_ + 1) & mask_;
+            --size_;
+        }
+
+        /** Drop the youngest µop (wrong-path squash). */
+        void popBack() { --size_; }
+
+      private:
+        std::vector<InFlight> slots_;
+        size_t mask_ = 0;
+        size_t head_ = 0;
+        size_t size_ = 0;
+    };
+
     void doFetch();
     /** Fetch from the wrong-path synthesizer while the mispredicted
      *  branch is unresolved (CoreParams::wrongPath). */
@@ -379,7 +431,10 @@ class OooCore
     uint64_t wpFetched_ = 0;        ///< wp µops that entered the frontend
     uint64_t wpSquashedUops_ = 0;   ///< wp µops flushed from the ROB
 
-    std::deque<InFlight> frontend_;
+    FrontendRing frontend_;
+    /** Fetch adds nothing while the frontend holds this many µops
+     *  (fetchWidth x (frontendDepth + 4)): the queue stage stalled. */
+    size_t frontendLimit_ = 0;
     RobRing rob_;
     bool skipEnabled_ = false;  ///< cycleSkip && !obs && !faults
 

@@ -10,11 +10,21 @@ FuPool::FuPool(const std::array<int, isa::kNumFuKinds> &counts)
 {
     for (size_t k = 0; k < isa::kNumFuKinds; ++k)
         busyUntil_[k].assign(size_t(counts[k]), 0);
+    for (size_t c = 0; c < isa::kNumOpClasses; ++c) {
+        auto op = isa::OpClass(c);
+        auto kind = size_t(isa::opFuKind(op));
+        if (isa::opUnpipelined(op) && kind < isa::kNumFuKinds)
+            servesUnpipelined_[kind] = true;
+    }
 }
 
 int
 FuPool::freeUnits(size_t kind, Cycle c) const
 {
+    // Only reserve() of an unpipelined op moves a busy-until time, so
+    // every other pool's units are all free at every cycle.
+    if (!servesUnpipelined_[kind])
+        return counts_[kind];
     int n = 0;
     for (Cycle b : busyUntil_[kind])
         if (b <= c)

@@ -65,6 +65,9 @@ class FuPool
     std::array<int, isa::kNumFuKinds> counts_;
     /** Per-unit busy-until (exclusive) for unpipelined occupancy. */
     std::array<std::vector<Cycle>, isa::kNumFuKinds> busyUntil_;
+    /** Pools that execute an unpipelined class (IntMultDiv, FpMultDiv):
+     *  the only ones whose busyUntil_ entries ever leave 0. */
+    std::array<bool, isa::kNumFuKinds> servesUnpipelined_{};
     /** Stamped ring of initiation counts per cycle. */
     std::array<std::array<std::pair<Cycle, int>, kRing>,
                isa::kNumFuKinds> reserved_{};

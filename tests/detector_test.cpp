@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/mop_detector.hh"
 
 namespace
@@ -409,6 +411,34 @@ TEST(Detector, DistantLinksNeverChainSafe)
     ASSERT_TRUE(f.at(0).valid());
     EXPECT_EQ(f.at(0).offset, 2);
     EXPECT_FALSE(f.at(0).chainSafe);
+}
+
+TEST(Detector, RejectsOffsetsBeyondThreeBits)
+{
+    // Exclusions are kept per offset bit (offset & 7): offset 9 would
+    // alias offset 1, so the pointer's 3-bit range is enforced.
+    MopPointerCache cache;
+    for (int off : {0, 8, 9, -1}) {
+        DetectorParams p;
+        p.maxOffset = off;
+        EXPECT_THROW(MopDetector(p, cache), std::invalid_argument) << off;
+    }
+    DetectorParams ok;
+    ok.maxOffset = 1;
+    EXPECT_NO_THROW(MopDetector(ok, cache));
+}
+
+TEST(Detector, RejectsGroupWidthBeyondWindowMask)
+{
+    MopPointerCache cache;
+    for (int width : {0, MopDetector::kMaxWindow / 2 + 1, 1000}) {
+        DetectorParams p;
+        p.groupWidth = width;
+        EXPECT_THROW(MopDetector(p, cache), std::invalid_argument) << width;
+    }
+    DetectorParams widest;
+    widest.groupWidth = MopDetector::kMaxWindow / 2;
+    EXPECT_NO_THROW(MopDetector(widest, cache));
 }
 
 TEST(Detector, MultiplePairsPerWindow)
