@@ -1,9 +1,77 @@
 #include "core/mop_formation.hh"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace mop::core
 {
+
+void
+Formation::setTagPool(sched::Scheduler *pool)
+{
+    pool_ = pool;
+    if (pool_)
+        pool_->setTagHolder(this);
+}
+
+sched::Tag
+Formation::nextStandaloneTag()
+{
+    if (next_ == std::numeric_limits<sched::Tag>::max())
+        throw std::overflow_error(
+            "formation tag numbering exhausted: attach a tag pool");
+    return next_++;
+}
+
+void
+Formation::tooManyDisplaced()
+{
+    throw std::logic_error(
+        "more than two destination mappings without releaseDisplaced()");
+}
+
+void
+Formation::checkpoint()
+{
+    if (ckptLive_) {
+        for (sched::Tag t : ckptTable_)
+            releaseTag(t);
+    }
+    ckptTable_ = table_;
+    for (sched::Tag t : ckptTable_)
+        retainTag(t);
+    ckptLive_ = true;
+}
+
+void
+Formation::restoreToCheckpoint()
+{
+    if (!ckptLive_)
+        throw std::logic_error("restoreToCheckpoint without a checkpoint");
+    for (sched::Tag t : table_)
+        releaseTag(t);
+    table_ = ckptTable_;  // the checkpoint's references pass to the table
+    ckptLive_ = false;
+    dropWindows();
+}
+
+void
+Formation::forEachTagRef(const std::function<void(sched::Tag)> &fn) const
+{
+    auto named = [&fn](sched::Tag t) {
+        if (t != sched::kNoTag)
+            fn(t);
+    };
+    for (sched::Tag t : table_)
+        named(t);
+    if (ckptLive_) {
+        for (sched::Tag t : ckptTable_)
+            named(t);
+    }
+    for (sched::Tag t : displaced_)
+        named(t);
+}
 
 MopFormation::MopFormation(bool grouping_enabled, MopPointerCache &cache,
                            int max_mop_size)
@@ -33,7 +101,7 @@ MopFormation::process(const isa::MicroOp &u, uint64_t dyn_id)
         if (it->tailDynId != dyn_id)
             continue;
         PendingHead p = *it;
-        pending_.erase(it);
+        closeWindow(it);
         if (u.pc == p.tailPc && u.isMopCandidate() && p.entry >= 0) {
             out.role = FormOutcome::Role::Tail;
             out.headEntry = p.entry;
@@ -41,7 +109,7 @@ MopFormation::process(const isa::MicroOp &u, uint64_t dyn_id)
             out.independent = p.independent;
             out.dst = p.mopTag;
             if (u.hasDst())
-                table_[size_t(u.dst)] = p.mopTag;
+                mapDst(u.dst, p.mopTag);
             ++groupsFormed_;
             if (p.independent)
                 ++independentFormed_;
@@ -54,9 +122,9 @@ MopFormation::process(const isa::MicroOp &u, uint64_t dyn_id)
                 for (const auto &q : pending_)
                     ok = ok && q.tailDynId != next_tail;
                 if (ok) {
-                    pending_.push_back(PendingHead{
-                        p.headDynId, next_tail, next.tailPc, p.mopTag,
-                        p.entry, 0, false, p.sizeSoFar + 1});
+                    openWindow(PendingHead{p.headDynId, next_tail,
+                                           next.tailPc, p.mopTag, p.entry,
+                                           0, false, p.sizeSoFar + 1});
                     out.moreExpected = true;
                 }
             }
@@ -101,10 +169,9 @@ MopFormation::process(const isa::MicroOp &u, uint64_t dyn_id)
             out.dst = m;  // the MOP's scheduling tag, even for heads
                           // with no architectural destination
             if (u.hasDst())
-                table_[size_t(u.dst)] = m;
-            pending_.push_back(PendingHead{dyn_id, dyn_id + ptr.offset,
-                                           ptr.tailPc, m, -1, 0,
-                                           ptr.independent});
+                mapDst(u.dst, m);
+            openWindow(PendingHead{dyn_id, dyn_id + ptr.offset, ptr.tailPc,
+                                   m, -1, 0, ptr.independent});
             return out;
         }
     }
@@ -113,10 +180,41 @@ MopFormation::process(const isa::MicroOp &u, uint64_t dyn_id)
     out.role = FormOutcome::Role::Single;
     if (u.hasDst()) {
         sched::Tag t = freshTag();
-        table_[size_t(u.dst)] = t;
+        mapDst(u.dst, t);
         out.dst = t;
     }
     return out;
+}
+
+void
+MopFormation::openWindow(const PendingHead &p)
+{
+    pending_.push_back(p);
+    retainTag(p.mopTag);
+}
+
+std::vector<MopFormation::PendingHead>::iterator
+MopFormation::closeWindow(std::vector<PendingHead>::iterator it)
+{
+    releaseTag(it->mopTag);
+    return pending_.erase(it);
+}
+
+void
+MopFormation::dropWindows()
+{
+    for (const PendingHead &p : pending_)
+        releaseTag(p.mopTag);
+    pending_.clear();
+}
+
+void
+MopFormation::forEachTagRef(
+    const std::function<void(sched::Tag)> &fn) const
+{
+    Formation::forEachTagRef(fn);
+    for (const PendingHead &p : pending_)
+        fn(p.mopTag);
 }
 
 void
@@ -133,7 +231,7 @@ MopFormation::demoteTail(const isa::MicroOp &u, int entry)
     if (entry >= 0) {
         for (auto it = pending_.begin(); it != pending_.end();) {
             if (it->entry == entry)
-                it = pending_.erase(it);
+                it = closeWindow(it);
             else
                 ++it;
         }
@@ -142,7 +240,7 @@ MopFormation::demoteTail(const isa::MicroOp &u, int entry)
     sched::Tag t = sched::kNoTag;
     if (u.hasDst()) {
         t = freshTag();
-        table_[size_t(u.dst)] = t;
+        mapDst(u.dst, t);
     }
     return t;
 }
@@ -158,7 +256,7 @@ MopFormation::groupBoundary()
             if (it->entry >= 0)
                 expired.push_back(it->entry);
             ++pendingExpired_;
-            it = pending_.erase(it);
+            it = closeWindow(it);
         } else {
             ++it;
         }

@@ -25,6 +25,14 @@
  * allocator and formation counters are shared by every concrete
  * formation and live in the base class.
  *
+ * Tags come from the scheduler's bounded pool (sched/tag_pool.hh) once
+ * setTagPool() is called. Each table slot, checkpoint slot and pending
+ * window then holds a reference to the tag it names. A destination
+ * mapping does not drop the reference to the tag it displaces until
+ * releaseDisplaced(): the displaced tag may be one of the µop's own
+ * sources, which must not be recycled before its issue-queue entry
+ * names it.
+ *
  * With grouping disabled every formation degenerates into a plain
  * dependence renamer that assigns a fresh tag to each destination.
  */
@@ -33,10 +41,12 @@
 #define MOP_CORE_MOP_FORMATION_HH
 
 #include <array>
+#include <functional>
 #include <vector>
 
 #include "core/mop_pointer.hh"
 #include "isa/uop.hh"
+#include "sched/scheduler.hh"
 #include "sched/types.hh"
 #include "verify/fault_injector.hh"
 
@@ -73,10 +83,33 @@ struct FormOutcome
  * translation table, the tag allocator and the formation counters;
  * concrete formations implement the grouping decision itself.
  */
-class Formation
+class Formation : public sched::TagHolder
 {
   public:
     virtual ~Formation() = default;
+
+    /** Allocate tags from @p pool (not owned) and register with it as
+     *  a holder of references. Without a pool, tags are numbered in
+     *  order and never recycled (standalone use). */
+    void setTagPool(sched::Scheduler *pool);
+
+    /** Drop the references displaced by destination mappings since the
+     *  last call. Call once the µop's outcome is in the scheduler. */
+    void
+    releaseDisplaced()
+    {
+        if (displaced_[0] == sched::kNoTag)
+            return;  // nothing displaced, or no pool
+        pool_->releaseTag(displaced_[0]);
+        pool_->releaseTag(displaced_[1]);
+        displaced_ = {sched::kNoTag, sched::kNoTag};
+    }
+
+    /** Every tag reference this formation holds: table slots, the
+     *  live checkpoint's slots, displaced tags not yet released, and
+     *  (in subclasses) pending windows. */
+    void forEachTagRef(
+        const std::function<void(sched::Tag)> &fn) const override;
 
     /** Translate and classify one µop, in program order. */
     virtual FormOutcome process(const isa::MicroOp &u,
@@ -108,30 +141,30 @@ class Formation
 
     /**
      * Snapshot the translation table at a mispredicted branch's
-     * dispatch (wrong-path execution). Only the table is saved: the
-     * tag allocator is monotonic and never rewound (wrong-path tags
-     * are simply abandoned), and pending windows are dropped wholesale
-     * at restore — any right-path pending head has either resolved or
-     * expired by the time the branch resolves, and a stale window
-     * matching a *recycled* dyn id would silently corrupt pairing.
-     * One checkpoint is live at a time (the core enters wrong-path
-     * mode on the oldest unresolved mispredict only).
+     * dispatch (wrong-path execution). Only the table is saved: tags
+     * are never rewound (wrong-path tags are recycled once the squash
+     * drops their last reference), and pending windows are dropped
+     * wholesale at restore — any right-path pending head has either
+     * resolved or expired by the time the branch resolves, and a stale
+     * window matching a *recycled* dyn id would silently corrupt
+     * pairing. One checkpoint is live at a time (the core enters
+     * wrong-path mode on the oldest unresolved mispredict only); its
+     * slots hold references until the restore hands them back to the
+     * table.
      */
-    virtual void checkpoint()
-    {
-        ckptTable_ = table_;
-    }
+    void checkpoint();
 
     /** Restore the checkpointed table and drop all pending windows
      *  (the wrong path dispatched after the checkpoint is being
-     *  squashed). */
-    virtual void restoreToCheckpoint()
-    {
-        table_ = ckptTable_;
-    }
+     *  squashed). Requires a live checkpoint. */
+    void restoreToCheckpoint();
 
     /** Fresh tag in the grouping name space. */
-    sched::Tag freshTag() { return next_++; }
+    sched::Tag
+    freshTag()
+    {
+        return pool_ ? pool_->allocTag() : nextStandaloneTag();
+    }
 
     uint64_t groupsFormed() const { return groupsFormed_; }
     uint64_t independentFormed() const { return independentFormed_; }
@@ -153,13 +186,50 @@ class Formation
     }
 
     sched::Tag translateSrc(int16_t reg) const;
+    /** Map logical register @p reg to @p t (see releaseDisplaced). */
+    void
+    mapDst(int16_t reg, sched::Tag t)
+    {
+        sched::Tag old = table_[size_t(reg)];
+        table_[size_t(reg)] = t;
+        if (!pool_)
+            return;
+        pool_->retainTag(t);
+        if (old == sched::kNoTag)
+            return;
+        // Held until releaseDisplaced: a µop maps at most one
+        // destination in process() and one more in demoteTail().
+        if (displaced_[1] != sched::kNoTag) [[unlikely]]
+            tooManyDisplaced();
+        displaced_[displaced_[0] != sched::kNoTag] = old;
+    }
+    [[noreturn]] static void tooManyDisplaced();
+    sched::Tag nextStandaloneTag();
+    /** A pending window starts / stops naming @p t. */
+    void
+    retainTag(sched::Tag t)
+    {
+        if (pool_)
+            pool_->retainTag(t);
+    }
+    void
+    releaseTag(sched::Tag t)
+    {
+        if (pool_)
+            pool_->releaseTag(t);
+    }
+    /** Drop every pending window (checkpoint restore). */
+    virtual void dropWindows() = 0;
 
     bool enabled_;
     verify::FaultInjector *inj_ = nullptr;  ///< not owned
-    sched::Tag next_ = 0;
+    sched::Scheduler *pool_ = nullptr;      ///< not owned
+    sched::Tag next_ = 0;  ///< standalone numbering (no pool)
     std::array<sched::Tag, isa::kNumLogicalRegs> table_;
+    std::array<sched::Tag, 2> displaced_{sched::kNoTag, sched::kNoTag};
 
     std::array<sched::Tag, isa::kNumLogicalRegs> ckptTable_{};
+    bool ckptLive_ = false;
 
     uint64_t groupsFormed_ = 0;
     uint64_t independentFormed_ = 0;
@@ -180,12 +250,8 @@ class MopFormation : public Formation
     sched::Tag demoteTail(const isa::MicroOp &u, int entry = -1) override;
     std::vector<int> groupBoundary() override;
     int pendingCount() const override { return int(pending_.size()); }
-
-    void restoreToCheckpoint() override
-    {
-        Formation::restoreToCheckpoint();
-        pending_.clear();
-    }
+    void forEachTagRef(
+        const std::function<void(sched::Tag)> &fn) const override;
 
   private:
     struct PendingHead
@@ -199,6 +265,12 @@ class MopFormation : public Formation
         bool independent = false;
         int sizeSoFar = 1;  ///< ops already in the entry
     };
+
+    void dropWindows() override;
+    void openWindow(const PendingHead &p);
+    /** Close the window at @p it; returns the next one. */
+    std::vector<PendingHead>::iterator
+    closeWindow(std::vector<PendingHead>::iterator it);
 
     MopPointerCache &cache_;
     int maxMopSize_;

@@ -38,7 +38,7 @@ StaticFuser::process(const isa::MicroOp &u, uint64_t dyn_id)
     //    next µop can be the tail, anything else abandons the pairing.
     if (head_.active) {
         PendingPair p = head_;
-        head_.active = false;
+        closeWindow();
         if (dyn_id == p.headDynId + 1 && p.entry >= 0 &&
             tailPattern(u, p.headDst)) {
             out.role = FormOutcome::Role::Tail;
@@ -46,7 +46,7 @@ StaticFuser::process(const isa::MicroOp &u, uint64_t dyn_id)
             out.headDynId = p.headDynId;
             out.dst = p.mopTag;
             if (u.hasDst())
-                table_[size_t(u.dst)] = p.mopTag;
+                mapDst(u.dst, p.mopTag);
             ++groupsFormed_;
             return out;
         }
@@ -60,8 +60,9 @@ StaticFuser::process(const isa::MicroOp &u, uint64_t dyn_id)
         out.role = FormOutcome::Role::Head;
         sched::Tag m = freshTag();
         out.dst = m;
-        table_[size_t(u.dst)] = m;
+        mapDst(u.dst, m);
         head_ = PendingPair{true, dyn_id, u.dst, m, -1, 0};
+        retainTag(m);
         return out;
     }
 
@@ -69,10 +70,27 @@ StaticFuser::process(const isa::MicroOp &u, uint64_t dyn_id)
     out.role = FormOutcome::Role::Single;
     if (u.hasDst()) {
         sched::Tag t = freshTag();
-        table_[size_t(u.dst)] = t;
+        mapDst(u.dst, t);
         out.dst = t;
     }
     return out;
+}
+
+void
+StaticFuser::closeWindow()
+{
+    if (head_.active) {
+        releaseTag(head_.mopTag);
+        head_.active = false;
+    }
+}
+
+void
+StaticFuser::forEachTagRef(const std::function<void(sched::Tag)> &fn) const
+{
+    Formation::forEachTagRef(fn);
+    if (head_.active)
+        fn(head_.mopTag);
 }
 
 void
@@ -86,12 +104,12 @@ sched::Tag
 StaticFuser::demoteTail(const isa::MicroOp &u, int entry)
 {
     if (entry >= 0 && head_.active && head_.entry == entry)
-        head_.active = false;
+        closeWindow();
     ++demotions_;
     sched::Tag t = sched::kNoTag;
     if (u.hasDst()) {
         t = freshTag();
-        table_[size_t(u.dst)] = t;
+        mapDst(u.dst, t);
     }
     return t;
 }
@@ -106,7 +124,7 @@ StaticFuser::groupBoundary()
         if (head_.entry >= 0)
             expired.push_back(head_.entry);
         ++pendingExpired_;
-        head_.active = false;
+        closeWindow();
     }
     return expired;
 }

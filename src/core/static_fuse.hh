@@ -37,12 +37,8 @@ class StaticFuser : public Formation
     sched::Tag demoteTail(const isa::MicroOp &u, int entry = -1) override;
     std::vector<int> groupBoundary() override;
     int pendingCount() const override { return head_.active ? 1 : 0; }
-
-    void restoreToCheckpoint() override
-    {
-        Formation::restoreToCheckpoint();
-        head_ = PendingPair{};
-    }
+    void forEachTagRef(
+        const std::function<void(sched::Tag)> &fn) const override;
 
     /** Pattern table, head side: single-cycle integer ALU op that
      *  produces a register. */
@@ -61,6 +57,10 @@ class StaticFuser : public Formation
         int entry = -1;
         int groupAge = 0;
     };
+
+    void dropWindows() override { closeWindow(); }
+    /** Abandon the open window, if any, and its tag reference. */
+    void closeWindow();
 
     PendingPair head_;
 };

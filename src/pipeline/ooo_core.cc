@@ -38,6 +38,7 @@ OooCore::OooCore(const CoreParams &params, trace::TraceSource &source)
     sched::SchedParams sp = params_.sched;
     sp.mopEnabled = params_.mopEnabled;
     sched_ = std::make_unique<sched::Scheduler>(sp);
+    formation_->setTagPool(sched_.get());
     sched_->setLoadLatencyFn([this](uint64_t seq) {
         RobEntry *re = robByDynId(seq);
         integrity_.require(re && re->u.isLoad(),
@@ -243,9 +244,10 @@ OooCore::squashWrongPath(uint64_t boundary)
     // Rename-side recovery: the formation table and last-writer map
     // revert to the branch's dispatch; pending pairing windows are
     // dropped (squashAfter already unpended any surviving right-path
-    // head). The tag allocator is monotonic and never rewound, but
-    // dyn ids must stay dense for the ROB ring, so the allocator
-    // rewinds to just after the branch.
+    // head). Tags are never rewound: the squash drops the wrong path's
+    // references and the pool recycles them. Dyn ids must stay dense
+    // for the ROB ring, so their allocator rewinds to just after the
+    // branch.
     formation_->restoreToCheckpoint();
     lastWriter_ = ckptLastWriter_;
     haveCkpt_ = false;
@@ -440,6 +442,9 @@ OooCore::doQueueInsert()
           }
         }
 
+        // The entry now names the µop's sources, so the tags its
+        // destination mapping displaced may be recycled.
+        formation_->releaseDisplaced();
         if (f.u.hasDst())
             lastWriter_[size_t(f.u.dst)] = int64_t(f.dynId);
 

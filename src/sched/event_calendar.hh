@@ -102,6 +102,17 @@ class EventCalendar
         }
     }
 
+    /** Visit every queued event (audits; no particular order). */
+    template <typename Fn>
+    void
+    forEachPending(Fn &&fn) const
+    {
+        for (int head : head_) {
+            for (int id = head; id >= 0; id = pool_[size_t(id)].next)
+                fn(pool_[size_t(id)].ev);
+        }
+    }
+
     /**
      * Earliest cycle > @p now at which an event could fire, or
      * kNoCycle when the calendar is empty. A lower bound, not an

@@ -81,10 +81,25 @@ srcMask(int n)
     return uint8_t((1u << unsigned(n)) - 1u);
 }
 
+/** Issue-queue entries for @p p; 0 means unrestricted (512). */
+size_t
+queueEntries(const SchedParams &p)
+{
+    return size_t(p.numEntries > 0 ? p.numEntries : 512);
+}
+
 } // namespace
 
+size_t
+Scheduler::tagBoundFor(size_t entries)
+{
+    return 2 * size_t(isa::kNumLogicalRegs) +
+           entries * size_t(1 + kMaxEntrySrcs);
+}
+
 Scheduler::Scheduler(const SchedParams &params)
-    : params_(params), fu_(params.fuCounts)
+    : params_(params), fu_(params.fuCounts),
+      pool_(tagBoundFor(queueEntries(params)))
 {
     const SchedPolicy &pol = policyFor(params_.policyId);
     loadsSpeculate_ = pol.speculateOnLoads();
@@ -110,7 +125,7 @@ Scheduler::Scheduler(const SchedParams &params)
             "when the delay is not yet known");
     }
 
-    size_t n = size_t(params_.numEntries > 0 ? params_.numEntries : 512);
+    size_t n = queueEntries(params_);
     srcTag_.resize(n);
     for (auto &row : srcTag_)
         row.fill(kNoTag);
@@ -119,6 +134,7 @@ Scheduler::Scheduler(const SchedParams &params)
     age_.resize(n, 0);
     opcls_.resize(n);
     cold_.resize(n);
+    delays_.resize(n);
     validBits_.resize(bitWords(n), 0);
     readyBits_.resize(bitWords(n), 0);
     watchBits_.resize(bitWords(n), 0);
@@ -128,6 +144,7 @@ Scheduler::Scheduler(const SchedParams &params)
         freeList_.push_back(i);
     readyScratch_.reserve(n);
     injRecalls_.reserve(64);
+    resizeTags(pool_.bound());
 }
 
 bool
@@ -167,42 +184,54 @@ Scheduler::schedLatency(int idx) const
         // policy, the sampled true delay: the broadcast then fires
         // exactly when the value is ready and is never recalled.
         lat += loadsSpeculate_ ? params_.dl1HitLatency
-                               : knownLoadDelay(op.seq);
+                               : sampledLoadDelay(idx, 0);
     }
     return std::max(lat, schedDepthVal());
 }
 
 int
-Scheduler::loadDelayOf(uint64_t seq)
+Scheduler::sampledLoadDelay(int idx, int o) const
 {
-    auto it = loadDelay_.find(seq);
-    if (it != loadDelay_.end())
-        return it->second;
-    int lat = loadLatency_ ? loadLatency_(seq) : params_.dl1HitLatency;
-    loadDelay_.emplace(seq, lat);
-    return lat;
-}
-
-int
-Scheduler::knownLoadDelay(uint64_t seq) const
-{
-    auto it = loadDelay_.find(seq);
-    return it == loadDelay_.end() ? params_.dl1HitLatency : it->second;
+    const EntryDelays &d = delays_[size_t(idx)];
+    return (d.sampled >> unsigned(o)) & 1 ? d.lat[size_t(o)]
+                                          : params_.dl1HitLatency;
 }
 
 void
 Scheduler::ensureTag(Tag t)
 {
-    if (t < 0)
-        return;
-    if (size_t(t) >= tagCap_) {
-        size_t n = size_t(t) + size_t(t) / 2 + 64;
-        tagReadyBits_.resize(bitWords(n), 0);
-        tagValueReady_.resize(n, kNoCycle);
-        tagReadyAt_.resize(n, kNoCycle);
-        tagMissPending_.resize(bitWords(n), 0);
-        tagCap_ = n;
+    if (t >= 0 && size_t(t) >= tagCap_)
+        resizeTags(size_t(t) + size_t(t) / 2 + 64);
+}
+
+void
+Scheduler::resizeTags(size_t n)
+{
+    tagReadyBits_.resize(bitWords(n), 0);
+    tagValueReady_.resize(n, kNoCycle);
+    tagReadyAt_.resize(n, kNoCycle);
+    tagMissPending_.resize(bitWords(n), 0);
+    tagCap_ = n;
+}
+
+void
+Scheduler::allocTagSlow(Tag t)
+{
+    if (t == kNoTag) {
+        integrity_.fail(verify::IntegrityChecker::Check::TagLiveness,
+                        "tag pool exhausted: all " +
+                            std::to_string(pool_.bound()) +
+                            " tags are live");
     }
+    std::fprintf(stderr, "[tag] allocated\n");
+}
+
+void
+Scheduler::unbalancedRelease(Tag t)
+{
+    integrity_.fail(verify::IntegrityChecker::Check::TagLiveness,
+                    "tag " + std::to_string(t) +
+                        " released more often than retained");
 }
 
 bool
@@ -338,8 +367,12 @@ Scheduler::freeEntry(int idx)
     clearBit(watchBits_, size_t(idx));
     if (stallProbe_)
         refreshStall(idx);
-    for (int s = 0; s < st.numSrcs; ++s)
-        clearBit(consumers_, consumerBit(srcTag_[size_t(idx)][size_t(s)], idx));
+    for (int s = 0; s < st.numSrcs; ++s) {
+        Tag t = srcTag_[size_t(idx)][size_t(s)];
+        clearBit(consumers_, consumerBit(t, idx));
+        releaseTag(t);
+    }
+    releaseTag(c.dstTag);
     ++c.gen;
     --occupied_;
     freeList_.push_back(idx);
@@ -366,6 +399,7 @@ Scheduler::addSource(int idx, Tag t)
     cold_[size_t(idx)].srcReadyAt[size_t(s)] =
         rdy ? tagReadyAt_[size_t(t)] : kNoCycle;
     setBit(consumers_, consumerBit(t, idx));
+    pool_.retain(t);
     return s;
 }
 
@@ -392,6 +426,7 @@ Scheduler::insert(const SchedOp &op, Cycle now, bool expect_tail)
     opcls_[size_t(idx)].cls[0] = op.op;
     c.ops[0] = op;
     c.dstTag = op.dst;
+    pool_.retain(op.dst);
     c.minSeq = c.maxSeq = op.seq;
     age_[size_t(idx)] = nextAge_++;
     minIssue_[size_t(idx)] = now + 1;
@@ -771,15 +806,21 @@ Scheduler::issueEntry(int idx, Cycle now, std::vector<MopIssue> *mop_issues)
     }
 
     // Load-delay policy: sample each load's true delay before the
-    // broadcast is scheduled -- schedLatency consults the memo table,
-    // and the latency sampler is side-effecting (fault campaigns draw
-    // from an RNG) so it must be queried exactly once per load. Gated
-    // off for speculating policies to keep the injector's draw order
-    // (and hence every Paper fault campaign) byte-identical.
+    // broadcast is scheduled -- schedLatency reads the sample from the
+    // entry, and the latency sampler is side-effecting (fault
+    // campaigns draw from an RNG) so it must be queried exactly once
+    // per load. Gated off for speculating policies to keep the
+    // injector's draw order (and hence every Paper fault campaign)
+    // byte-identical.
     if (!loadsSpeculate_) {
         for (int o = 0; o < num_ops; ++o) {
-            if (c.ops[size_t(o)].op == isa::OpClass::Load)
-                loadDelayOf(c.ops[size_t(o)].seq);
+            const SchedOp &op = c.ops[size_t(o)];
+            if (op.op != isa::OpClass::Load)
+                continue;
+            EntryDelays &d = delays_[size_t(idx)];
+            d.lat[size_t(o)] =
+                loadLatency_ ? loadLatency_(op.seq) : params_.dl1HitLatency;
+            d.sampled |= uint8_t(1u << unsigned(o));
         }
     }
 
@@ -823,8 +864,10 @@ Scheduler::issueEntry(int idx, Cycle now, std::vector<MopIssue> *mop_issues)
                 mem_lat = loadLatency_ ? loadLatency_(op.seq)
                                        : params_.dl1HitLatency;
             } else {
-                mem_lat = loadDelayOf(op.seq);
-                loadDelay_.erase(op.seq);  // memo dead past this point
+                mem_lat = sampledLoadDelay(idx, o);
+                // The sample is dead past this point.
+                delays_[size_t(idx)].sampled &=
+                    uint8_t(~(1u << unsigned(o)));
             }
             was_miss = mem_lat > params_.dl1HitLatency;
             complete += Cycle(mem_lat);
@@ -1172,6 +1215,7 @@ Scheduler::applyInjectedRecalls(Cycle now)
                     break;
                 }
             }
+            releaseTag(t);
         } else {
             injRecalls_[kept++] = injRecalls_[i];
         }
@@ -1213,6 +1257,7 @@ Scheduler::injectFaults(Cycle now)
                    "spurious-wakeup");
             deliverTag(victim, now);
             injRecalls_.emplace_back(now + 1, victim);
+            pool_.retain(victim);
         }
     }
 }
@@ -1386,6 +1431,79 @@ Scheduler::auditStructures()
                                       "valid";
                            });
     }
+    auditTags();
+}
+
+void
+Scheduler::auditTags()
+{
+    using Check = verify::IntegrityChecker::Check;
+
+    // Callers that name their own tags never touch the pool; their
+    // tags are not counted and need not be live.
+    if (!pool_.inUse())
+        return;
+    const size_t bound = pool_.bound();
+
+    // Recount every reference: no name may outlive its tag, and the
+    // stored counts must match the names found.
+    auditRefs_.assign(bound, 0);
+    auto note = [&](Tag t, const char *holder) {
+        if (size_t(t) >= bound)
+            return;  // kNoTag, or caller-chosen above the pool
+        integrity_.require(pool_.isLive(t), Check::TagLiveness, [&] {
+            return std::string(holder) + " names free tag " +
+                   std::to_string(t);
+        });
+        ++auditRefs_[size_t(t)];
+    };
+    forEachSetBit(validBits_, [&](size_t i) {
+        note(cold_[i].dstTag, "an issue-queue destination");
+        for (int s = 0; s < state_[i].numSrcs; ++s)
+            note(srcTag_[i][size_t(s)], "an issue-queue source");
+    });
+    for (const auto &r : injRecalls_)
+        note(r.second, "an injected recall");
+    if (tagHolder_)
+        tagHolder_->forEachTagRef([&](Tag t) { note(t, "the formation"); });
+
+    size_t live = 0;
+    for (size_t t = 0; t < bound; ++t) {
+        if (!pool_.isLive(Tag(t)))
+            continue;
+        ++live;
+        const uint32_t stored = pool_.refs(Tag(t));
+        integrity_.require(
+            stored == auditRefs_[t] && stored > 0, Check::TagLiveness,
+            [&] {
+                return "tag " + std::to_string(t) + " counts " +
+                       std::to_string(stored) + " references but " +
+                       std::to_string(auditRefs_[t]) + " were found";
+            });
+    }
+    integrity_.require(
+        live + pool_.freeTags().size() == bound, Check::TagLiveness, [&] {
+            return std::to_string(live) + " live tags + " +
+                   std::to_string(pool_.freeTags().size()) +
+                   " on the free list != a pool of " +
+                   std::to_string(bound);
+        });
+    for (Tag t : pool_.freeTags()) {
+        integrity_.require(!pool_.isLive(t), Check::TagLiveness, [t] {
+            return "live tag " + std::to_string(t) +
+                   " is on the free list";
+        });
+    }
+
+    // A broadcast still on the bus is its entry's, so its tag is live.
+    bcastCal_.forEachPending([&](const Broadcast &b) {
+        if (b.canceled || size_t(b.tag) >= bound)
+            return;
+        integrity_.require(pool_.isLive(b.tag), Check::TagLiveness, [&] {
+            return "pending broadcast names free tag " +
+                   std::to_string(b.tag);
+        });
+    });
 }
 
 void

@@ -43,8 +43,13 @@
  * policy is byte-identical to the pre-interface scheduler. Under
  * PolicyId::LoadDelay the load paragraph above is replaced: the
  * broadcast for a load entry fires when its value is really ready
- * (predicted from the per-load delay table) and no recall or replay
- * ever happens.
+ * (predicted from the load's delay, sampled at issue) and no recall or
+ * replay ever happens.
+ *
+ * Tags come from a bounded pool the scheduler owns (sched/tag_pool.hh):
+ * the queue-stage formation allocates them and every holder of a tag
+ * keeps a reference, so a tag is recycled once nothing names it and
+ * the per-tag state planes never outgrow the bound.
  */
 
 #ifndef MOP_SCHED_SCHEDULER_HH
@@ -53,12 +58,12 @@
 #include <functional>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sched/event_calendar.hh"
 #include "sched/fu_pool.hh"
+#include "sched/tag_pool.hh"
 #include "sched/types.hh"
 #include "stats/stats.hh"
 #include "verify/event_ring.hh"
@@ -100,6 +105,54 @@ class Scheduler
     explicit Scheduler(const SchedParams &params);
 
     void setLoadLatencyFn(LoadLatencyFn fn) { loadLatency_ = std::move(fn); }
+
+    // --- tag pool --------------------------------------------------------
+
+    /** Pool size for a queue of @p entries: two rename maps (the table
+     *  and its wrong-path checkpoint) of kNumLogicalRegs slots, plus a
+     *  destination and kMaxEntrySrcs sources per entry -- every place
+     *  a live tag can be named. 288 tags at 32 entries. */
+    static size_t tagBoundFor(size_t entries);
+
+    /**
+     * Hand out a free tag with no references yet; its ready, value,
+     * ready-at and miss-pending state is that of a never-used tag. An
+     * empty pool is an integrity violation (TagLiveness): the bound
+     * covers every name a live tag can have.
+     */
+    Tag
+    allocTag()
+    {
+        Tag t = pool_.alloc();
+        if (t == kNoTag || t == params_.traceTag) [[unlikely]]
+            allocTagSlow(t);
+        // A recycled tag starts over in the state of a never-used one,
+        // so nothing of its previous life can leak into its next.
+        const size_t i = size_t(t);
+        const uint64_t keep = ~(uint64_t(1) << (i & 63));
+        tagReadyBits_[i >> 6] &= keep;
+        tagMissPending_[i >> 6] &= keep;
+        tagValueReady_[i] = kNoCycle;
+        tagReadyAt_[i] = kNoCycle;
+        return t;
+    }
+    /** Count one more reference to pool tag @p t. Entries hold their
+     *  own references; these are for holders outside the scheduler. */
+    void retainTag(Tag t) { pool_.retain(t); }
+    /** Drop one reference to @p t; the tag is recycled with its last. */
+    void
+    releaseTag(Tag t)
+    {
+        if (!pool_.release(t)) [[unlikely]]
+            unbalancedRelease(t);
+    }
+    /** Register the holder whose references the audit recounts (not
+     *  owned; one at a time). */
+    void setTagHolder(const TagHolder *h) { tagHolder_ = h; }
+    const TagPool &tagPool() const { return pool_; }
+    /** Tags the state planes can track. Sized to the pool bound at
+     *  construction; only caller-chosen tags above it grow it. */
+    size_t tagCapacity() const { return tagCap_; }
 
     /** True if @p needed more entries can be inserted this cycle. */
     bool canInsert(int needed = 1) const;
@@ -202,9 +255,10 @@ class Scheduler
     /**
      * Full structural audit of the issue queue and broadcast pool:
      * occupancy accounting, free-list consistency, MOP head/tail
-     * pairing, and outstanding-broadcast liveness. Runs periodically
-     * from tick() and at end of run; throws IntegrityError on any
-     * violated invariant. Cheap enough to be always-on (cold path).
+     * pairing, outstanding-broadcast liveness, and (once the tag pool
+     * is in use) tag lifetimes. Runs periodically from tick() and at
+     * end of run; throws IntegrityError on any violated invariant.
+     * Cheap enough to be always-on (cold path).
      */
     void auditStructures();
 
@@ -298,6 +352,15 @@ class Scheduler
         std::array<Cycle, kMaxMopOps> opComplete{};  ///< value-ready per op
     };
 
+    /** Per-entry sampled load delays (load-delay policy): bit o of
+     *  sampled is set iff lat[o] holds ops[o]'s memory latency, from
+     *  the issue prologue until the op's timing is computed. */
+    struct EntryDelays
+    {
+        uint8_t sampled = 0;
+        std::array<int, kMaxMopOps> lat{};
+    };
+
     struct CompletionEv
     {
         int entry;
@@ -343,13 +406,9 @@ class Scheduler
     static int execLatency(const SchedOp &op);
     bool isSelectFree() const;
 
-    /** Memoized per-load memory latency (load-delay policy). The
-     *  LoadLatencyFn is a side-effecting sampler (fault campaigns draw
-     *  from an RNG), so it is queried exactly once per load; the
-     *  answer feeds both schedLatency and the per-op timing loop. */
-    int loadDelayOf(uint64_t seq);
-    /** Table lookup only; dl1HitLatency if the load was never seen. */
-    int knownLoadDelay(uint64_t seq) const;
+    /** Op @p o of entry @p idx's sampled load delay (load-delay
+     *  policy); dl1HitLatency if none is sampled. */
+    int sampledLoadDelay(int idx, int o) const;
 
     int allocEntry();
     void freeEntry(int idx);
@@ -378,7 +437,14 @@ class Scheduler
     void invalidateEntry(int idx, Cycle now);
     void doSelect(Cycle now, std::vector<MopIssue> *mop_issues);
     void issueEntry(int idx, Cycle now, std::vector<MopIssue> *mop_issues);
+    /** Grow the tag planes to cover caller-chosen tag @p t. */
     void ensureTag(Tag t);
+    void resizeTags(size_t n);
+    /** Tag-lifetime part of auditStructures (see tag_pool.hh). */
+    void auditTags();
+    /** allocTag's cold paths: an exhausted pool, or the traced tag. */
+    [[gnu::cold]] void allocTagSlow(Tag t);
+    [[gnu::cold, noreturn]] void unbalancedRelease(Tag t);
     int &slotDebt(Cycle c);
 
     SchedParams params_;
@@ -388,9 +454,6 @@ class Scheduler
     /** Policy answer cached at construction (sched/policy.hh); the
      *  hot paths branch on a plain bool, never a virtual call. */
     bool loadsSpeculate_ = true;
-    /** Load-delay policy: seq -> sampled memory latency, alive from
-     *  the issue-time prologue until the op's timing is computed. */
-    std::unordered_map<uint64_t, int> loadDelay_;
 
     // Entry planes (see the EntryState/EntryOps/EntryCold comment).
     std::vector<std::array<Tag, kMaxEntrySrcs>> srcTag_;
@@ -399,6 +462,7 @@ class Scheduler
     std::vector<uint64_t> age_;     ///< allocation order (select priority)
     std::vector<EntryOps> opcls_;
     std::vector<EntryCold> cold_;
+    std::vector<EntryDelays> delays_;
 
     std::vector<int> freeList_;
     int occupied_ = 0;
@@ -484,6 +548,10 @@ class Scheduler
      *  completion event remains to free it through the normal path. */
     void maybeReapShrunken(int idx);
 
+    TagPool pool_;
+    const TagHolder *tagHolder_ = nullptr;  ///< not owned
+    std::vector<uint32_t> auditRefs_;       ///< auditTags scratch
+
     /** tag -> architecturally-ready bit (may be unset by recalls). */
     std::vector<uint64_t> tagReadyBits_;
     size_t tagCap_ = 0;  ///< number of tags tracked
@@ -522,7 +590,8 @@ class Scheduler
     verify::IntegrityChecker integrity_;
     verify::FaultInjector *inj_ = nullptr;  ///< not owned
     verify::EventRing *ring_ = nullptr;     ///< not owned
-    /** (apply-at cycle, tag) recalls repairing injected wakeups. */
+    /** (apply-at cycle, tag) recalls repairing injected wakeups; each
+     *  holds a reference to its tag. */
     std::vector<std::pair<Cycle, Tag>> injRecalls_;
 
     bool debugTrace_ = false;

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/mop_formation.hh"
+#include "sched/scheduler.hh"
 
 namespace
 {
@@ -206,6 +209,86 @@ TEST(Formation, DependentPointerRequiresValueGenHead)
     store.op = OpClass::StoreAddr;
     store.src = {10, -1};
     EXPECT_EQ(f.process(store, 0).role, Role::Single);
+}
+
+// With the scheduler's tag pool attached, every table slot, checkpoint
+// slot and pending window holds a reference to the tag it names.
+
+mop::sched::SchedParams
+poolParams()
+{
+    mop::sched::SchedParams p;
+    p.numEntries = 32;
+    return p;
+}
+
+TEST(Formation, PooledSourceOutlivesItsOwnDestinationMapping)
+{
+    // r1 = r1 + 1 displaces the very tag it reads. With the producer
+    // gone from the queue, the displaced mapping is the tag's last
+    // reference, so it must hold until the consumer's entry names it.
+    mop::sched::Scheduler s(poolParams());
+    MopPointerCache cache;
+    MopFormation f(false, cache);
+    f.setTagPool(&s);
+    Tag a = f.process(alu(0, 1), 0).dst;
+    f.releaseDisplaced();
+    FormOutcome o = f.process(alu(1, 1, 1), 1);
+    ASSERT_EQ(o.src[0], a);
+    EXPECT_TRUE(s.tagPool().isLive(a));
+    EXPECT_EQ(s.tagPool().refs(a), 1u);  // the displaced mapping
+    mop::sched::SchedOp op;
+    op.seq = 1;
+    op.dst = o.dst;
+    op.src = o.src;
+    s.insert(op, 0);
+    f.releaseDisplaced();
+    EXPECT_EQ(s.tagPool().refs(a), 1u);  // now the entry's
+    EXPECT_NO_THROW(s.auditStructures());
+    // The next fresh tag is not the one still named.
+    EXPECT_NE(f.process(alu(2, 2), 2).dst, a);
+}
+
+TEST(Formation, CheckpointHoldsTagsUntilRestore)
+{
+    mop::sched::Scheduler s(poolParams());
+    MopPointerCache cache;
+    MopFormation f(false, cache);
+    f.setTagPool(&s);
+    Tag right = f.process(alu(0, 1), 0).dst;
+    f.releaseDisplaced();
+    f.checkpoint();
+    EXPECT_EQ(s.tagPool().refs(right), 2u);  // table + checkpoint
+    Tag wrong = f.process(alu(1, 1), 1).dst;
+    f.releaseDisplaced();
+    EXPECT_EQ(s.tagPool().refs(right), 1u);  // the checkpoint's
+    EXPECT_NO_THROW(s.auditStructures());
+    f.restoreToCheckpoint();
+    EXPECT_FALSE(s.tagPool().isLive(wrong));
+    EXPECT_EQ(s.tagPool().refs(right), 1u);  // handed to the table
+    EXPECT_EQ(f.process(alu(2, 2, 1), 2).src[0], right);
+    EXPECT_THROW(f.restoreToCheckpoint(), std::logic_error);
+}
+
+TEST(Formation, PendingWindowHoldsItsMopTag)
+{
+    // A head with no destination register is named only by its
+    // window until the head's entry is inserted.
+    mop::sched::Scheduler s(poolParams());
+    MopPointerCache cache;
+    writePointer(cache, 0, 5, /*independent=*/true);
+    MopFormation f(true, cache);
+    f.setTagPool(&s);
+    MicroOp store;
+    store.pc = kPc;
+    store.op = OpClass::StoreAddr;
+    store.src = {10, -1};
+    FormOutcome h = f.process(store, 0);
+    ASSERT_EQ(h.role, Role::Head);
+    EXPECT_EQ(s.tagPool().refs(h.dst), 1u);
+    f.groupBoundary();
+    f.groupBoundary();  // the window expires
+    EXPECT_FALSE(s.tagPool().isLive(h.dst));
 }
 
 TEST(Formation, ZeroRegisterSourcesNeverTranslate)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <map>
 #include <numeric>
@@ -273,7 +275,11 @@ TEST(Golden, PinnedIpcIsConsistent)
 std::string
 tmpPath(const std::string &name)
 {
-    return std::string(::testing::TempDir()) + name;
+    // PID-unique: ctest runs each case as its own process in
+    // parallel, and cases sharing a literal path race on
+    // write/read/remove.
+    return std::string(::testing::TempDir()) +
+           std::to_string(::getpid()) + "_" + name;
 }
 
 /** Re-run a pinned configuration with the event trace on and analyze

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "sched_harness.hh"
 
 namespace
@@ -687,6 +691,147 @@ TEST(ConsumerIndex, SquashShrunkMopKeepsLeftoverBits)
     EXPECT_EQ(alias.done.at(0).issued, 12u);
     EXPECT_EQ(alias.done.at(2).issued, 14u);
     EXPECT_EQ(alias.s.replayInvalidations(), 2u);
+}
+
+TEST(TagPool, BoundCoversBothMapsAndEveryEntrySlot)
+{
+    EXPECT_EQ(sched::Scheduler::tagBoundFor(32), 288u);
+    EXPECT_EQ(sched::Scheduler::tagBoundFor(128), 768u);
+    EXPECT_EQ(sched::Scheduler::tagBoundFor(512), 2688u);
+    // The planes start at the bound; 0 entries means 512.
+    for (int entries : {32, 128, 0}) {
+        sched::Scheduler s(Harness::params(LoopPolicy::Atomic, entries));
+        size_t want = sched::Scheduler::tagBoundFor(entries ? entries : 512);
+        EXPECT_EQ(s.tagPool().bound(), want);
+        EXPECT_EQ(s.tagCapacity(), want);
+        EXPECT_FALSE(s.tagPool().inUse());
+    }
+}
+
+/** Stands in for the formation: the tags a test holds outside the
+ *  scheduler, reported to its audit. */
+struct HeldTags : sched::TagHolder
+{
+    std::vector<Tag> tags;
+
+    void
+    forEachTagRef(const std::function<void(Tag)> &fn) const override
+    {
+        for (Tag t : tags)
+            fn(t);
+    }
+};
+
+/** The message of the IntegrityError @p fn throws ("" if none). */
+template <typename Fn>
+std::string
+integrityError(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const mop::verify::IntegrityError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TagPool, RecycledTagStartsLikeANeverUsedTag)
+{
+    Harness h(Harness::params(LoopPolicy::Atomic));
+    HeldTags held;
+    h.s.setTagHolder(&held);
+    const Tag t = h.s.allocTag();
+    EXPECT_EQ(t, 0);
+    h.s.retainTag(t);  // a rename-table slot, say
+    held.tags = {t};
+    h.s.insert(Harness::alu(0, t), h.now);
+    h.runUntilIdle();
+    ASSERT_TRUE(h.s.tagIsReady(t));
+    EXPECT_EQ(h.s.tagPool().live(), 1u);  // the table still names it
+    h.s.releaseTag(t);
+    held.tags.clear();
+    EXPECT_FALSE(h.s.tagPool().isLive(t));
+
+    // The most recently freed tag comes back first, with no trace of
+    // its previous life: a consumer of the new producer must wait.
+    const Tag again = h.s.allocTag();
+    ASSERT_EQ(again, t);
+    EXPECT_FALSE(h.s.tagIsReady(again));
+    h.s.retainTag(again);
+    held.tags = {again};
+    h.s.insert(Harness::op(1, OpClass::Load, again), h.now);
+    h.s.insert(Harness::alu(2, h.s.allocTag(), again), h.now);
+    h.runUntilIdle();
+    h.assertDataflow({{1, 2}});
+    EXPECT_GT(h.issuedAt(2), h.issuedAt(1));
+    h.s.releaseTag(again);
+    held.tags.clear();
+    EXPECT_EQ(h.s.tagPool().live(), 0u);
+    EXPECT_EQ(h.s.tagPool().peakLive(), 2u);
+    EXPECT_NO_THROW(h.s.auditStructures());
+}
+
+TEST(TagPool, CallerChosenTagsAboveTheBoundStillWork)
+{
+    // Callers that name their own tags (unit tests, the difftest
+    // driver, the scheduler replay of the benchmark) bypass the pool;
+    // tags past the bound grow the planes on demand.
+    Harness h(Harness::params(LoopPolicy::Atomic, 32));
+    const Tag far = Tag(200'000);
+    const Tag past = Tag(h.s.tagPool().bound() + 7);
+    h.s.insert(Harness::alu(0, past), h.now);
+    h.s.insert(Harness::alu(1, far, past), h.now);
+    h.s.insert(Harness::alu(2, 3, far), h.now);
+    h.runUntilIdle();
+    h.assertDataflow({{0, 1}, {1, 2}});
+    EXPECT_TRUE(h.s.tagIsReady(far));
+    EXPECT_GT(h.s.tagCapacity(), size_t(far));
+    EXPECT_FALSE(h.s.tagPool().inUse());
+    EXPECT_NO_THROW(h.s.auditStructures());
+}
+
+TEST(TagPool, AuditRecountsEveryReference)
+{
+    {
+        // A reference no holder reports: the stored count is ahead of
+        // the names the audit finds.
+        Harness h(Harness::params(LoopPolicy::Atomic));
+        Tag t = h.s.allocTag();
+        h.s.retainTag(t);
+        h.s.insert(Harness::alu(0, t), h.now);
+        EXPECT_NE(integrityError([&] { h.s.auditStructures(); })
+                      .find("counts 2 references but 1 were found"),
+                  std::string::npos);
+    }
+    {
+        // A reference dropped early: the entry still names its source
+        // after the tag went back to the free list.
+        Harness h(Harness::params(LoopPolicy::Atomic));
+        HeldTags held;
+        h.s.setTagHolder(&held);
+        Tag src = h.s.allocTag();
+        Tag dst = h.s.allocTag();
+        h.s.retainTag(src);
+        h.s.retainTag(dst);
+        held.tags = {src, dst};
+        h.s.insert(Harness::alu(0, dst, src), h.now);
+        EXPECT_NO_THROW(h.s.auditStructures());
+        h.s.releaseTag(src);
+        h.s.releaseTag(src);
+        held.tags = {dst};
+        EXPECT_FALSE(h.s.tagPool().isLive(src));
+        EXPECT_NE(integrityError([&] { h.s.auditStructures(); })
+                      .find("an issue-queue source names free tag"),
+                  std::string::npos);
+    }
+    {
+        // Releasing a tag nothing has retained.
+        Harness h(Harness::params(LoopPolicy::Atomic));
+        Tag t = h.s.allocTag();
+        EXPECT_NE(integrityError([&] { h.s.releaseTag(t); })
+                      .find("released more often than retained"),
+                  std::string::npos);
+    }
 }
 
 MOP_INSTANTIATE_PER_POLICY(Mop);
