@@ -3,10 +3,9 @@
  * Figure registry for the benchmark harnesses.
  *
  * Every table/figure/ablation the paper reports is registered once,
- * against sweep::Context, and rendered either by the single mopsuite
- * driver (all figures, parallel sweep, shared persistent cache) or by
- * the thin per-figure binaries (one figure, serial). Both paths run
- * the same render code, so their output is byte-identical.
+ * against sweep::Context, and rendered by the mopsuite driver (every
+ * figure or the --only selection, parallel sweep, shared persistent
+ * cache).
  */
 
 #ifndef MOP_BENCH_FIGURES_FIGURES_HH

@@ -297,7 +297,7 @@ BENCHMARK(BM_SchedulerStallProbe);
 void
 BM_RunFingerprint(benchmark::State &state)
 {
-    // Key derivation for the sweep result cache and bench::Runner:
+    // Key derivation for the sweep result cache:
     // hashes the full RunConfig, the workload profile and the budget.
     sim::RunConfig cfg;
     cfg.machine = sim::Machine::MopWiredOr;

@@ -4,8 +4,10 @@
  *
  * Plans the full set of unique simulator runs across all selected
  * figures, resolves them through the persistent result cache and a
- * thread-pool executor (--jobs N), then renders each figure serially.
- * Output is byte-identical to running the per-figure binaries.
+ * thread-pool executor (--jobs N), then renders each figure serially,
+ * so the output does not depend on --jobs. Every finished run is
+ * stored in the cache as it completes: a sweep killed mid-flight and
+ * rerun with the same cache computes only the runs that were missing.
  *
  *   mopsuite                          # everything, all cores
  *   mopsuite --only table2 --jobs 2   # one figure, two workers
@@ -13,8 +15,6 @@
  *   mopsuite --list                   # registered figures
  *   mopsuite --isolate                # fork each run; crashes/hangs
  *                                     # are retried, then quarantined
- *   mopsuite --resume                 # replay the journal of a sweep
- *                                     # that was killed mid-flight
  *   mopsuite --cache-verify           # audit + repair the result cache
  */
 

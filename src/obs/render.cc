@@ -395,7 +395,6 @@ renderDashJson(const DashModel &m)
     os << "\"instsPerRun\": " << m.instsPerRun << ",\n";
     os << "\"uniqueRuns\": " << m.uniqueRuns << ",\n";
     os << "\"cacheHits\": " << m.cacheHits << ",\n";
-    os << "\"journalHits\": " << m.journalHits << ",\n";
     os << "\"computedRuns\": " << m.computedRuns << ",\n";
     os << "\"quarantined\": " << m.quarantined << ",\n";
     os << "\"simulatedInsts\": " << m.simulatedInsts << ",\n";

@@ -408,22 +408,23 @@ ResultCache::writeRecordFile(const std::string &dest,
                              const CacheRecord &rec) const
 {
     // Unique temp name per writer, then an atomic rename into place.
-    std::ostringstream tmp;
-    tmp << dest << ".tmp." << ::getpid() << "."
-        << std::this_thread::get_id();
-    {
-        std::ofstream outf(tmp.str(), std::ios::trunc | std::ios::binary);
-        if (!outf)
-            return;
-        const std::string bytes = encodeRecordV2(rec);
-        outf.write(bytes.data(), std::streamsize(bytes.size()));
-        if (!outf.good())
-            return;
-    }
+    // The stream is closed and checked before the rename: a flush that
+    // fails at close (disk full, file-size limit) must not install an
+    // empty record. Any failure removes the temp file, so a failed
+    // store is a plain miss next time.
+    std::ostringstream name;
+    name << dest << ".tmp." << ::getpid() << "."
+         << std::this_thread::get_id();
+    const std::string tmp = name.str();
+    std::ofstream outf(tmp, std::ios::trunc | std::ios::binary);
+    const std::string bytes = encodeRecordV2(rec);
+    outf.write(bytes.data(), std::streamsize(bytes.size()));
+    outf.close();
     std::error_code ec;
-    std::filesystem::rename(tmp.str(), dest, ec);
-    if (ec)
-        std::filesystem::remove(tmp.str(), ec);
+    if (outf)
+        std::filesystem::rename(tmp, dest, ec);
+    if (!outf || ec)
+        std::filesystem::remove(tmp, ec);
 }
 
 void

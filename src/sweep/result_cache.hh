@@ -50,8 +50,7 @@ namespace mop::sweep
 /**
  * CRC-32C (Castagnoli) over @p n bytes, continuing from @p crc.
  * Standard reflected polynomial 0x82F63B78; crc32c("123456789") ==
- * 0xE3069283. Used by cache records, journal lines and the sandbox
- * pipe protocol.
+ * 0xE3069283. Used by cache records and the sandbox pipe protocol.
  */
 uint32_t crc32c(const void *data, size_t n, uint32_t crc = 0);
 
@@ -69,7 +68,7 @@ struct CacheRecord
 };
 
 /** Serialize @p rec as the exact bytes of a v2 cache file (magic,
- *  fields, trailing CRC line). Exposed for tests and the journal. */
+ *  fields, trailing CRC line). Exposed for tests. */
 std::string encodeRecordV2(const CacheRecord &rec);
 
 /** What parsing one record's bytes concluded. */

@@ -14,7 +14,6 @@
 
 #include "obs/render.hh"
 #include "sim/cli_opts.hh"
-#include "sweep/microbench.hh"
 #include "sweep/perf_track.hh"
 
 namespace mop::sweep
@@ -236,6 +235,26 @@ now()
         .count();
 }
 
+/** Reject option combinations that cannot run (a malformed chaos
+ *  plan, chaos without --isolate, --repeat with --isolate) before any
+ *  work; returns the parsed chaos plan. */
+SweepFaultPlan
+checkOptions(const SuiteOptions &opts)
+{
+    SweepFaultPlan plan;
+    if (!opts.sweepInject.empty()) {
+        plan = SweepFaultPlan::parse(opts.sweepInject, opts.sweepSeed);
+        if (plan.any() && !opts.isolate)
+            throw std::invalid_argument(
+                "--sweep-inject requires --isolate (faults fire inside "
+                "sandboxed workers)");
+    }
+    if (opts.repeat > 1 && opts.isolate)
+        throw std::invalid_argument(
+            "--repeat measures the in-process executor; drop --isolate");
+    return plan;
+}
+
 } // namespace
 
 int
@@ -265,14 +284,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     }
 
     // Chaos plan: enacted inside sandboxed children only.
-    SweepFaultPlan plan;
-    if (!opts.sweepInject.empty()) {
-        plan = SweepFaultPlan::parse(opts.sweepInject, opts.sweepSeed);
-        if (plan.any() && !opts.isolate)
-            throw std::invalid_argument(
-                "--sweep-inject requires --isolate (faults fire inside "
-                "sandboxed workers)");
-    }
+    const SweepFaultPlan plan = checkOptions(opts);
 
     // Figure selection, preserving registration order.
     std::vector<const Figure *> selected;
@@ -312,20 +324,12 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         selected[i]->render(ctx, nullout);
     }
 
-    // Resolve: persistent cache first, then the resume journal, then
-    // compute. Cache-before-journal keeps warm-cache runs reporting
-    // cache_hits == unique_runs exactly as before journaling existed.
+    // Resolve: persistent cache first, then compute.
     ResultCache cache(opts.useCache
                           ? (opts.cacheDir.empty()
                                  ? ResultCache::defaultDir()
                                  : opts.cacheDir)
                           : std::string());
-    const bool resumeOn = opts.resume == 1 ||
-                          (opts.resume < 0 && opts.useCache);
-    const std::string journalDir =
-        (opts.cacheDir.empty() ? ResultCache::defaultDir()
-                               : opts.cacheDir) +
-        "/journal";
 
     std::map<Fingerprint, CacheRecord> results;
     std::map<Fingerprint, double> jobSeconds;
@@ -336,24 +340,13 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     for (const auto &[fp, idx] : jobIndex)
         jobFps[idx] = fp;
 
-    const Fingerprint sweepFp = sweepFingerprint(jobFps);
-    std::map<Fingerprint, CacheRecord> journalRecs;
-    if (resumeOn)
-        SweepJournal::replay(SweepJournal::pathFor(journalDir, sweepFp),
-                             journalRecs);
-
-    size_t cacheHits = 0, journalHits = 0;
+    size_t cacheHits = 0;
     for (size_t i = 0; i < jobs.size(); ++i) {
         CacheRecord rec;
         if (cache.load(jobFps[i], rec)) {
             results.emplace(jobFps[i], std::move(rec));
             cachedFps.insert(jobFps[i]);
             ++cacheHits;
-        } else if (auto it = journalRecs.find(jobFps[i]);
-                   it != journalRecs.end()) {
-            results.emplace(jobFps[i], it->second);
-            cachedFps.insert(jobFps[i]);
-            ++journalHits;
         } else {
             missIdx.push_back(i);
             misses.push_back(jobs[i]);
@@ -363,10 +356,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     if (opts.verbose) {
         std::cerr << "[sweep] " << selected.size() << " figure(s), "
                   << jobs.size() << " unique run(s), "
-                  << (jobs.size() - misses.size()) << " cached";
-        if (journalHits)
-            std::cerr << " (" << journalHits << " from the journal)";
-        std::cerr << ", " << misses.size() << " to compute\n";
+                  << (jobs.size() - misses.size()) << " cached, "
+                  << misses.size() << " to compute\n";
     }
 
     const int workerCount = SweepExecutor(opts.jobs).jobs();
@@ -398,29 +389,21 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
 
     // Both compute paths persist incrementally through their
     // completion hooks (invoked serialized, under the pool lock): a
-    // killed sweep keeps every finished job in the cache and journal.
+    // killed sweep keeps every finished job in the cache, and a rerun
+    // with the same cache computes only what is missing.
     uint64_t simulatedInsts = 0;
     std::map<Fingerprint, FailedJob> failed;
-    SweepJournal journal;
-    if (resumeOn && !misses.empty())
-        journal.open(journalDir, sweepFp);
     auto persist = [&](const Fingerprint &fp, const SweepOutcome &o) {
         cache.store(fp, o.record);
-        if (journal.isOpen())
-            journal.append(fp, o.record);
         jobSeconds[fp] = o.seconds;
         simulatedInsts += o.simulatedInsts;
         results.emplace(fp, o.record);
     };
 
-    if (opts.repeat > 1 && opts.isolate)
-        throw std::invalid_argument(
-            "--repeat measures the in-process executor; drop --isolate");
-
     // Per-pass compute-phase throughput samples (simulated insts per
     // wall second). With --repeat N the first N-1 passes only time the
     // work and discard the results; the final pass is the one that
-    // persists, so cache and journal contents are repeat-invariant.
+    // persists, so cache contents are repeat-invariant.
     std::vector<double> ipsSamples;
     double computeT0 = now();
     if (opts.isolate) {
@@ -439,13 +422,10 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         for (size_t i : missIdx)
             missFps.push_back(jobFps[i]);
         sup.setCompletion([&](size_t k, const JobReport &r) {
-            if (r.ok) {
+            if (r.ok)
                 persist(missFps[k], r.outcome);
-            } else {
-                if (journal.isOpen())
-                    journal.appendFailure(missFps[k], r.failure);
+            else
                 failed.emplace(missFps[k], r.failure);
-            }
         });
         sup.runAll(misses, missFps, progress);
     } else {
@@ -479,7 +459,6 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         if (w > 0 && simulatedInsts)
             ipsSamples.push_back(double(simulatedInsts) / w);
     }
-    journal.close();
     if (opts.cacheMaxBytes)
         cache.evictToBudget(opts.cacheMaxBytes);
     if (telemetry) {
@@ -490,8 +469,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
                       << "\n";
     }
 
-    // Render pass, serial in selection order: byte-identical to the
-    // per-figure binaries by construction.
+    // Render pass, serial in selection order: byte-identical for any
+    // --jobs by construction.
     std::vector<FigurePerf> perf(selected.size());
     std::vector<std::string> rendered(selected.size());
     std::set<Fingerprint> attributed;
@@ -560,10 +539,9 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
 
     double ipsMedian = medianOf(ipsSamples);
     if (!opts.perfJsonPath.empty()) {
-        MicrobenchReport micro = runMicrobench();
         std::ofstream jf(opts.perfJsonPath, std::ios::trunc);
         jf << "{\n"
-           << "  \"schema\": \"mop-sweep-perf-2\",\n"
+           << "  \"schema\": \"mop-sweep-perf-3\",\n"
            << "  \"sim_version\": \"" << jsonEscape(kSimVersion)
            << "\",\n"
            << "  \"jobs\": " << workerCount << ",\n"
@@ -571,7 +549,6 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
            << "  \"wall_seconds\": " << jsonNum(wallSeconds) << ",\n"
            << "  \"unique_runs\": " << jobs.size() << ",\n"
            << "  \"cache_hits\": " << cacheHits << ",\n"
-           << "  \"journal_hits\": " << journalHits << ",\n"
            << "  \"quarantined\": " << failed.size() << ",\n"
            << "  \"computed_runs\": " << misses.size() << ",\n"
            << "  \"simulated_insts\": " << simulatedInsts << ",\n"
@@ -598,18 +575,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
                           : *std::max_element(ipsSamples.begin(),
                                               ipsSamples.end()))
            << ",\n"
-           << "  \"microbench\": {"
-           << "\"wakeup_select_soa_ns_per_op\": "
-           << jsonNum(micro.soaNsPerOp)
-           << ", \"wakeup_select_aos_ns_per_op\": "
-           << jsonNum(micro.aosNsPerOp)
-           << ", \"idle_advance_skip_ns_per_cycle\": "
-           << jsonNum(micro.skipNsPerCycle)
-           << ", \"idle_advance_noskip_ns_per_cycle\": "
-           << jsonNum(micro.noskipNsPerCycle)
-           << ", \"idle_skipped_fraction\": "
-           << jsonNum(micro.skippedFraction) << "},\n";
-        jf << "  \"aggregate_ipc\": {";
+           << "  \"aggregate_ipc\": {";
         bool first = true;
         for (const auto &[name, acc] : machineIpc) {
             jf << (first ? "" : ", ") << "\"" << jsonEscape(name)
@@ -734,7 +700,6 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         dm.instsPerRun = insts;
         dm.uniqueRuns = jobs.size();
         dm.cacheHits = cacheHits;
-        dm.journalHits = journalHits;
         dm.computedRuns = misses.size();
         dm.quarantined = failed.size();
         dm.simulatedInsts = simulatedInsts;
@@ -827,11 +792,6 @@ usage(std::ostream &os)
           "                  (default: derived from --insts)\n"
           "  --max-attempts N  tries per run before quarantine "
           "(default 3)\n"
-          "  --resume / --no-resume\n"
-          "                  journal completed runs so a killed sweep\n"
-          "                  resumes where it stopped (default: on when\n"
-          "                  the cache is; --resume also covers\n"
-          "                  --no-cache runs)\n"
           "  --cache-verify  CRC-check every cache record (quarantine\n"
           "                  damage, upgrade v1) and exit\n"
           "  --cache-max-bytes N\n"
@@ -850,8 +810,9 @@ usage(std::ostream &os)
           "                  cache keys, default sweeps are untouched\n";
 }
 
-/** Shared flag parsing for suiteMain and figureMain. Returns an exit
- *  code >= 0 when parsing already finished the program. */
+/** Flag parsing for suiteMain; throws std::invalid_argument on a
+ *  malformed value. Returns an exit code >= 0 when parsing already
+ *  finished the program. */
 int
 parseArgs(int argc, char **argv, SuiteOptions &opts)
 {
@@ -869,9 +830,13 @@ parseArgs(int argc, char **argv, SuiteOptions &opts)
         } else if (a == "--only") {
             std::stringstream ss(value("--only"));
             std::string tok;
+            const size_t named = opts.only.size();
             while (std::getline(ss, tok, ','))
                 if (!tok.empty())
                     opts.only.push_back(tok);
+            if (opts.only.size() == named)
+                throw std::invalid_argument(
+                    "--only names no figure (see --list)");
         } else if (a == "--insts") {
             opts.insts = sim::parseUintOption("--insts", value("--insts"),
                                               1, uint64_t(1) << 40);
@@ -905,10 +870,6 @@ parseArgs(int argc, char **argv, SuiteOptions &opts)
         } else if (a == "--max-attempts") {
             opts.maxAttempts = int(sim::parseIntOption(
                 "--max-attempts", value("--max-attempts"), 1, 100));
-        } else if (a == "--resume") {
-            opts.resume = 1;
-        } else if (a == "--no-resume") {
-            opts.resume = 0;
         } else if (a == "--cache-verify") {
             opts.cacheVerify = true;
         } else if (a == "--cache-max-bytes") {
@@ -961,27 +922,15 @@ suiteMain(int argc, char **argv)
         int done = parseArgs(argc, argv, opts);
         if (done >= 0)
             return done;
+        checkOptions(opts);
+    } catch (const std::exception &e) {
+        std::cerr << "mopsuite: " << e.what() << "\n";
+        return 2;
+    }
+    try {
         return runSuite(opts, std::cout);
     } catch (const std::exception &e) {
         std::cerr << "mopsuite: " << e.what() << "\n";
-        return 1;
-    }
-}
-
-int
-figureMain(const std::string &name, int argc, char **argv)
-{
-    SuiteOptions opts;
-    opts.jobs = 1;  // the serial baseline the suite is compared against
-    opts.only = {name};
-    try {
-        int done = parseArgs(argc, argv, opts);
-        if (done >= 0)
-            return done;
-        opts.only = {name};
-        return runSuite(opts, std::cout);
-    } catch (const std::exception &e) {
-        std::cerr << name << ": " << e.what() << "\n";
         return 1;
     }
 }

@@ -19,8 +19,7 @@
  *
  * Because results are resolved per-fingerprint and rendering is
  * serial in registration order, `mopsuite --jobs N` output is
- * byte-identical to the serial per-figure binaries (which call
- * figureMain() and go through this same code with one worker).
+ * byte-identical to a `--jobs 1` run of the same selection.
  */
 
 #ifndef MOP_SWEEP_SUITE_HH
@@ -150,9 +149,6 @@ struct SuiteOptions
     double jobTimeout = 0;
     /** Attempt budget per job before quarantine (--isolate). */
     int maxAttempts = 3;
-    /** Resume journal: 1 on, 0 off, -1 auto (on iff the cache is
-     *  enabled; pass --resume to journal cache-disabled runs too). */
-    int resume = -1;
     /** Verify every cache record (CRC check, quarantine damage,
      *  upgrade v1) and exit instead of sweeping. */
     bool cacheVerify = false;
@@ -171,15 +167,12 @@ struct SuiteOptions
     int wrongPathDepth = 64;
 };
 
-/** CLI driver behind the mopsuite binary. */
-int suiteMain(int argc, char **argv);
-
 /**
- * Driver behind the thin per-figure binaries: render exactly one
- * figure to stdout through the shared cache, serially. Accepts the
- * same --insts/--cache-dir/--no-cache/--jobs flags as mopsuite.
+ * CLI driver behind the mopsuite binary. Exit codes: 0 clean, 1
+ * runtime failure (or corruption found by --cache-verify), 2 usage
+ * error (rejected before any work), 3 quarantined holes, 4 perf gate.
  */
-int figureMain(const std::string &name, int argc, char **argv);
+int suiteMain(int argc, char **argv);
 
 } // namespace mop::sweep
 

@@ -1,46 +1,11 @@
 #include "sweep/supervisor.hh"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
-
-#include "sweep/result_cache.hh"
 
 namespace mop::sweep
 {
-
-namespace
-{
-
-/** Parse 32 lowercase hex digits back into a Fingerprint. */
-bool
-parseFingerprintHex(const std::string &hex, Fingerprint &out)
-{
-    if (hex.size() != 32 ||
-        hex.find_first_not_of("0123456789abcdef") != std::string::npos)
-        return false;
-    auto half = [](const std::string &s) {
-        uint64_t v = 0;
-        for (char c : s)
-            v = (v << 4) | uint64_t(c <= '9' ? c - '0' : c - 'a' + 10);
-        return v;
-    };
-    out.hi = half(hex.substr(0, 16));
-    out.lo = half(hex.substr(16, 16));
-    return true;
-}
-
-} // namespace
 
 const char *
 failureKindName(FailureKind k)
@@ -186,173 +151,6 @@ SweepSupervisor::runAll(
     for (auto &t : pool)
         t.join();
     return reports;
-}
-
-// --- Resume journal ----------------------------------------------------
-
-Fingerprint
-sweepFingerprint(const std::vector<Fingerprint> &job_fps)
-{
-    Hasher h;
-    h.str(kSimVersion);
-    h.str("sweep-journal");
-    h.u64(job_fps.size());
-    for (const Fingerprint &fp : job_fps) {
-        h.u64(fp.hi);
-        h.u64(fp.lo);
-    }
-    return h.digest();
-}
-
-std::string
-SweepJournal::pathFor(const std::string &dir, const Fingerprint &sweep_fp)
-{
-    return dir + "/" + sweep_fp.hex() + ".jnl";
-}
-
-size_t
-SweepJournal::replay(const std::string &path,
-                     std::map<Fingerprint, CacheRecord> &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return 0;
-    size_t replayed = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        // getline eats the '\n'; a torn final line (no newline) still
-        // comes back, but its CRC cannot validate unless the line was
-        // complete up to the trailer — in which case it *is* intact.
-        size_t trailer = line.rfind(" crc ");
-        if (trailer == std::string::npos ||
-            line.size() != trailer + 5 + 8)
-            continue;
-        // Strict lowercase hex, same rationale as the cache trailer.
-        uint32_t stored = 0;
-        bool hexOk = true;
-        for (size_t i = trailer + 5; i < line.size(); ++i) {
-            char c = line[i];
-            if (c >= '0' && c <= '9')
-                stored = (stored << 4) | uint32_t(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                stored = (stored << 4) | uint32_t(c - 'a' + 10);
-            else {
-                hexOk = false;
-                break;
-            }
-        }
-        if (!hexOk || crc32c(line.data(), trailer) != stored)
-            continue;
-
-        std::istringstream body(line.substr(0, trailer));
-        std::string verb, hex;
-        if (!(body >> verb >> hex) || verb != "done")
-            continue;  // fail markers are diagnostic, not replayed
-        Fingerprint fp;
-        if (!parseFingerprintHex(hex, fp))
-            continue;
-        size_t nfields = 0;
-        if (!(body >> nfields) || nfields == 0)
-            continue;
-        CacheRecord rec;
-        bool good = true;
-        for (size_t i = 0; i < nfields; ++i) {
-            std::string key;
-            uint64_t val;
-            if (!(body >> key >> val)) {
-                good = false;
-                break;
-            }
-            rec.add(key, val);
-        }
-        std::string extra;
-        if (!good || (body >> extra))
-            continue;
-        out[fp] = std::move(rec);
-        ++replayed;
-    }
-    return replayed;
-}
-
-bool
-SweepJournal::open(const std::string &dir, const Fingerprint &sweep_fp)
-{
-    close();
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        return false;
-    path_ = pathFor(dir, sweep_fp);
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                 0644);
-    if (fd_ < 0) {
-        path_.clear();
-        return false;
-    }
-    struct stat st;
-    if (::fstat(fd_, &st) == 0 && st.st_size == 0)
-        writeLine("mopjnl 1");
-    return true;
-}
-
-void
-SweepJournal::writeLine(const std::string &body)
-{
-    if (fd_ < 0)
-        return;
-    const std::string line = body + "\n";
-    size_t off = 0;
-    while (off < line.size()) {
-        ssize_t w = ::write(fd_, line.data() + off, line.size() - off);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return;  // journaling degrades silently; cache still works
-        }
-        off += size_t(w);
-    }
-    ::fdatasync(fd_);
-}
-
-void
-SweepJournal::append(const Fingerprint &fp, const CacheRecord &rec)
-{
-    if (fd_ < 0)
-        return;
-    std::ostringstream body;
-    body << "done " << fp.hex() << " " << rec.fields.size();
-    for (const auto &[key, val] : rec.fields)
-        body << " " << key << " " << val;
-    const std::string b = body.str();
-    char crcbuf[16];
-    std::snprintf(crcbuf, sizeof crcbuf, " crc %08x",
-                  crc32c(b.data(), b.size()));
-    writeLine(b + crcbuf);
-}
-
-void
-SweepJournal::appendFailure(const Fingerprint &fp, const FailedJob &f)
-{
-    if (fd_ < 0)
-        return;
-    std::ostringstream body;
-    body << "fail " << fp.hex() << " " << failureKindName(f.kind) << " "
-         << f.signal << " " << f.attempts;
-    const std::string b = body.str();
-    char crcbuf[16];
-    std::snprintf(crcbuf, sizeof crcbuf, " crc %08x",
-                  crc32c(b.data(), b.size()));
-    writeLine(b + crcbuf);
-}
-
-void
-SweepJournal::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    path_.clear();
 }
 
 } // namespace mop::sweep

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fault-tolerant sweep supervision: watchdog + retry + quarantine over
- * sandboxed workers, and the append-only resume journal.
+ * sandboxed workers.
  *
  * SweepSupervisor is the opt-in (--isolate) alternative to running
  * jobs in-process: every job is computed in a forked child (see
@@ -11,20 +11,12 @@
  * budget and the sweep terminates with an explicit FailedJob outcome
  * for that hole instead of dying. Deterministic failures (a C++
  * exception such as an unknown benchmark) are never retried.
- *
- * The journal makes killed sweeps resumable: every completed job is
- * appended — fsync'd, CRC-framed, one line per record — to
- * `<cache-dir>/journal/<sweep-fp>.jnl`, keyed by a fingerprint of the
- * whole planned batch. A rerun replays intact lines (a torn tail from
- * a mid-append kill fails its CRC and is skipped) and computes only
- * what is missing, even when the result cache is disabled.
  */
 
 #ifndef MOP_SWEEP_SUPERVISOR_HH
 #define MOP_SWEEP_SUPERVISOR_HH
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -122,7 +114,7 @@ class SweepSupervisor
     /**
      * Supervise every job; report i corresponds to batch[i]. @p fps
      * must parallel @p batch (fingerprints drive chaos victim
-     * selection and journaling). Never throws on job failure: holes
+     * selection). Never throws on job failure: holes
      * come back as !ok reports.
      */
     std::vector<JobReport>
@@ -140,56 +132,6 @@ class SweepSupervisor
     int jobs_;
     obs::TelemetrySink *telemetry_ = nullptr;  ///< not owned
     CompletionFn onComplete_;
-};
-
-// --- Resume journal ----------------------------------------------------
-
-/**
- * Fingerprint of a whole planned batch: the journal key. Folds the
- * simulator version, every job fingerprint in plan order and the
- * count, so any change to the planned work resolves to a fresh
- * journal.
- */
-Fingerprint sweepFingerprint(const std::vector<Fingerprint> &job_fps);
-
-class SweepJournal
-{
-  public:
-    /** `<dir>/<sweep-fp>.jnl` (dir is `<cache-dir>/journal`). */
-    static std::string pathFor(const std::string &dir,
-                               const Fingerprint &sweep_fp);
-
-    /**
-     * Replay every intact `done` line of @p path into @p out. Lines
-     * with CRC damage or truncation (the torn tail of a killed
-     * writer) are skipped. Returns the number of records replayed.
-     */
-    static size_t replay(const std::string &path,
-                         std::map<Fingerprint, CacheRecord> &out);
-
-    /** Open (append, create) the journal for @p sweep_fp under
-     *  @p dir. Returns false — journaling disabled — if the
-     *  directory cannot be created or opened. */
-    bool open(const std::string &dir, const Fingerprint &sweep_fp);
-
-    bool isOpen() const { return fd_ >= 0; }
-    const std::string &path() const { return path_; }
-
-    /** Append one completed job (single write + fdatasync). */
-    void append(const Fingerprint &fp, const CacheRecord &rec);
-
-    /** Append a quarantine marker (diagnostic only: failures are
-     *  retried, not replayed, on resume). */
-    void appendFailure(const Fingerprint &fp, const FailedJob &f);
-
-    void close();
-    ~SweepJournal() { close(); }
-
-  private:
-    void writeLine(const std::string &body);
-
-    int fd_ = -1;
-    std::string path_;
 };
 
 } // namespace mop::sweep

@@ -2,14 +2,17 @@
  * @file
  * Tests for hardened CLI numeric parsing: every malformed value must be
  * rejected with a diagnostic naming the option, never silently
- * truncated the way atoi/stoi would.
+ * truncated the way atoi/stoi would. Also covers mopsuite's usage
+ * errors, which must exit 2 before any work.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "sim/cli_opts.hh"
+#include "sweep/suite.hh"
 
 namespace
 {
@@ -80,6 +83,63 @@ TEST(CliOpts, DiagnosticNamesTheOption)
         std::string msg = e.what();
         EXPECT_NE(msg.find("--detect-delay"), std::string::npos);
         EXPECT_NE(msg.find("soon"), std::string::npos);
+    }
+}
+
+struct UsageCase
+{
+    std::vector<std::string> args;
+    const char *diagnostic;  ///< expected in the first stderr line
+    bool oneLine;            ///< the diagnostic is the whole of stderr
+};
+
+TEST(SuiteMain, UsageErrorsExit2BeforeAnyWork)
+{
+    const UsageCase cases[] = {
+        {{"--jobs", "0"}, "--jobs", true},
+        {{"--insts", "5x"}, "--insts", true},
+        {{"--wrong-path=0"}, "--wrong-path", true},
+        {{"--perf-gate", "101"}, "--perf-gate", true},
+        {{"--sweep-inject", "bogus", "--isolate"}, "unknown fault kind",
+         true},
+        {{"--sweep-inject", "crash"}, "requires --isolate", true},
+        {{"--repeat", "3", "--isolate"}, "--repeat", true},
+        {{"--only", ","}, "--only names no figure", true},
+        {{"--only", "table2", "--only", ""}, "--only names no figure",
+         true},
+        {{"--jobs"}, "--jobs requires a value", true},
+        {{"--resume"}, "unknown option '--resume'", false},
+        {{"--no-resume"}, "unknown option '--no-resume'", false},
+    };
+    for (const UsageCase &c : cases) {
+        // Should a case slip through, keep the sweep it starts off the
+        // user's cache and out of the working directory.
+        std::vector<std::string> args = {"mopsuite", "--no-cache",
+                                         "--perf", ""};
+        std::string what;
+        for (const std::string &a : c.args) {
+            args.push_back(a);
+            what += " " + a;
+        }
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+
+        testing::internal::CaptureStdout();
+        testing::internal::CaptureStderr();
+        int rc = mop::sweep::suiteMain(int(argv.size()), argv.data());
+        std::string out = testing::internal::GetCapturedStdout();
+        std::string err = testing::internal::GetCapturedStderr();
+
+        EXPECT_EQ(rc, 2) << what;
+        EXPECT_EQ(out, "") << what;
+        const std::string first = err.substr(0, err.find('\n'));
+        EXPECT_EQ(first.rfind("mopsuite: ", 0), 0u) << what << ": " << err;
+        EXPECT_NE(first.find(c.diagnostic), std::string::npos)
+            << what << ": " << err;
+        if (c.oneLine) {
+            EXPECT_EQ(err, first + "\n") << what;
+        }
     }
 }
 

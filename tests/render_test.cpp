@@ -490,7 +490,6 @@ sampleDash()
     d.instsPerRun = 20000;
     d.uniqueRuns = 12;
     d.cacheHits = 7;
-    d.journalHits = 1;
     d.computedRuns = 4;
     d.quarantined = 1;
     d.simulatedInsts = 80000;

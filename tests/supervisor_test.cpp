@@ -3,9 +3,8 @@
  * Unit tests for the sweep fault-tolerance layer that need no
  * end-to-end simulation and no fork(): CRC-32C, v2 cache record
  * integrity (truncation / bit-flip properties), retry/backoff policy
- * with a fake clock, chaos-plan parsing and determinism, the resume
- * journal's encode/replay (including the torn tail a killed writer
- * leaves), and atime-LRU eviction.
+ * with a fake clock, chaos-plan parsing and determinism, and atime-LRU
+ * eviction.
  *
  * Everything fork- or simulation-shaped lives in sweep_fault_test.cpp
  * (slow label).
@@ -16,7 +15,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -30,14 +28,12 @@ namespace
 
 using namespace mop;
 using sweep::CacheRecord;
-using sweep::FailedJob;
 using sweep::FailureKind;
 using sweep::Fingerprint;
 using sweep::RecordStatus;
 using sweep::RetryPolicy;
 using sweep::SweepFault;
 using sweep::SweepFaultPlan;
-using sweep::SweepJournal;
 
 std::string
 freshDir(const std::string &name)
@@ -375,146 +371,6 @@ TEST(SweepFaultPlanTest, FailAttemptsGatesRecovery)
     EXPECT_TRUE(p.fires(SweepFault::Crash, f, 1));
     EXPECT_TRUE(p.fires(SweepFault::Crash, f, 2));
     EXPECT_FALSE(p.fires(SweepFault::Crash, f, 3));
-}
-
-// --- Sweep fingerprint --------------------------------------------------
-
-TEST(SweepFingerprintTest, SensitiveToContentOrderAndCount)
-{
-    std::vector<Fingerprint> a = {fp(1, 2), fp(3, 4)};
-    std::vector<Fingerprint> reordered = {fp(3, 4), fp(1, 2)};
-    std::vector<Fingerprint> grown = {fp(1, 2), fp(3, 4), fp(5, 6)};
-    std::vector<Fingerprint> changed = {fp(1, 2), fp(3, 5)};
-
-    Fingerprint base = sweep::sweepFingerprint(a);
-    EXPECT_EQ(base, sweep::sweepFingerprint(a));
-    EXPECT_NE(base, sweep::sweepFingerprint(reordered));
-    EXPECT_NE(base, sweep::sweepFingerprint(grown));
-    EXPECT_NE(base, sweep::sweepFingerprint(changed));
-}
-
-// --- Resume journal -----------------------------------------------------
-
-TEST(SweepJournalTest, AppendReplayRoundTrip)
-{
-    std::string dir = freshDir("mop-sup-jnl");
-    Fingerprint sweepFp = fp(77, 88);
-
-    SweepJournal jnl;
-    ASSERT_TRUE(jnl.open(dir, sweepFp));
-    CacheRecord r1 = sampleRecord();
-    CacheRecord r2;
-    r2.add("cycles", 5);
-    jnl.append(fp(1, 2), r1);
-    jnl.append(fp(3, 4), r2);
-    FailedJob fail;
-    fail.kind = FailureKind::Crash;
-    fail.signal = 11;
-    fail.attempts = 3;
-    jnl.appendFailure(fp(5, 6), fail);
-    jnl.close();
-
-    std::map<Fingerprint, CacheRecord> replayed;
-    EXPECT_EQ(SweepJournal::replay(SweepJournal::pathFor(dir, sweepFp),
-                                   replayed),
-              2u);
-    ASSERT_EQ(replayed.size(), 2u);  // failures are not replayed
-    ASSERT_EQ(replayed.count(fp(1, 2)), 1u);
-    ASSERT_EQ(replayed.count(fp(5, 6)), 0u);
-    const CacheRecord &got = replayed.at(fp(1, 2));
-    ASSERT_EQ(got.fields.size(), r1.fields.size());
-    for (size_t i = 0; i < r1.fields.size(); ++i) {
-        EXPECT_EQ(got.fields[i].first, r1.fields[i].first);
-        EXPECT_EQ(got.fields[i].second, r1.fields[i].second);
-    }
-}
-
-TEST(SweepJournalTest, TornTailIsSkippedOnReplay)
-{
-    // Simulate a writer killed mid-append: every strict prefix of the
-    // final line must replay to exactly the earlier records, never to
-    // a damaged third one.
-    std::string dir = freshDir("mop-sup-jnl-torn");
-    Fingerprint sweepFp = fp(1, 99);
-    SweepJournal jnl;
-    ASSERT_TRUE(jnl.open(dir, sweepFp));
-    jnl.append(fp(1, 2), sampleRecord());
-    jnl.append(fp(3, 4), sampleRecord());
-    jnl.close();
-
-    std::string path = SweepJournal::pathFor(dir, sweepFp);
-    std::string bytes = slurp(path);
-    size_t lastLine = bytes.rfind('\n', bytes.size() - 2) + 1;
-
-    for (size_t cut = lastLine; cut + 1 < bytes.size(); ++cut) {
-        spit(path, bytes.substr(0, cut));
-        std::map<Fingerprint, CacheRecord> replayed;
-        EXPECT_EQ(SweepJournal::replay(path, replayed), 1u)
-            << "cut at byte " << cut;
-        EXPECT_EQ(replayed.count(fp(1, 2)), 1u);
-        EXPECT_EQ(replayed.count(fp(3, 4)), 0u);
-    }
-
-    // Losing only the trailing newline leaves a complete line: that
-    // record is intact and must replay.
-    spit(path, bytes.substr(0, bytes.size() - 1));
-    std::map<Fingerprint, CacheRecord> replayed;
-    EXPECT_EQ(SweepJournal::replay(path, replayed), 2u);
-}
-
-TEST(SweepJournalTest, ReopenAppendsAfterExistingRecords)
-{
-    // The resume flow: first run journals some work and dies; the
-    // rerun replays, then opens the same journal and appends the rest.
-    std::string dir = freshDir("mop-sup-jnl-resume");
-    Fingerprint sweepFp = fp(2, 2);
-    {
-        SweepJournal jnl;
-        ASSERT_TRUE(jnl.open(dir, sweepFp));
-        jnl.append(fp(1, 1), sampleRecord());
-    }
-    {
-        SweepJournal jnl;
-        ASSERT_TRUE(jnl.open(dir, sweepFp));
-        jnl.append(fp(2, 2), sampleRecord());
-    }
-    std::map<Fingerprint, CacheRecord> replayed;
-    EXPECT_EQ(SweepJournal::replay(SweepJournal::pathFor(dir, sweepFp),
-                                   replayed),
-              2u);
-}
-
-TEST(SweepJournalTest, BitFlipInvalidatesOnlyThatLine)
-{
-    std::string dir = freshDir("mop-sup-jnl-flip");
-    Fingerprint sweepFp = fp(4, 4);
-    SweepJournal jnl;
-    ASSERT_TRUE(jnl.open(dir, sweepFp));
-    jnl.append(fp(1, 2), sampleRecord());
-    jnl.append(fp(3, 4), sampleRecord());
-    jnl.close();
-
-    std::string path = SweepJournal::pathFor(dir, sweepFp);
-    std::string bytes = slurp(path);
-    // Flip a bit inside the first record's line (after the header).
-    size_t firstLine = bytes.find('\n') + 1;
-    bytes[firstLine + 8] = char(uint8_t(bytes[firstLine + 8]) ^ 0x10);
-    spit(path, bytes);
-
-    std::map<Fingerprint, CacheRecord> replayed;
-    EXPECT_EQ(SweepJournal::replay(path, replayed), 1u);
-    EXPECT_EQ(replayed.count(fp(1, 2)), 0u);
-    EXPECT_EQ(replayed.count(fp(3, 4)), 1u);
-}
-
-TEST(SweepJournalTest, MissingJournalReplaysNothing)
-{
-    std::map<Fingerprint, CacheRecord> replayed;
-    EXPECT_EQ(SweepJournal::replay(testing::TempDir() +
-                                       "mop-no-such-journal.jnl",
-                                   replayed),
-              0u);
-    EXPECT_TRUE(replayed.empty());
 }
 
 // --- Supervisor with a fake clock (no forking: policy-only paths) -------

@@ -5,12 +5,18 @@
  * retry/quarantine loop over real children, and the suite driver under
  * chaos — byte-identical recovery when the retry budget covers the
  * injected faults, explicit FAILED holes and exit code 3 when it does
- * not, journal-driven resume after a simulated mid-sweep kill, and the
- * --cache-verify maintenance mode.
+ * not, cache-driven resume after a simulated mid-sweep kill, the
+ * --cache-verify maintenance mode, and a cache store that fails at
+ * close.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -314,69 +320,66 @@ TEST(SuiteFaultTest, InjectWithoutIsolateIsRejected)
     EXPECT_THROW(sweep::runSuite(opts, out), std::invalid_argument);
 }
 
-TEST(SuiteFaultTest, JournalResumesAfterSimulatedKill)
+/**
+ * A sweep killed mid-flight keeps every finished run in the cache.
+ * Simulate a kill after the first run finished by deleting every
+ * record but one; the rerun must print the same bytes, take that one
+ * record from the cache and compute only the rest, and a third run
+ * must compute nothing.
+ */
+void
+expectRerunResumesFromCache(bool isolate, const std::string &name)
 {
     registerFaultFigure();
-    std::string dir = freshDir("mop-fault-resume");
     sweep::SuiteOptions opts = faultSuiteOpts();
-    opts.cacheDir = dir;   // journal root; cache itself stays off
-    opts.resume = 1;       // journal even though --no-cache
+    opts.useCache = true;
+    opts.cacheDir = freshDir(name);
+    opts.isolate = isolate;
+    opts.perfJsonPath = testing::TempDir() + name + "-perf.json";
 
     std::ostringstream first;
     ASSERT_EQ(sweep::runSuite(opts, first), 0);
+    std::vector<std::string> records;
+    for (const auto &e : std::filesystem::directory_iterator(opts.cacheDir))
+        if (e.path().extension() == ".res")
+            records.push_back(e.path().string());
+    ASSERT_GE(records.size(), 2u);
+    std::sort(records.begin(), records.end());
+    for (size_t i = 1; i < records.size(); ++i)
+        std::filesystem::remove(records[i]);
 
-    // The journal recorded every completed run.
-    std::string jnlDir = dir + "/journal";
-    std::vector<std::string> jnls;
-    for (const auto &e : std::filesystem::directory_iterator(jnlDir))
-        if (e.path().extension() == ".jnl")
-            jnls.push_back(e.path().string());
-    ASSERT_EQ(jnls.size(), 1u);
-
-    // Simulate a mid-sweep kill: truncate the journal to its header
-    // plus the first completed record, then rerun with --resume.
-    std::string bytes = slurp(jnls[0]);
-    size_t header = bytes.find('\n') + 1;
-    size_t firstRec = bytes.find('\n', header) + 1;
-    ASSERT_GT(firstRec, header);
-    {
-        std::ofstream out2(jnls[0], std::ios::binary | std::ios::trunc);
-        out2.write(bytes.data(), std::streamsize(firstRec));
-    }
-
-    std::string perfPath = testing::TempDir() + "mop-fault-perf.json";
-    opts.perfJsonPath = perfPath;
     std::ostringstream resumed;
     ASSERT_EQ(sweep::runSuite(opts, resumed), 0);
     EXPECT_EQ(first.str(), resumed.str());
-
-    // The rerun replayed one record and recomputed only the rest.
-    std::string perf = slurp(perfPath);
-    EXPECT_NE(perf.find("\"journal_hits\": 1"), std::string::npos)
+    std::string perf = slurp(opts.perfJsonPath);
+    EXPECT_NE(perf.find("\n  \"unique_runs\": " +
+                        std::to_string(records.size()) + ",\n"),
+              std::string::npos)
         << perf;
-    EXPECT_NE(perf.find("\"cache_hits\": 0"), std::string::npos) << perf;
+    EXPECT_NE(perf.find("\n  \"cache_hits\": 1,\n"), std::string::npos)
+        << perf;
+    EXPECT_NE(perf.find("\n  \"computed_runs\": " +
+                        std::to_string(records.size() - 1) + ",\n"),
+              std::string::npos)
+        << perf;
 
-    // A third run resolves everything from the (re-grown) journal.
     std::ostringstream third;
     ASSERT_EQ(sweep::runSuite(opts, third), 0);
     EXPECT_EQ(first.str(), third.str());
-    perf = slurp(perfPath);
-    EXPECT_NE(perf.find("\"computed_runs\": 0"), std::string::npos)
+    perf = slurp(opts.perfJsonPath);
+    EXPECT_NE(perf.find("\n  \"computed_runs\": 0,\n"), std::string::npos)
         << perf;
-    std::remove(perfPath.c_str());
+    std::remove(opts.perfJsonPath.c_str());
 }
 
-TEST(SuiteFaultTest, NoResumeDisablesTheJournal)
+TEST(SuiteFaultTest, KilledSweepResumesFromTheCache)
 {
-    registerFaultFigure();
-    std::string dir = freshDir("mop-fault-noresume");
-    sweep::SuiteOptions opts = faultSuiteOpts();
-    opts.cacheDir = dir;
-    opts.resume = 0;
+    expectRerunResumesFromCache(false, "mop-fault-resume");
+}
 
-    std::ostringstream out;
-    ASSERT_EQ(sweep::runSuite(opts, out), 0);
-    EXPECT_FALSE(std::filesystem::exists(dir + "/journal"));
+TEST(SuiteFaultTest, KilledIsolatedSweepResumesFromTheCache)
+{
+    expectRerunResumesFromCache(true, "mop-fault-resume-isolated");
 }
 
 TEST(SuiteFaultTest, CacheVerifyModeRepairsAndReports)
@@ -426,7 +429,6 @@ TEST(SuiteFaultTest, CorruptCacheRecordIsRecomputedInSweep)
     sweep::SuiteOptions opts = faultSuiteOpts();
     opts.useCache = true;
     opts.cacheDir = dir;
-    opts.resume = 0;  // no journal: force the recompute path
 
     std::ostringstream cold;
     ASSERT_EQ(sweep::runSuite(opts, cold), 0);
@@ -445,6 +447,44 @@ TEST(SuiteFaultTest, CorruptCacheRecordIsRecomputedInSweep)
     std::ostringstream warm;
     ASSERT_EQ(sweep::runSuite(opts, warm), 0);
     EXPECT_EQ(cold.str(), warm.str());
+}
+
+// --- Cache store that cannot reach the disk ----------------------------
+
+TEST(ResultCacheFaultTest, FailedStoreLeavesNoRecordBehind)
+{
+    // A child with a zero file-size limit (SIGXFSZ ignored, so the
+    // write fails with EFBIG instead) stores one record: the bytes sit
+    // in the stream buffer until close, where the flush fails. Nothing
+    // may be left behind -- no empty record renamed into place, no temp
+    // file -- so the next load is a plain miss, not a corrupt record.
+    std::string dir = freshDir("mop-fault-fsize");
+    std::filesystem::create_directories(dir);
+    sweep::ResultCache cache(dir);
+    const Fingerprint fp{1, 2};
+    sweep::CacheRecord rec;
+    rec.add("cycles", 42);
+
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        std::signal(SIGXFSZ, SIG_IGN);
+        struct rlimit none = {0, 0};
+        if (::setrlimit(RLIMIT_FSIZE, &none) != 0)
+            ::_exit(2);
+        cache.store(fp, rec);
+        ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 0);
+
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        ADD_FAILURE() << "store left " << e.path().filename();
+    sweep::CacheRecord out;
+    EXPECT_FALSE(cache.load(fp, out));
+    EXPECT_EQ(cache.corrupt(), 0u);
 }
 
 } // namespace

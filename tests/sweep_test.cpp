@@ -14,7 +14,7 @@
 #include <set>
 #include <sstream>
 
-#include "../bench/bench_util.hh"
+#include "stats/table.hh"
 #include "sweep/executor.hh"
 #include "sweep/fingerprint.hh"
 #include "sweep/result_cache.hh"
@@ -73,7 +73,7 @@ TEST(FingerprintTest, BudgetBenchAndVersionChangeFingerprint)
     sim::RunConfig cfg;
     Fingerprint fp = sweep::fingerprintSim("gzip", cfg, 1000);
     EXPECT_NE(sweep::fingerprintSim("gzip", cfg, 2000), fp)
-        << "instruction budget not folded in (the old Runner bug)";
+        << "instruction budget not folded in";
     EXPECT_NE(sweep::fingerprintSim("bzip", cfg, 1000), fp);
     EXPECT_NE(sweep::fingerprintSim("gzip", cfg, 1000, "other-version"),
               fp)
@@ -334,41 +334,72 @@ TEST(SuiteTest, UnknownFigureFails)
     EXPECT_EQ(sweep::runSuite(opts, out), 2);
 }
 
-// --- bench::Runner ------------------------------------------------------
+// --- Cached runs --------------------------------------------------------
+
+/** A sim job as the suite plans it for Context::run(). */
+sweep::SweepJob
+simJob(const std::string &bench, const sim::RunConfig &cfg, uint64_t insts)
+{
+    sweep::SweepJob job;
+    job.kind = sweep::JobKind::Sim;
+    job.bench = bench;
+    job.cfg = cfg;
+    job.insts = insts;
+    return job;
+}
 
 TEST(RunnerTest, BudgetIsPartOfTheKey)
 {
-    // Two runners with different budgets must not alias cache entries
-    // (the historical bug: the string key omitted MOP_INSTS).
+    // Two runs that differ only in budget must not alias cache entries.
+    sweep::ResultCache cache(freshCacheDir("mopsim-cache-budget"));
     sim::RunConfig cfg;
-    bench::Runner shortRun(1000);
-    bench::Runner longRun(4000);
-    pipeline::SimResult a = shortRun.run("gzip", cfg);
-    pipeline::SimResult b = longRun.run("gzip", cfg);
-    EXPECT_LT(a.insts, b.insts);
+    Fingerprint shortFp = sweep::fingerprintSim("gzip", cfg, 1000);
+    Fingerprint longFp = sweep::fingerprintSim("gzip", cfg, 4000);
+    sweep::CacheRecord a = sweep::computeJob(simJob("gzip", cfg, 1000)).record;
+    sweep::CacheRecord b = sweep::computeJob(simJob("gzip", cfg, 4000)).record;
+    cache.store(shortFp, a);
+    cache.store(longFp, b);
 
-    // And a repeated run inside one runner is served from cache,
-    // bit-identically.
-    pipeline::SimResult a2 = shortRun.run("gzip", cfg);
-    EXPECT_EQ(sweep::packSimResult(a).fields,
-              sweep::packSimResult(a2).fields);
+    sweep::CacheRecord loadedA, loadedB;
+    ASSERT_TRUE(cache.load(shortFp, loadedA));
+    ASSERT_TRUE(cache.load(longFp, loadedB));
+    pipeline::SimResult ra, rb;
+    ASSERT_TRUE(sweep::unpackSimResult(loadedA, ra));
+    ASSERT_TRUE(sweep::unpackSimResult(loadedB, rb));
+    EXPECT_LT(ra.insts, rb.insts);
+
+    // And a repeated run is served from its own entry, bit-identically.
+    EXPECT_EQ(loadedA.fields, a.fields);
+    EXPECT_EQ(loadedB.fields, b.fields);
+    EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(RunnerTest, FaultSpecIsPartOfTheKey)
 {
-    bench::Runner runner(2000);
+    sweep::ResultCache cache(freshCacheDir("mopsim-cache-faults"));
     sim::RunConfig clean;
     sim::RunConfig faulty;
     faulty.faults[verify::FaultKind::SpuriousWakeup] = 0.05;
     faulty.faults.seed = 7;
-    pipeline::SimResult a = runner.run("gzip", clean);
-    pipeline::SimResult b = runner.run("gzip", faulty);
-    // Distinct keys: the faulty run must not be served from the clean
-    // run's entry (identical cycles would mean aliasing).
-    EXPECT_NE(sweep::fingerprintSim("gzip", clean, 2000),
-              sweep::fingerprintSim("gzip", faulty, 2000));
-    EXPECT_NE(sweep::packSimResult(a).fields,
-              sweep::packSimResult(b).fields);
+    Fingerprint cleanFp = sweep::fingerprintSim("gzip", clean, 2000);
+    Fingerprint faultyFp = sweep::fingerprintSim("gzip", faulty, 2000);
+    EXPECT_NE(cleanFp, faultyFp);
+
+    // With only the clean run stored, the faulty run must miss rather
+    // than be served from the clean run's entry.
+    sweep::CacheRecord a =
+        sweep::computeJob(simJob("gzip", clean, 2000)).record;
+    cache.store(cleanFp, a);
+    sweep::CacheRecord rec;
+    EXPECT_FALSE(cache.load(faultyFp, rec));
+
+    sweep::CacheRecord b =
+        sweep::computeJob(simJob("gzip", faulty, 2000)).record;
+    cache.store(faultyFp, b);
+    ASSERT_TRUE(cache.load(faultyFp, rec));
+    EXPECT_EQ(rec.fields, b.fields);
+    // Identical records would mean the fault spec changed nothing.
+    EXPECT_NE(a.fields, b.fields);
 }
 
 } // namespace
