@@ -337,10 +337,12 @@ analyzeTimeline(const std::vector<CycleEvent> &events,
         return t;
 
     if (interval_cycles == 0) {
-        // ~64 intervals, rounded to a friendly power of two >= 16.
-        uint64_t span = hi - lo + 1;
+        // ~64 intervals, rounded to a friendly power of two >= 16:
+        // double while interval * 64 < hi - lo + 1, in a form that
+        // cannot overflow on corrupt commit cycles (at most 65
+        // intervals whatever the span).
         interval_cycles = 16;
-        while (interval_cycles * 64 < span)
+        while (interval_cycles <= (hi - lo) / 64)
             interval_cycles *= 2;
     }
     t.intervalCycles = interval_cycles;

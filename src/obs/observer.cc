@@ -36,23 +36,45 @@ Observer::onCycle(sched::Cycle now, const sched::StallSnapshot &snap,
                   StallCause upstream, int iq_occ, int rob_occ,
                   int frontend_occ, int mop_pending)
 {
-    stalls_.charge(snap, upstream);
-    iqOcc_.sample(iq_occ);
-    robOcc_.sample(rob_occ);
-    frontendOcc_.sample(frontend_occ);
-    mopPending_.sample(mop_pending);
-
-    if (exporter_ && cfg_.tracePeriod > 0 &&
-        now % cfg_.tracePeriod == 0) {
-        trace::CycleEvent ev;
-        ev.kind = trace::CycleEvent::Kind::Counter;
-        ev.insert = now;
-        ev.issue = uint64_t(iq_occ);
-        ev.execStart = uint64_t(rob_occ);
-        ev.complete = uint64_t(frontend_occ);
-        ev.commit = uint64_t(mop_pending);
-        exporter_->push(ev);
+    const CycleInputs in{snap,    upstream,     iq_occ,
+                         rob_occ, frontend_occ, mop_pending};
+    if (runCycles_ > 0 && in == run_) {
+        ++runCycles_;
+    } else {
+        flushRun();
+        run_ = in;
+        runCycles_ = 1;
     }
+
+    // A sample every cycle divisible by tracePeriod. The clock only
+    // moves forward, so no such cycle lies before nextCounter_ and the
+    // division runs once per period instead of every cycle.
+    if (exporter_ && cfg_.tracePeriod > 0 && now >= nextCounter_) {
+        if (now % cfg_.tracePeriod == 0) {
+            trace::CycleEvent ev;
+            ev.kind = trace::CycleEvent::Kind::Counter;
+            ev.insert = now;
+            ev.issue = uint64_t(iq_occ);
+            ev.execStart = uint64_t(rob_occ);
+            ev.complete = uint64_t(frontend_occ);
+            ev.commit = uint64_t(mop_pending);
+            exporter_->push(ev);
+        }
+        nextCounter_ = (now / cfg_.tracePeriod + 1) * cfg_.tracePeriod;
+    }
+}
+
+void
+Observer::flushRun()
+{
+    if (runCycles_ == 0)
+        return;
+    stalls_.charge(run_.snap, run_.upstream, runCycles_);
+    iqOcc_.sample(run_.iq, runCycles_);
+    robOcc_.sample(run_.rob, runCycles_);
+    frontendOcc_.sample(run_.frontend, runCycles_);
+    mopPending_.sample(run_.mopPending, runCycles_);
+    runCycles_ = 0;
 }
 
 void
@@ -65,6 +87,7 @@ Observer::onCommit(const trace::CycleEvent &ev)
 void
 Observer::finish()
 {
+    flushRun();
     stalls_.verifyInvariant();
     if (exporter_)
         exporter_->close();

@@ -48,7 +48,13 @@ class Observer
 
     bool tracing() const { return exporter_ != nullptr; }
 
-    /** Per-cycle hook: charge issue slots and sample occupancies. */
+    /**
+     * Per-cycle hook: charge issue slots and sample occupancies. A run
+     * of cycles with identical inputs is charged and sampled once,
+     * weighted by its length, when the inputs change or at finish();
+     * occupancy counter events still go out every tracePeriod cycles.
+     * @p now must grow from call to call, as the core's clock does.
+     */
     void onCycle(sched::Cycle now, const sched::StallSnapshot &snap,
                  StallCause upstream, int iqOcc, int robOcc,
                  int frontendOcc, int mopPending);
@@ -57,7 +63,8 @@ class Observer
      *  (only called when tracing() is true). */
     void onCommit(const trace::CycleEvent &ev);
 
-    /** Validate the stall invariant and finalize the trace.
+    /** Charge the pending run of cycles, validate the stall invariant
+     *  and finalize the trace. Read the accounting only after it.
      *  Idempotent (run() may be invoked more than once). */
     void finish();
 
@@ -84,7 +91,26 @@ class Observer
     void printReport(std::ostream &os) const;
 
   private:
+    /** The inputs of one cycle, as onCycle compares them. */
+    struct CycleInputs
+    {
+        sched::StallSnapshot snap;
+        StallCause upstream = StallCause::Useful;
+        int iq = 0;
+        int rob = 0;
+        int frontend = 0;
+        int mopPending = 0;
+
+        bool operator==(const CycleInputs &) const = default;
+    };
+
+    /** Charge and sample the pending run, then start none. */
+    void flushRun();
+
     ObsConfig cfg_;
+    CycleInputs run_;
+    uint64_t runCycles_ = 0;  ///< cycles of run_ not yet charged
+    sched::Cycle nextCounter_ = 0;  ///< no counter sample before it
     StallAccounting stalls_;
     stats::Histogram iqOcc_;
     stats::Histogram robOcc_;

@@ -27,12 +27,12 @@ stallCauseName(StallCause c)
 
 void
 StallAccounting::charge(const sched::StallSnapshot &snap,
-                        StallCause upstream)
+                        StallCause upstream, uint64_t cycles)
 {
     int left = width_;
     auto take = [&](StallCause c, int n) {
         int k = std::min(left, std::max(n, 0));
-        slots_[size_t(c)] += uint64_t(k);
+        slots_[size_t(c)] += uint64_t(k) * cycles;
         left -= k;
     };
     // One slot per waiting entry, most-specific cause first. A ready
@@ -50,8 +50,8 @@ StallAccounting::charge(const sched::StallSnapshot &snap,
     take(StallCause::DcacheMiss, snap.missWait);
     take(StallCause::Replay, snap.replayWait);
     take(StallCause::WakeupWait, snap.wakeupWait);
-    slots_[size_t(upstream)] += uint64_t(left);
-    ++cycles_;
+    slots_[size_t(upstream)] += uint64_t(left) * cycles;
+    cycles_ += cycles;
 
     integrity_.require(left >= 0,
                        verify::IntegrityChecker::Check::StallAccounting,

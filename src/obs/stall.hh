@@ -14,7 +14,7 @@
  *     sum over causes of slots == issueWidth * cycles
  *
  * holds as a checkable invariant (IntegrityChecker::Check::
- * StallAccounting validates it every cycle and again at finish()).
+ * StallAccounting validates it on every charge and again at finish()).
  */
 
 #ifndef MOP_OBS_STALL_HH
@@ -69,9 +69,12 @@ class StallAccounting
      * waiting entries by ladder priority (select-loss, dcache-miss,
      * replay, wakeup-wait); slots left over when the queue has nothing
      * to blame go to @p upstream (frontend / IQ-full / ROB-full /
-     * drain, decided by the pipeline).
+     * drain, decided by the pipeline). With @p cycles > 1 the same
+     * charge stands for that many identical cycles; the counts are
+     * integers, so it equals @p cycles single charges exactly.
      */
-    void charge(const sched::StallSnapshot &snap, StallCause upstream);
+    void charge(const sched::StallSnapshot &snap, StallCause upstream,
+                uint64_t cycles = 1);
 
     int width() const { return width_; }
     uint64_t cycles() const { return cycles_; }

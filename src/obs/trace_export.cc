@@ -1,7 +1,9 @@
 #include "obs/trace_export.hh"
 
 #include <inttypes.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -21,12 +23,29 @@ hasJsonExtension(const std::string &path)
            path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
 }
 
+/** Keep the calling thread off @p cpu when another CPU is allowed.
+ *  Woken by the thread filling the rings, the writer can otherwise be
+ *  placed on that thread's busy CPU and stay there (seen on VMs whose
+ *  idle vCPUs look busy to the scheduler), so the two time-slice one
+ *  CPU instead of overlapping. */
+void
+avoidCpu(int cpu)
+{
+    cpu_set_t set;
+    if (cpu < 0 || sched_getaffinity(0, sizeof set, &set) != 0 ||
+        !CPU_ISSET(cpu, &set) || CPU_COUNT(&set) < 2)
+        return;
+    CPU_CLR(cpu, &set);
+    sched_setaffinity(0, sizeof set, &set);
+}
+
 } // namespace
 
 TraceExporter::TraceExporter(const std::string &path, uint32_t version)
     : path_(path), json_(hasJsonExtension(path))
 {
     ring_.reserve(kRingCap);
+    writing_.reserve(kRingCap);
     if (json_) {
         jsonFile_ = std::fopen(path.c_str(), "w");
         if (!jsonFile_)
@@ -34,6 +53,7 @@ TraceExporter::TraceExporter(const std::string &path, uint32_t version)
         std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", jsonFile_);
     } else {
         bin_ = std::make_unique<trace::EventTraceWriter>(path, version);
+        pack_.resize(kPackChunk);
     }
 }
 
@@ -51,31 +71,98 @@ TraceExporter::push(const trace::CycleEvent &ev)
 {
     ring_.push_back(ev);
     if (ring_.size() >= kRingCap)
-        flush();
+        handOff();
 }
 
 void
-TraceExporter::flush()
+TraceExporter::handOff()
 {
-    if (json_) {
-        for (const auto &ev : ring_)
-            writeJson(ev);
-        if (std::ferror(jsonFile_))
-            fail("write failed");
-    } else {
-        try {
-            bin_->writeInPlace(ring_.data(), ring_.size());
-        } catch (const std::exception &e) {
-            fail(e.what());
+    if (closed_) {  // pushed after close(): nothing takes the ring
+        ring_.clear();
+        return;
+    }
+    if (!writer_.joinable())
+        writer_ = std::thread(&TraceExporter::writerLoop, this,
+                              sched_getcpu());
+    std::string err;
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait(lk, [this] { return !busy_; });
+        err = error_;
+        if (err.empty()) {
+            emitted_ += ring_.size();
+            writing_.swap(ring_);
+            busy_ = true;
         }
     }
-    emitted_ += ring_.size();
+    if (!err.empty())
+        fail(err);
+    cv_.notify_all();
     ring_.clear();
 }
 
 void
-TraceExporter::fail(const char *what)
+TraceExporter::writerLoop(int fillerCpu)
 {
+    avoidCpu(fillerCpu);
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+        cv_.wait(lk, [this] { return busy_ || stop_; });
+        if (!busy_)
+            return;
+        lk.unlock();
+        std::string err = writeRing(writing_);
+        writing_.clear();
+        lk.lock();
+        if (error_.empty())
+            error_ = std::move(err);
+        busy_ = false;
+        cv_.notify_all();
+    }
+}
+
+std::string
+TraceExporter::stopWriter()
+{
+    if (!writer_.joinable())
+        return "";
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_ = true;
+    }
+    cv_.notify_all();
+    writer_.join();
+    return std::exchange(error_, "");
+}
+
+std::string
+TraceExporter::writeRing(const std::vector<trace::CycleEvent> &evs)
+{
+    try {
+        if (json_) {
+            for (const auto &ev : evs)
+                writeJson(ev);
+            return std::ferror(jsonFile_) ? "write failed" : "";
+        }
+        // Pack a small private copy, chunk by chunk. Packing the ring
+        // in place would leave all its lines dirty in the writer's
+        // cache, for the simulating thread to pull back one by one
+        // when it refills the ring; that cost as much as the write.
+        for (size_t i = 0; i < evs.size(); i += pack_.size()) {
+            const size_t n = std::min(pack_.size(), evs.size() - i);
+            std::copy_n(evs.begin() + ptrdiff_t(i), n, pack_.begin());
+            bin_->writeInPlace(pack_.data(), n);
+        }
+        return "";
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+}
+
+void
+TraceExporter::fail(const std::string &what)
+{
+    stopWriter();
     closed_ = true;
     ring_.clear();
     if (jsonFile_) {
@@ -123,7 +210,12 @@ TraceExporter::close()
 {
     if (closed_)
         return;
-    flush();
+    if (std::string err = stopWriter(); !err.empty())
+        fail(err);
+    if (std::string err = writeRing(ring_); !err.empty())
+        fail(err);
+    emitted_ += ring_.size();
+    ring_.clear();
     closed_ = true;
     if (json_) {
         std::fputs("\n]}\n", jsonFile_);

@@ -13,14 +13,24 @@
  *
  * The exporter only exists when a trace was requested, so the
  * zero-trace simulation path pays a single null-pointer branch.
+ *
+ * Writing happens off the simulating thread: each full ring goes to
+ * one writer thread, started with the first full ring and joined by
+ * close() (or the destructor), which packs and writes it while the
+ * caller fills a second ring. A sink failure on that thread surfaces
+ * once, as "trace <path>: ..." from the next push() that hands over a
+ * ring or from close().
  */
 
 #ifndef MOP_OBS_TRACE_EXPORT_HH
 #define MOP_OBS_TRACE_EXPORT_HH
 
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/trace_file.hh"
@@ -36,35 +46,54 @@ class TraceExporter
      *  @throws std::runtime_error if @p path cannot be created. */
     explicit TraceExporter(const std::string &path,
                            uint32_t version = 2);
-    /** Closes the sink if close() was not called. Never throws: a
-     *  failure at that point is printed to stderr instead. */
+    /** Closes the sink if close() was not called, joining the writer
+     *  thread. Never throws: a failure at that point is printed to
+     *  stderr instead. */
     ~TraceExporter();
 
     TraceExporter(const TraceExporter &) = delete;
     TraceExporter &operator=(const TraceExporter &) = delete;
 
-    /** Queue an event; flushes the ring to the sink when full.
-     *  @throws std::runtime_error naming the path if the sink fails;
-     *  the exporter is then closed, with its buffered events lost. */
+    /** Queue an event; a full ring goes to the writer thread once it
+     *  has written the previous one.
+     *  @throws std::runtime_error naming the path if the sink failed
+     *  on an earlier ring; the exporter is then closed, with its
+     *  buffered events lost. */
     void push(const trace::CycleEvent &ev);
 
-    /** Flush buffered events and finalize the sink (JSON footer).
-     *  Idempotent, also after a failure; further pushes are invalid.
+    /** Write the rest and finalize the sink (JSON footer), after the
+     *  writer thread has finished and been joined. Idempotent, also
+     *  after a failure; further pushes are invalid.
      *  @throws std::runtime_error naming the path if any event or the
      *  footer failed to reach the file (reported once). */
     void close();
 
+    /** Events handed to the sink so far. */
     uint64_t emitted() const { return emitted_; }
     bool isJson() const { return json_; }
 
   private:
     static constexpr size_t kRingCap = 4096;
+    /** Records packed per write of a binary sink. */
+    static constexpr size_t kPackChunk = 256;
 
-    void flush();
+    /** Give the full ring to the writer thread (starting it on first
+     *  use) once it is idle; throws an earlier ring's failure. */
+    void handOff();
+    /** The writer thread; @p fillerCpu is the CPU of the thread that
+     *  started it (see avoidCpu in the .cc). */
+    void writerLoop(int fillerCpu);
+    /** Join the writer thread, if any; returns its failure ("" if
+     *  none). */
+    std::string stopWriter();
+    /** Pack and write @p evs to the sink (either kind); returns the
+     *  failure, "" if none. Runs on the writer thread, and on the
+     *  caller once the writer is joined. */
+    std::string writeRing(const std::vector<trace::CycleEvent> &evs);
     void writeJson(const trace::CycleEvent &ev);
-    /** Release the sinks without further error checks, mark the
-     *  exporter closed and throw the failure of @p what. */
-    [[noreturn]] void fail(const char *what);
+    /** Join the writer, release the sinks without further error
+     *  checks, mark the exporter closed and throw @p what. */
+    [[noreturn]] void fail(const std::string &what);
 
     std::string path_;
     bool json_;
@@ -72,8 +101,19 @@ class TraceExporter
     bool firstJsonEvent_ = true;
     FILE *jsonFile_ = nullptr;
     std::unique_ptr<trace::EventTraceWriter> bin_;
-    std::vector<trace::CycleEvent> ring_;
+    std::vector<trace::CycleEvent> pack_;  ///< binary sink: pack buffer
+    std::vector<trace::CycleEvent> ring_;  ///< filled by push()
     uint64_t emitted_ = 0;
+
+    // Writer thread. It owns writing_, pack_ and the sinks while busy_
+    // is set; the flags and error_ are guarded by mu_.
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::vector<trace::CycleEvent> writing_;
+    bool busy_ = false;
+    bool stop_ = false;
+    std::string error_;
+    std::thread writer_;
 };
 
 } // namespace mop::obs

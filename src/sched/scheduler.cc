@@ -298,6 +298,7 @@ Scheduler::stallClassOf(int idx) const
 void
 Scheduler::refreshStall(int idx)
 {
+    ++stallEpoch_;
     const uint8_t cls = stallClassOf(idx);
     const size_t w = size_t(idx) >> 6;
     const uint64_t bit = uint64_t(1) << (unsigned(idx) & 63);
@@ -322,6 +323,7 @@ Scheduler::setStallProbe(bool on)
     stallProbe_ = on;
     if (!on)
         return;
+    ++stallEpoch_;
     for (auto &plane : stallBits_)
         plane.assign(validBits_.size(), 0);
     forEachSetBit(validBits_, [&](size_t i) { refreshStall(int(i)); });
@@ -949,7 +951,13 @@ Scheduler::doSelect(Cycle now, std::vector<MopIssue> *mop_issues)
     int width = params_.issueWidth - debt0;
     int issuedNow = 0;
     int issuedNowWp = 0;
+    const bool select_free = isSelectFree();
     for (int idx : readyScratch_) {
+        // Once the width is spent nothing more can issue. Select-free
+        // losers are collisions and must still be seen; any other
+        // loser is left as it is.
+        if (width <= 0 && !select_free)
+            break;
         const EntryOps &oc = opcls_[size_t(idx)];
         // issueEntry reserves a unit for every op of the MOP at
         // consecutive cycles, so the grant must simulate the whole
@@ -970,7 +978,7 @@ Scheduler::doSelect(Cycle now, std::vector<MopIssue> *mop_issues)
                        cold_[size_t(idx)].ops[0].seq,
                        cold_[size_t(idx)].dstTag, idx, "drop-grant");
                 --width;
-                if (isSelectFree() && !(st.flags & kFCollided)) {
+                if (select_free && !(st.flags & kFCollided)) {
                     ++collisions_;
                     st.flags |= kFCollided;
                     if (params_.policy == LoopPolicy::SelectFreeSquashDep) {
@@ -991,7 +999,7 @@ Scheduler::doSelect(Cycle now, std::vector<MopIssue> *mop_issues)
         // Selection loss. Under select-free policies this is a
         // collision: the entry's speculative wakeup was premature.
         EntryState &st = state_[size_t(idx)];
-        if (isSelectFree() && !(st.flags & kFCollided)) {
+        if (select_free && !(st.flags & kFCollided)) {
             ++collisions_;
             st.flags |= kFCollided;
             record(now, verify::SchedEvent::Kind::Collision,
@@ -1019,6 +1027,31 @@ Scheduler::collectStallSnapshot(Cycle now, StallSnapshot &snap) const
     if (!stallProbe_)
         throw std::logic_error(
             "collectStallSnapshot needs the stall probe switched on");
+    StallCache &sc = stallCache_;
+    if (!stallSnapshotReusable(now)) {
+        sc.until = computeStallSnapshot(now, sc.snap);
+        sc.epoch = stallEpoch_;
+        sc.issueSlots = lastIssueSlots_;
+        sc.issueSlotsWp = lastIssueSlotsWp_;
+        sc.from = now;
+    }
+    sc.last = now;
+    snap = sc.snap;
+}
+
+bool
+Scheduler::stallSnapshotReusable(Cycle now) const
+{
+    const StallCache &sc = stallCache_;
+    return sc.epoch == stallEpoch_ && sc.issueSlots == lastIssueSlots_ &&
+           sc.issueSlotsWp == lastIssueSlotsWp_ && now >= sc.from &&
+           now < sc.until;
+}
+
+Cycle
+Scheduler::computeStallSnapshot(Cycle now, StallSnapshot &snap) const
+{
+    Cycle until = kNoCycle;
     snap = StallSnapshot{};
     snap.issuedSlots = lastIssueSlots_ - lastIssueSlotsWp_;
     snap.wrongPath = lastIssueSlotsWp_;
@@ -1040,8 +1073,11 @@ Scheduler::collectStallSnapshot(Cycle now, StallSnapshot &snap) const
         uint64_t losers = 0;
         for (uint64_t b = ready; b; b &= b - 1) {
             unsigned i = unsigned(std::countr_zero(b));
-            if (minIssue_[w * 64 + i] <= now)
+            const Cycle at = minIssue_[w * 64 + i];
+            if (at <= now)
                 losers |= uint64_t(1) << i;
+            else
+                until = std::min(until, at);
         }
         const uint64_t waiting = live & watchBits_[w];
         const uint64_t miss = waiting & pl[kPlaneMissWait][w];
@@ -1057,6 +1093,7 @@ Scheduler::collectStallSnapshot(Cycle now, StallSnapshot &snap) const
         snap.replayWait += std::popcount(replayed);
         snap.wakeupWait += std::popcount(rest & ~replayed);
     }
+    return until;
 }
 
 void
@@ -1430,6 +1467,18 @@ Scheduler::auditStructures()
                                       " is on the free list but marked "
                                       "valid";
                            });
+    }
+    // A snapshot collectStallSnapshot would hand out again must equal
+    // a fresh walk of the queue as it stands.
+    if (stallProbe_ && stallSnapshotReusable(stallCache_.last)) {
+        StallSnapshot fresh;
+        computeStallSnapshot(stallCache_.last, fresh);
+        integrity_.require(
+            fresh == stallCache_.snap, Check::StallAccounting, [this] {
+                return "reused stall snapshot of cycle " +
+                       std::to_string(stallCache_.last) +
+                       " differs from a fresh walk";
+            });
     }
     auditTags();
 }

@@ -282,6 +282,14 @@ class Scheduler
      * planes word by word, so it costs O(bitmap words) plus one
      * minIssue test per fully ready entry. Requires setStallProbe
      * (throws std::logic_error otherwise).
+     *
+     * Returns the previous snapshot unrecomputed while nothing it
+     * reads has moved: the stall epoch (bumped by refreshStall and
+     * setStallProbe, which follow every change of a bitmap, plane or
+     * minIssue the walk reads), both issue-slot counts, and no ready
+     * entry's minIssue reached since (the walk records the earliest).
+     * auditStructures checks that a reusable snapshot equals a fresh
+     * walk.
      */
     void collectStallSnapshot(Cycle now, StallSnapshot &snap) const;
 
@@ -511,9 +519,16 @@ class Scheduler
     /** Entry @p idx's plane bits as its state dictates: bit p set iff
      *  plane p should hold the entry (0 for a free entry). */
     uint8_t stallClassOf(int idx) const;
-    /** Rewrite entry @p idx's bit in every stall-class plane. Kept out
-     *  of line so the probe-off refreshReady stays a leaf. */
+    /** Rewrite entry @p idx's bit in every stall-class plane and bump
+     *  the stall epoch. Kept out of line so the probe-off refreshReady
+     *  stays a leaf. */
     [[gnu::noinline]] void refreshStall(int idx);
+    /** collectStallSnapshot's walk, without the cache. Returns the
+     *  earliest minIssue after @p now of a ready entry that has not
+     *  requested selection yet (kNoCycle if none). */
+    Cycle computeStallSnapshot(Cycle now, StallSnapshot &snap) const;
+    /** The cached snapshot may stand for cycle @p now. */
+    bool stallSnapshotReusable(Cycle now) const;
     /** True if tag @p t has an uncorrected DL1-miss wakeup pending. */
     bool tagMissPending(Tag t) const;
     /** Set tag @p t's miss-pending bit and refresh the entries waiting
@@ -600,6 +615,20 @@ class Scheduler
     bool stallProbe_ = false;
     int lastIssueSlots_ = 0;  ///< useful select slots last doSelect
     int lastIssueSlotsWp_ = 0; ///< of those, wrong-path entry issues
+    /** Bumped wherever a stall plane is rewritten (see refreshStall). */
+    uint64_t stallEpoch_ = 0;
+    /** The last computed snapshot and the inputs it was computed from. */
+    struct StallCache
+    {
+        StallSnapshot snap;
+        uint64_t epoch = ~uint64_t(0);  ///< matches nothing at first
+        int issueSlots = 0;
+        int issueSlotsWp = 0;
+        Cycle from = 0;      ///< cycle it was computed for
+        Cycle until = 0;     ///< first cycle a ready entry requests anew
+        Cycle last = 0;      ///< cycle of the latest collect
+    };
+    mutable StallCache stallCache_;
 };
 
 } // namespace mop::sched

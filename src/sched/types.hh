@@ -140,6 +140,8 @@ struct StallSnapshot
      *  wrong-path entries plus one per waiting wrong-path entry.
      *  Wrong-path entries never appear in the other buckets. */
     int wrongPath = 0;
+
+    bool operator==(const StallSnapshot &) const = default;
 };
 
 struct SchedParams

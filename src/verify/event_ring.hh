@@ -16,8 +16,11 @@
 #ifndef MOP_VERIFY_EVENT_RING_HH
 #define MOP_VERIFY_EVENT_RING_HH
 
+#include <bit>
 #include <cstdint>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace mop::verify
@@ -66,13 +69,18 @@ schedEventKindName(SchedEvent::Kind k)
 class EventRing
 {
   public:
-    explicit EventRing(size_t capacity = 256) : buf_(capacity) {}
+    /** @throws std::invalid_argument unless @p capacity is a power of
+     *  two, so push() can wrap with a mask. */
+    explicit EventRing(size_t capacity = 256)
+        : buf_(checkedCapacity(capacity)), mask_(capacity - 1)
+    {
+    }
 
     void
     push(const SchedEvent &e)
     {
         buf_[head_] = e;
-        head_ = (head_ + 1) % buf_.size();
+        head_ = (head_ + 1) & mask_;
         if (size_ < buf_.size())
             ++size_;
     }
@@ -91,7 +99,7 @@ class EventRing
     const SchedEvent &
     at(size_t i) const
     {
-        return buf_[(head_ + buf_.size() - size_ + i) % buf_.size()];
+        return buf_[(head_ + buf_.size() - size_ + i) & mask_];
     }
 
     /** Oldest-first dump of the retained events. */
@@ -100,8 +108,7 @@ class EventRing
     {
         os << "last " << size_ << " scheduler events (oldest first):\n";
         for (size_t i = 0; i < size_; ++i) {
-            const SchedEvent &e =
-                buf_[(head_ + buf_.size() - size_ + i) % buf_.size()];
+            const SchedEvent &e = at(i);
             os << "  cycle " << e.cycle << "  "
                << schedEventKindName(e.kind);
             if (e.seq)
@@ -117,7 +124,18 @@ class EventRing
     }
 
   private:
+    static size_t
+    checkedCapacity(size_t capacity)
+    {
+        if (!std::has_single_bit(capacity))
+            throw std::invalid_argument(
+                "EventRing capacity must be a power of two, got " +
+                std::to_string(capacity));
+        return capacity;
+    }
+
     std::vector<SchedEvent> buf_;
+    size_t mask_;
     size_t head_ = 0;
     size_t size_ = 0;
 };

@@ -15,6 +15,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/critpath.hh"
@@ -312,6 +313,27 @@ TEST(Timeline, AutoIntervalCoversSpan)
     EXPECT_GE(t.intervalCycles, 16u);
     EXPECT_EQ(t.intervals.front().startCycle, 0u);
     EXPECT_GE(t.intervals.back().endCycle, 2990u);
+}
+
+TEST(Timeline, AutoIntervalTerminatesOnCorruptCommitCycles)
+{
+    // A flipped high bit in one commit cycle makes the span near 2^64;
+    // picking the interval must neither overflow nor spin, and every
+    // µop must still land in one of at most 65 intervals.
+    const uint64_t top = uint64_t(1) << 63;
+    const std::pair<uint64_t, uint64_t> spans[] = {
+        {5, top + 7}, {0, ~uint64_t(0)}};
+    for (auto [lo, hi] : spans) {
+        std::vector<CycleEvent> evs = {uop(0, 0, 0, 0, 0, 0, 0, lo, lo),
+                                       uop(1, 0, 0, 0, 0, 0, 0, hi, hi)};
+        auto t = obs::analyzeTimeline(evs);
+        ASSERT_GT(t.intervals.size(), 0u) << hi;
+        EXPECT_LE(t.intervals.size(), 65u) << hi;
+        uint64_t total = 0;
+        for (const auto &iv : t.intervals)
+            total += iv.uops;
+        EXPECT_EQ(total, 2u) << hi;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests for the observability subsystem (src/obs): stall-attribution
- * accounting and its slots == width * cycles invariant, the cycle-event
- * trace exporter (binary round-trip, Chrome-JSON well-formedness),
- * zero-perturbation of simulation results when tracing, and the cache /
- * fingerprint compatibility rules for observability runs.
+ * accounting and its slots == width * cycles invariant, folding runs of
+ * identical cycles into weighted charges, the cycle-event trace
+ * exporter (binary round-trip, Chrome-JSON well-formedness, failures
+ * on its writer thread), zero-perturbation of simulation results when
+ * tracing, and the cache / fingerprint compatibility rules for
+ * observability runs.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +17,10 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/observer.hh"
@@ -219,6 +223,138 @@ TEST(StallAccounting, EmptyQueueChargesUpstream)
     EXPECT_NO_THROW(acc.verifyInvariant());
 }
 
+/** A random snapshot whose buckets sum past @p width now and then, so
+ *  the ladder's clamping is exercised too. */
+sched::StallSnapshot
+randomSnapshot(std::mt19937 &rng, int width)
+{
+    auto n = [&] { return int(rng() % unsigned(width + 2)); };
+    sched::StallSnapshot s;
+    s.issuedSlots = n();
+    s.readyLosers = n();
+    s.missWait = n();
+    s.replayWait = n();
+    s.wakeupWait = n();
+    s.pendingHeads = n();
+    s.wrongPath = int(rng() % 2) * n();
+    return s;
+}
+
+TEST(StallAccounting, WeightedChargeEqualsRepeatedCharges)
+{
+    std::mt19937 rng(5);
+    obs::StallAccounting weighted(4), single(4);
+    for (int i = 0; i < 500; ++i) {
+        sched::StallSnapshot s = randomSnapshot(rng, 4);
+        auto up = obs::StallCause(rng() % obs::kNumStallCauses);
+        uint64_t n = 1 + rng() % 40;
+        weighted.charge(s, up, n);
+        for (uint64_t k = 0; k < n; ++k)
+            single.charge(s, up);
+    }
+    EXPECT_EQ(weighted.slots(), single.slots());
+    EXPECT_EQ(weighted.cycles(), single.cycles());
+    EXPECT_NO_THROW(weighted.verifyInvariant());
+}
+
+TEST(ObserverFold, FoldedRunsMatchPerCycleCharging)
+{
+    // One Observer folds runs of identical cycles; a reference charges
+    // and samples every cycle. The stream mixes long repeats,
+    // single-cycle blips (A A B A A) and runs crossing the counter
+    // period, so every fold boundary and flush point is hit.
+    constexpr int kWidth = 4, kIq = 32, kRob = 128;
+    std::string path = tmpPath("obs_fold.evt");
+    for (uint32_t seed = 1; seed <= 20; ++seed) {
+        std::mt19937 rng(seed);
+        obs::ObsConfig cfg;
+        cfg.enabled = true;
+        cfg.traceOut = path;
+        cfg.tracePeriod = 16;
+        obs::Observer ob(cfg, kWidth, kIq, kRob);
+        obs::StallAccounting acc(kWidth);
+        stats::Histogram iq = ob.iqOccupancy(), rob = ob.robOccupancy(),
+                         fe = ob.frontendOccupancy(),
+                         mop = ob.mopPendingOccupancy();
+        std::vector<trace::CycleEvent> rows;
+
+        struct In
+        {
+            sched::StallSnapshot snap;
+            obs::StallCause up;
+            int iq, rob, fe, mop;
+        };
+        auto fresh = [&] {
+            return In{randomSnapshot(rng, kWidth),
+                      obs::StallCause(rng() % obs::kNumStallCauses),
+                      int(rng() % (kIq + 1)), int(rng() % (kRob + 1)),
+                      int(rng() % 70), int(rng() % 20)};
+        };
+        In cur = fresh(), prev = cur;
+        sched::Cycle now = 0;
+        for (int seg = 0; seg < 300; ++seg) {
+            // 0: back to the input before a blip; 1: one field changed;
+            // 2: a one-cycle blip; 3: anything.
+            const unsigned kind = rng() % 4;
+            In next = kind == 0 ? prev : kind == 1 ? cur : fresh();
+            if (kind == 1) {
+                switch (rng() % 6) {
+                  case 0: next.snap.wakeupWait ^= 1; break;
+                  case 1: next.up = obs::StallCause(
+                              (size_t(next.up) + 1) % obs::kNumStallCauses);
+                          break;
+                  case 2: next.iq ^= 1; break;
+                  case 3: next.rob ^= 1; break;
+                  case 4: next.fe ^= 1; break;
+                  default: next.mop ^= 1; break;
+                }
+            }
+            prev = cur;
+            cur = next;
+            const uint64_t len = kind == 2 ? 1 : 1 + rng() % 200;
+            for (uint64_t k = 0; k < len; ++k, ++now) {
+                ob.onCycle(now, cur.snap, cur.up, cur.iq, cur.rob, cur.fe,
+                           cur.mop);
+                acc.charge(cur.snap, cur.up);
+                iq.sample(cur.iq);
+                rob.sample(cur.rob);
+                fe.sample(cur.fe);
+                mop.sample(cur.mop);
+                if (now % cfg.tracePeriod == 0) {
+                    trace::CycleEvent ev;
+                    ev.kind = trace::CycleEvent::Kind::Counter;
+                    ev.insert = now;
+                    ev.issue = uint64_t(cur.iq);
+                    ev.execStart = uint64_t(cur.rob);
+                    ev.complete = uint64_t(cur.fe);
+                    ev.commit = uint64_t(cur.mop);
+                    rows.push_back(ev);
+                }
+            }
+        }
+        ob.finish();
+
+        EXPECT_EQ(ob.stalls().slots(), acc.slots()) << seed;
+        EXPECT_EQ(ob.stalls().cycles(), acc.cycles()) << seed;
+        const std::pair<const stats::Histogram *, const stats::Histogram *>
+            hists[] = {{&ob.iqOccupancy(), &iq},
+                       {&ob.robOccupancy(), &rob},
+                       {&ob.frontendOccupancy(), &fe},
+                       {&ob.mopPendingOccupancy(), &mop}};
+        for (auto [got, want] : hists) {
+            EXPECT_EQ(got->mean(), want->mean()) << seed;
+            EXPECT_EQ(got->percentile(0.50), want->percentile(0.50)) << seed;
+            EXPECT_EQ(got->percentile(0.95), want->percentile(0.95)) << seed;
+            EXPECT_EQ(got->total(), want->total()) << seed;
+            EXPECT_EQ(got->overflow(), want->overflow()) << seed;
+            for (size_t b = 0; b < want->numBuckets(); ++b)
+                ASSERT_EQ(got->bucketCount(b), want->bucketCount(b)) << seed;
+        }
+        EXPECT_EQ(trace::readEventTrace(path), rows) << seed;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(StallAccounting, InvariantHoldsOnEveryProfile)
 {
     // The acceptance criterion of the observability PR: on every
@@ -365,24 +501,31 @@ fullDevicePath(const char *name)
     return link.string();
 }
 
+/** Events per ring the exporter hands to its writer thread. */
+constexpr uint64_t kExportRing = 4096;
+
 TEST(TraceExport, FullDeviceFailsOnceWithoutAbort)
 {
-    // Both sinks, both failure points: a ring flush mid-run (more
-    // events than the ring holds) and the final flush in close(). Each
-    // reports one error naming the path; a later close() and the
-    // destructor stay silent instead of re-flushing and throwing.
+    // Both sinks, every failure point: the final write in close()
+    // (10 events), a ring that failed on the writer thread and is
+    // reported by close() (5000), and one reported by the push that
+    // hands over the next ring (10000). Each reports one error naming
+    // the path; a later close() and the destructor stay silent instead
+    // of re-flushing and throwing.
     for (const char *name : {"obs_full.evt", "obs_full.json"}) {
-        for (uint64_t events : {uint64_t(10), uint64_t(10000)}) {
+        for (uint64_t events :
+             {uint64_t(10), uint64_t(5000), uint64_t(10000)}) {
             std::string path = fullDevicePath(name);
             if (path.empty())
                 GTEST_SKIP() << "no /dev/full";
             int errors = 0;
+            uint64_t pushed = 0;
             ::testing::internal::CaptureStderr();
             {
                 obs::TraceExporter exp(path);
                 try {
-                    for (uint64_t i = 0; i < events; ++i)
-                        exp.push(makeEvent(i));
+                    for (; pushed < events; ++pushed)
+                        exp.push(makeEvent(pushed));
                     exp.close();
                 } catch (const std::runtime_error &e) {
                     ++errors;
@@ -394,6 +537,11 @@ TEST(TraceExport, FullDeviceFailsOnceWithoutAbort)
             }
             EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
             EXPECT_EQ(errors, 1) << name << " " << events;
+            // The push that fails is the one handing over the second
+            // ring; with fewer events the failure waits for close().
+            const uint64_t failing_push =
+                events >= 2 * kExportRing ? 2 * kExportRing - 1 : events;
+            EXPECT_EQ(pushed, failing_push) << name << " " << events;
             std::filesystem::remove(path);
         }
     }
@@ -401,21 +549,27 @@ TEST(TraceExport, FullDeviceFailsOnceWithoutAbort)
 
 TEST(TraceExport, UnclosedFailureIsReportedByTheDestructor)
 {
-    // Never closed: the destructor's final flush fails. It must not
-    // throw (that would terminate) and must not drop the error.
+    // Never closed: the destructor's final flush fails (1 event), or
+    // a ring already failed on the writer thread and nothing surfaced
+    // it yet (5000). It must join the writer, must not throw (that
+    // would terminate) and must report the error exactly once.
     for (const char *name : {"obs_unclosed.evt", "obs_unclosed.json"}) {
-        std::string path = fullDevicePath(name);
-        if (path.empty())
-            GTEST_SKIP() << "no /dev/full";
-        ::testing::internal::CaptureStderr();
-        {
-            obs::TraceExporter exp(path);
-            exp.push(makeEvent(1));
+        for (uint64_t events : {uint64_t(1), uint64_t(5000)}) {
+            std::string path = fullDevicePath(name);
+            if (path.empty())
+                GTEST_SKIP() << "no /dev/full";
+            ::testing::internal::CaptureStderr();
+            {
+                obs::TraceExporter exp(path);
+                for (uint64_t i = 0; i < events; ++i)
+                    exp.push(makeEvent(i));
+            }
+            std::string err = ::testing::internal::GetCapturedStderr();
+            EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1)
+                << name << " " << events << ": " << err;
+            EXPECT_NE(err.find(path), std::string::npos) << err;
+            std::filesystem::remove(path);
         }
-        std::string err = ::testing::internal::GetCapturedStderr();
-        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
-        EXPECT_NE(err.find(path), std::string::npos) << err;
-        std::filesystem::remove(path);
     }
 }
 

@@ -16,7 +16,9 @@
  *     every cycle is charged to exactly one cause
  *     (sum(causes) == issueWidth * cycles), including under fault
  *     injection and across wrong-path squashes, and the structural
- *     audit (which checks the stall-class bitmaps) passes every cycle.
+ *     audit (which checks the stall-class bitmaps, and that a stall
+ *     snapshot the scheduler would reuse equals a fresh walk) passes
+ *     every cycle.
  */
 
 #include <gtest/gtest.h>

@@ -206,6 +206,15 @@ TEST(EventRing, KeepsOnlyTheLastCapacityEvents)
     EXPECT_LT(s.find("seq=6"), s.find("seq=9"));
 }
 
+TEST(EventRing, RejectsCapacitiesThatAreNotPowersOfTwo)
+{
+    for (size_t cap : {size_t(0), size_t(3), size_t(100)})
+        EXPECT_THROW(verify::EventRing ring(cap), std::invalid_argument)
+            << cap;
+    EXPECT_NO_THROW(verify::EventRing ring(1));
+    EXPECT_NO_THROW(verify::EventRing ring(64));
+}
+
 TEST(Golden, AcceptsTheOracleOwnStream)
 {
     prog::Program p = prog::assemble(prog::kernelSource("fib"));
