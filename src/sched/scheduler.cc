@@ -449,15 +449,6 @@ Scheduler::insert(const SchedOp &op, Cycle now, bool expect_tail)
     if (op.dst == params_.traceTag)
         std::fprintf(stderr, "[tag] %lu: insert seq=%lu entry=%d expect_tail=%d\n",
                      (unsigned long)now, (unsigned long)op.seq, idx, expect_tail);
-    if (debugTrace_)
-        std::fprintf(stderr,
-                     "[sched] %lu: insert seq=%lu dst=%d srcs=%d,%d "
-                     "ready=%d,%d\n",
-                     (unsigned long)now, (unsigned long)op.seq, op.dst,
-                     st.numSrcs > 0 ? srcTag_[size_t(idx)][0] : -99,
-                     st.numSrcs > 1 ? srcTag_[size_t(idx)][1] : -99,
-                     st.numSrcs > 0 ? int(!(st.wait & 1)) : -1,
-                     st.numSrcs > 1 ? int(!(st.wait & 2)) : -1);
 
     if (!(st.flags & kFPending) && st.wait == 0) {
         c.readyAt = now + 1;
@@ -476,18 +467,8 @@ Scheduler::appendTail(int idx, const SchedOp &tail, Cycle now,
     EntryCold &c = cold_[size_t(idx)];
     EntryOps &oc = opcls_[size_t(idx)];
     if (!(st.flags & kFValid) || !(st.flags & kFPending) ||
-        (st.flags & kFIssued)) {
-        if (debugTrace_)
-            std::fprintf(stderr,
-                         "[sched] %lu: appendTail to bad entry %d "
-                         "(valid=%d pending=%d issued=%d seq=%lu)\n",
-                         (unsigned long)now, idx,
-                         int(bool(st.flags & kFValid)),
-                         int(bool(st.flags & kFPending)),
-                         int(bool(st.flags & kFIssued)),
-                         (unsigned long)tail.seq);
+        (st.flags & kFIssued))
         return false;
-    }
     if (int(oc.numOps) >= std::min(params_.maxMopSize, kMaxMopOps))
         return false;
     ensureTag(tail.src[0]);
@@ -575,11 +556,6 @@ Scheduler::scheduleBcast(int entry_idx, Cycle fire, bool speculative)
     if (c.dstTag == params_.traceTag)
         std::fprintf(stderr, "[tag] bcast scheduled fire=%lu spec=%d\n",
                      (unsigned long)fire, speculative);
-    if (debugTrace_) {
-        std::fprintf(stderr, "[sched] bcast tag=%d entry=%d fire=%lu%s\n",
-                     c.dstTag, entry_idx, (unsigned long)fire,
-                     speculative ? " (spec)" : "");
-    }
 }
 
 void
@@ -600,10 +576,6 @@ Scheduler::onEntryBecameReady(int idx, Cycle now)
     EntryState &st = state_[size_t(idx)];
     EntryCold &c = cold_[size_t(idx)];
     c.readyAt = now;
-    if (debugTrace_)
-        std::fprintf(stderr, "[sched] %lu: becameReady seq=%lu nsrc=%d\n",
-                     (unsigned long)now, (unsigned long)c.ops[0].seq,
-                     int(st.numSrcs));
     if (isSelectFree() && !(st.flags & (kFCollided | kFIssued)) &&
         c.outBcast < 0) {
         // Speculate selection at the earliest cycle the entry can
@@ -626,9 +598,6 @@ Scheduler::deliverTag(Tag tag, Cycle now)
     if (stallProbe_)
         clearBit(tagMissPending_, size_t(tag));
     record(now, verify::SchedEvent::Kind::Deliver, 0, tag);
-    if (debugTrace_)
-        std::fprintf(stderr, "[sched] %lu: deliver tag=%d\n",
-                     (unsigned long)now, tag);
     // Wakeup broadcast: only entries still waiting on some source and
     // naming a tag of this tag's consumer bucket can be affected, so
     // walk that intersection and compare the packed tag plane for the
@@ -708,9 +677,6 @@ Scheduler::invalidateEntry(int idx, Cycle now)
                        });
     record(now, verify::SchedEvent::Kind::Replay, c.ops[0].seq, c.dstTag,
            idx);
-    if (debugTrace_)
-        std::fprintf(stderr, "[sched] %lu: invalidate seq=%lu\n",
-                     (unsigned long)now, (unsigned long)c.ops[0].seq);
     st.flags &= uint8_t(~kFIssued);
     st.flags |= kFReplayed;
     ++c.gen;  // cancels in-flight completion/discovery/kill events
@@ -734,9 +700,6 @@ Scheduler::recallTag(Tag tag, Cycle now)
     tagReadyAt_[size_t(tag)] = kNoCycle;
     tagValueReady_[size_t(tag)] = kNoCycle;
     record(now, verify::SchedEvent::Kind::Recall, 0, tag);
-    if (debugTrace_)
-        std::fprintf(stderr, "[sched] %lu: recall tag=%d\n",
-                     (unsigned long)now, tag);
 
     // Only entries in the tag's consumer bucket can name it. The
     // recursive recalls below never insert or free, so the bucket and
@@ -791,10 +754,6 @@ Scheduler::issueEntry(int idx, Cycle now, std::vector<MopIssue> *mop_issues)
     clearBit(readyBits_, size_t(idx));
     if (stallProbe_)
         refreshStall(idx);
-    if (debugTrace_)
-        std::fprintf(stderr, "[sched] %lu: issue seq=%lu tag=%d\n",
-                     (unsigned long)now, (unsigned long)c.ops[0].seq,
-                     c.dstTag);
     ++issuedEntries_;
     issuedOps_ += uint64_t(num_ops);
     lastProgress_ = now;

@@ -233,11 +233,6 @@ class Scheduler
 
     const SchedParams &params() const { return params_; }
 
-    /** Emit a per-event trace to stderr (debugging aid). A single
-     *  tag's lifecycle can also be traced via SchedParams::traceTag
-     *  (the mopsim CLI seeds it from MOP_TRACE_TAG at startup). */
-    void setDebugTrace(bool on) { debugTrace_ = on; }
-
     // --- integrity & fault injection -----------------------------------
 
     /** Attach a fault injector; the scheduler consults it at its
@@ -608,8 +603,6 @@ class Scheduler
     /** (apply-at cycle, tag) recalls repairing injected wakeups; each
      *  holds a reference to its tag. */
     std::vector<std::pair<Cycle, Tag>> injRecalls_;
-
-    bool debugTrace_ = false;
 
     // Stall-attribution probe state (see collectStallSnapshot).
     bool stallProbe_ = false;

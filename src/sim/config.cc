@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "sim/cli_opts.hh"
 #include "trace/profiles.hh"
 
 namespace mop::sim
@@ -128,12 +129,10 @@ runBenchmark(const std::string &bench, const RunConfig &cfg,
 uint64_t
 benchInsts(uint64_t fallback)
 {
-    if (const char *env = std::getenv("MOP_INSTS")) {
-        uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return fallback;
+    const char *env = std::getenv("MOP_INSTS");
+    if (!env || !*env)
+        return fallback;
+    return parseUintOption("MOP_INSTS", env, 1, uint64_t(1) << 40);
 }
 
 PaperRef

@@ -99,7 +99,9 @@ pipeline::SimResult runBenchmark(const std::string &bench,
                                  const RunConfig &cfg, uint64_t insts);
 
 /** Per-run instruction budget for harnesses; reads MOP_INSTS from the
- *  environment (default @p fallback). */
+ *  environment (default @p fallback when unset or empty). Throws
+ *  std::invalid_argument unless the value is an integer in the
+ *  --insts range [1, 2^40]. */
 uint64_t benchInsts(uint64_t fallback = 300000);
 
 /** Reference values transcribed from the paper, used by harnesses and

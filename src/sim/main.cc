@@ -263,8 +263,16 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
+    // Resolve the workload name here too: an unknown one is a usage
+    // error, like every other bad value.
+    trace::WorkloadProfile profile;
+    std::string kernelText;
     try {
         sim::validateRunConfig(cfg);
+        if (!bench.empty())
+            profile = trace::profileFor(bench);
+        else
+            kernelText = prog::kernelSource(kernel);
     } catch (const std::invalid_argument &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;
@@ -275,10 +283,9 @@ main(int argc, char **argv)
         std::unique_ptr<trace::TraceSource> src;
         std::unique_ptr<verify::GoldenModel> golden;
         if (!bench.empty()) {
-            src = std::make_unique<trace::SyntheticSource>(
-                trace::profileFor(bench));
+            src = std::make_unique<trace::SyntheticSource>(profile);
         } else {
-            prog::Program prog = prog::assemble(prog::kernelSource(kernel));
+            prog::Program prog = prog::assemble(kernelText);
             src = std::make_unique<prog::Interpreter>(prog);
             if (golden_enabled)
                 golden = std::make_unique<verify::GoldenModel>(prog);
@@ -288,7 +295,7 @@ main(int argc, char **argv)
         // fall back to the fault seed (wrong-path µops never commit,
         // so the golden cross-check is unaffected).
         params.wrongPathSeed = trace::wrongPathSeed(
-            bench.empty() ? seed : trace::profileFor(bench).seed);
+            bench.empty() ? seed : profile.seed);
         core = std::make_unique<pipeline::OooCore>(params, *src);
         if (golden)
             core->setGoldenModel(golden.get());

@@ -69,6 +69,18 @@ computeJob(const SweepJob &job)
     return out;
 }
 
+const char *
+failureKindName(FailureKind k)
+{
+    switch (k) {
+      case FailureKind::Crash: return "crash";
+      case FailureKind::Timeout: return "timeout";
+      case FailureKind::CorruptResult: return "corrupt-result";
+      case FailureKind::Error: return "error";
+    }
+    return "?";
+}
+
 SweepExecutor::SweepExecutor(int jobs)
 {
     if (jobs <= 0)
@@ -76,74 +88,80 @@ SweepExecutor::SweepExecutor(int jobs)
     jobs_ = std::min(std::max(jobs, 1), 256);
 }
 
-std::vector<SweepOutcome>
-SweepExecutor::runAll(
-    const std::vector<SweepJob> &batch,
-    const std::function<void(size_t done, size_t total)> &progress) const
+std::vector<JobReport>
+SweepExecutor::run(size_t n, const JobBody &body,
+                   const ProgressFn &progress) const
 {
-    std::vector<SweepOutcome> results(batch.size());
-    if (batch.empty())
-        return results;
-
-    auto report = [this](const SweepOutcome &out) {
-        if (!telemetry_)
-            return;
-        telemetry_->onRunCompleted(out.seconds, out.simulatedInsts);
-        telemetry_->maybeFlush();
-    };
-
+    std::vector<JobReport> reports(n);
     std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;  // guards failures + onComplete_ + progress
-    std::vector<SweepBatchError::Failure> failures;
+    std::mutex mu;  // serializes onComplete_ + progress
+    size_t done = 0;
 
     auto worker = [&] {
         for (;;) {
             size_t i = next.fetch_add(1);
-            if (i >= batch.size())
+            if (i >= n)
                 return;
-            bool ok = false;
+            JobReport &r = reports[i];
             try {
-                results[i] = computeJob(batch[i]);
-                report(results[i]);
-                ok = true;
+                r = body(i);
             } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mu);
-                failures.push_back(
-                    {i, describeJob(batch[i]), e.what()});
+                r.failure = {FailureKind::Error, 0, 1, e.what()};
             } catch (...) {
-                std::lock_guard<std::mutex> lock(mu);
-                failures.push_back(
-                    {i, describeJob(batch[i]), "unknown exception"});
+                r.failure = {FailureKind::Error, 0, 1, "unknown exception"};
             }
-            size_t d = done.fetch_add(1) + 1;
+            if (telemetry_) {
+                if (r.ok)
+                    telemetry_->onRunCompleted(r.outcome.seconds,
+                                               r.outcome.simulatedInsts);
+                telemetry_->maybeFlush();
+            }
             std::lock_guard<std::mutex> lock(mu);
-            if (ok && onComplete_)
-                onComplete_(i, results[i]);
+            if (r.ok && onComplete_)
+                onComplete_(i, r.outcome);
             if (progress)
-                progress(d, batch.size());
+                progress(++done, n);
         }
     };
 
-    int workers = int(std::min(size_t(jobs_), batch.size()));
+    int workers = int(std::min(size_t(jobs_), n));
     if (workers <= 1) {
         worker();  // inline on the caller's thread: the serial baseline
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(size_t(workers));
-        for (int w = 0; w < workers; ++w)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
+        return reports;
     }
+    std::vector<std::thread> pool;
+    pool.reserve(size_t(workers));
+    for (int w = 0; w < workers; ++w)
+        pool.emplace_back(worker);
+    for (auto &t : pool)
+        t.join();
+    return reports;
+}
 
+std::vector<SweepOutcome>
+SweepExecutor::runAll(const std::vector<SweepJob> &batch,
+                      const ProgressFn &progress) const
+{
+    std::vector<JobReport> reports = run(
+        batch.size(),
+        [&](size_t i) {
+            JobReport r;
+            r.outcome = computeJob(batch[i]);
+            r.ok = true;
+            return r;
+        },
+        progress);
+
+    std::vector<SweepOutcome> results;
+    std::vector<SweepBatchError::Failure> failures;
+    for (size_t i = 0; i < reports.size(); ++i) {
+        if (reports[i].ok)
+            results.push_back(std::move(reports[i].outcome));
+        else
+            failures.push_back({i, describeJob(batch[i]),
+                                reports[i].failure.message});
+    }
     if (!failures.empty()) {
-        // Deterministic report order regardless of worker interleaving.
-        std::sort(failures.begin(), failures.end(),
-                  [](const SweepBatchError::Failure &a,
-                     const SweepBatchError::Failure &b) {
-                      return a.index < b.index;
-                  });
         std::ostringstream what;
         what << "sweep: " << failures.size() << " of " << batch.size()
              << " job(s) failed:";

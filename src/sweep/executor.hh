@@ -14,6 +14,13 @@
  * scheduling order, so an N-worker sweep is bit-identical to a serial
  * one. With jobs() == 1 the batch runs inline on the caller's thread
  * (the serial baseline spawns nothing).
+ *
+ * This is the sweep's only worker pool. What a worker does with a job
+ * is the per-job body passed to run(): runAll() computes in-process
+ * (computeJob on the worker thread), and --isolate passes
+ * superviseJob (supervisor.hh), which computes in a sandboxed child
+ * under retry and quarantine. Cursor, threads, telemetry, completion
+ * hook and progress are the same for both.
  */
 
 #ifndef MOP_SWEEP_EXECUTOR_HH
@@ -53,6 +60,36 @@ struct SweepOutcome
 
 /** Compute one job on the calling thread. */
 SweepOutcome computeJob(const SweepJob &job);
+
+/** Terminal failure classes a job can end with. */
+enum class FailureKind : uint8_t
+{
+    Crash,          ///< worker died on a signal
+    Timeout,        ///< watchdog deadline expired
+    CorruptResult,  ///< result frame truncated / CRC-damaged
+    Error,          ///< deterministic C++ exception (never retried)
+};
+
+const char *failureKindName(FailureKind k);
+
+/** Why a sweep hole exists: recorded per failed job. */
+struct FailedJob
+{
+    FailureKind kind = FailureKind::Error;
+    int signal = 0;       ///< terminating signal for Crash
+    int attempts = 0;     ///< attempts consumed before quarantine
+    std::string message;  ///< exception text / frame diagnosis
+};
+
+/** One job's final outcome, as the per-job body reports it. */
+struct JobReport
+{
+    bool ok = false;
+    SweepOutcome outcome;  ///< valid when ok
+    FailedJob failure;     ///< valid when !ok
+    int attempts = 0;      ///< total attempts made
+    int retries = 0;       ///< attempts - 1 (telemetry convenience)
+};
 
 /**
  * Thrown by SweepExecutor::runAll when jobs failed: carries *every*
@@ -94,29 +131,42 @@ class SweepExecutor
     int jobs() const { return jobs_; }
 
     /** Attach a live telemetry sink (not owned; may be null). Each
-     *  completed job reports its wall time and simulated instruction
-     *  count, followed by a rate-limited flush. */
+     *  successful job reports its wall time and simulated instruction
+     *  count, and every finished job is followed by a rate-limited
+     *  flush. */
     void setTelemetry(obs::TelemetrySink *t) { telemetry_ = t; }
 
     /** Per-job completion hook, invoked under a lock as each job
-     *  finishes — the suite persists results incrementally through it
+     *  succeeds — the suite persists results incrementally through it
      *  so a killed sweep keeps its completed work. */
     using CompletionFn =
         std::function<void(size_t index, const SweepOutcome &)>;
     void setCompletion(CompletionFn fn) { onComplete_ = std::move(fn); }
 
+    /** Invoked under the same lock with the count of finished jobs. */
+    using ProgressFn = std::function<void(size_t done, size_t total)>;
+
+    /** The per-job body: job @p index's final report. An exception it
+     *  throws becomes that job's Error report. */
+    using JobBody = std::function<JobReport(size_t index)>;
+
     /**
-     * Run every job; result i corresponds to job i. @p progress (may
-     * be empty) is invoked from worker threads under a lock with the
-     * count of completed jobs. After all workers drain, a
-     * SweepBatchError naming *every* failed job is thrown if any job
-     * threw (successful jobs still ran, and their completion hooks
-     * fired).
+     * Run jobs 0..n-1 through @p body on the pool; report i is job
+     * i's. Never throws on job failure: every job runs, and a failed
+     * one comes back as a !ok report.
+     */
+    std::vector<JobReport> run(size_t n, const JobBody &body,
+                               const ProgressFn &progress = {}) const;
+
+    /**
+     * Compute every job in-process; result i corresponds to job i.
+     * After all workers drain, a SweepBatchError naming *every* failed
+     * job is thrown if any job threw (successful jobs still ran, and
+     * their completion hooks fired).
      */
     std::vector<SweepOutcome>
     runAll(const std::vector<SweepJob> &batch,
-           const std::function<void(size_t done, size_t total)> &progress =
-               {}) const;
+           const ProgressFn &progress = {}) const;
 
   private:
     int jobs_;

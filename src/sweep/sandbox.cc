@@ -34,82 +34,22 @@ splitmix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** Append the raw bytes of an integer (the frame is host-local). */
+template <typename T>
 void
-appendU32(std::string &s, uint32_t v)
+appendRaw(std::string &s, T v)
 {
     s.append(reinterpret_cast<const char *>(&v), sizeof(v));
 }
 
-void
-appendU64(std::string &s, uint64_t v)
-{
-    s.append(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
+template <typename T>
 bool
-readU32(const std::string &s, size_t &pos, uint32_t &v)
+readRaw(const std::string &s, size_t &pos, T &v)
 {
     if (pos + sizeof(v) > s.size())
         return false;
     std::memcpy(&v, s.data() + pos, sizeof(v));
     pos += sizeof(v);
-    return true;
-}
-
-bool
-readU64(const std::string &s, size_t &pos, uint64_t &v)
-{
-    if (pos + sizeof(v) > s.size())
-        return false;
-    std::memcpy(&v, s.data() + pos, sizeof(v));
-    pos += sizeof(v);
-    return true;
-}
-
-/** Serialize one outcome as the 'R' frame payload. */
-std::string
-encodePayload(const SweepOutcome &out)
-{
-    std::string p;
-    uint64_t secBits;
-    std::memcpy(&secBits, &out.seconds, sizeof(secBits));
-    appendU64(p, secBits);
-    appendU64(p, out.simulatedInsts);
-    appendU32(p, uint32_t(out.record.fields.size()));
-    for (const auto &[key, val] : out.record.fields) {
-        appendU32(p, uint32_t(key.size()));
-        p.append(key);
-        appendU64(p, val);
-    }
-    return p;
-}
-
-bool
-decodePayload(const std::string &p, SweepOutcome &out)
-{
-    size_t pos = 0;
-    uint64_t secBits = 0, insts = 0;
-    uint32_t nfields = 0;
-    if (!readU64(p, pos, secBits) || !readU64(p, pos, insts) ||
-        !readU32(p, pos, nfields))
-        return false;
-    SweepOutcome o;
-    std::memcpy(&o.seconds, &secBits, sizeof(o.seconds));
-    o.simulatedInsts = insts;
-    for (uint32_t i = 0; i < nfields; ++i) {
-        uint32_t klen = 0;
-        if (!readU32(p, pos, klen) || pos + klen > p.size())
-            return false;
-        std::string key = p.substr(pos, klen);
-        pos += klen;
-        uint64_t val = 0;
-        if (!readU64(p, pos, val))
-            return false;
-        o.record.add(key, val);
-    }
-    if (pos != p.size())
-        return false;
-    out = std::move(o);
     return true;
 }
 
@@ -126,6 +66,15 @@ writeAll(int fd, const char *data, size_t n)
         }
         off += size_t(w);
     }
+}
+
+/** The 'E' frame: an exception message, unchecksummed. */
+std::string
+errorFrame(const std::string &msg)
+{
+    std::string frame(1, kTagError);
+    appendRaw(frame, uint32_t(msg.size()));
+    return frame + msg;
 }
 
 /** Child body: never returns. */
@@ -149,13 +98,20 @@ childMain(int fd, const SweepJob &job, const Fingerprint &fp,
 
     std::string frame;
     try {
+        // 'R' payload: seconds (IEEE-754 bits), instruction count, then
+        // the record exactly as the cache stores it.
         SweepOutcome out = computeJob(job);
-        std::string payload = encodePayload(out);
+        uint64_t secBits;
+        std::memcpy(&secBits, &out.seconds, sizeof(secBits));
+        std::string payload;
+        appendRaw(payload, secBits);
+        appendRaw(payload, out.simulatedInsts);
+        payload += encodeRecordV2(out.record);
         uint32_t crc = crc32c(payload.data(), payload.size());
         frame.push_back(kTagResult);
-        appendU32(frame, uint32_t(payload.size()));
+        appendRaw(frame, uint32_t(payload.size()));
         frame += payload;
-        appendU32(frame, crc);
+        appendRaw(frame, crc);
         if (plan && plan->fires(SweepFault::CorruptRecord, fp, attempt) &&
             !payload.empty()) {
             // Flip a payload bit *after* the CRC was computed: the
@@ -168,15 +124,9 @@ childMain(int fd, const SweepJob &job, const Fingerprint &fp,
         if (plan && plan->fires(SweepFault::ShortWrite, fp, attempt))
             frame.resize(frame.size() / 2);
     } catch (const std::exception &e) {
-        const std::string msg = e.what();
-        frame.push_back(kTagError);
-        appendU32(frame, uint32_t(msg.size()));
-        frame += msg;
+        frame = errorFrame(e.what());
     } catch (...) {
-        const std::string msg = "unknown exception";
-        frame.push_back(kTagError);
-        appendU32(frame, uint32_t(msg.size()));
-        frame += msg;
+        frame = errorFrame("unknown exception");
     }
     writeAll(fd, frame.data(), frame.size());
     ::_exit(0);
@@ -190,7 +140,7 @@ parseFrame(const std::string &buf, WorkerResult &res)
         return false;
     size_t pos = 1;
     uint32_t len = 0;
-    if (!readU32(buf, pos, len))
+    if (!readRaw(buf, pos, len))
         return false;
     if (buf[0] == kTagError) {
         if (pos + len != buf.size())
@@ -206,11 +156,17 @@ parseFrame(const std::string &buf, WorkerResult &res)
     const std::string payload = buf.substr(pos, len);
     pos += len;
     uint32_t storedCrc = 0;
-    readU32(buf, pos, storedCrc);
+    readRaw(buf, pos, storedCrc);
     if (crc32c(payload.data(), payload.size()) != storedCrc)
         return false;
-    if (!decodePayload(payload, res.outcome))
+    pos = 0;
+    uint64_t secBits = 0;
+    if (!readRaw(payload, pos, secBits) ||
+        !readRaw(payload, pos, res.outcome.simulatedInsts) ||
+        decodeRecord(payload.substr(pos), res.outcome.record) !=
+            RecordStatus::Ok)
         return false;
+    std::memcpy(&res.outcome.seconds, &secBits, sizeof(secBits));
     res.status = WorkerStatus::Ok;
     return true;
 }

@@ -3,10 +3,12 @@
  * Process-isolated sweep workers + deterministic sweep-layer chaos.
  *
  * runIsolated() computes one SweepJob in a forked child and ships the
- * result back over a pipe as a CRC-framed serialization of the
- * CacheRecord, so a SIGSEGV / abort / OOM-kill / runaway loop in one
- * configuration is a *classified, recorded failure* instead of a dead
- * sweep. The parent enforces a wall-clock deadline (SIGKILL on
+ * result back over a pipe in a CRC frame holding the compute seconds,
+ * the instruction count and the record's cache-file bytes
+ * (encodeRecordV2, read back with decodeRecord: the record has one
+ * codec, on disk and on the pipe). A SIGSEGV / abort / OOM-kill /
+ * runaway loop in one configuration is thus a *classified, recorded
+ * failure* instead of a dead sweep. The parent enforces a wall-clock deadline (SIGKILL on
  * expiry) and classifies every ending:
  *
  *   Ok            child exited 0 with a CRC-valid result frame

@@ -15,12 +15,16 @@
 #include "obs/render.hh"
 #include "sim/cli_opts.hh"
 #include "sweep/perf_track.hh"
+#include "sweep/supervisor.hh"
 
 namespace mop::sweep
 {
 
 namespace
 {
+
+/** Per-run budget when neither --insts nor $MOP_INSTS sets one. */
+constexpr uint64_t kDefaultInsts = 200000;
 
 /** Discards everything written to it (plan-pass output sink). */
 class NullBuf : public std::streambuf
@@ -236,11 +240,13 @@ now()
 }
 
 /** Reject option combinations that cannot run (a malformed chaos
- *  plan, chaos without --isolate, --repeat with --isolate) before any
- *  work; returns the parsed chaos plan. */
+ *  plan, chaos without --isolate, --repeat with --isolate, a malformed
+ *  $MOP_INSTS) before any work; returns the parsed chaos plan. */
 SweepFaultPlan
 checkOptions(const SuiteOptions &opts)
 {
+    if (!opts.insts)
+        sim::benchInsts(kDefaultInsts);  // throws on a bad $MOP_INSTS
     SweepFaultPlan plan;
     if (!opts.sweepInject.empty()) {
         plan = SweepFaultPlan::parse(opts.sweepInject, opts.sweepSeed);
@@ -303,7 +309,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         }
     }
 
-    uint64_t insts = opts.insts ? opts.insts : sim::benchInsts(200000);
+    uint64_t insts =
+        opts.insts ? opts.insts : sim::benchInsts(kDefaultInsts);
 
     // Plan pass: enumerate every run each figure needs, deduplicated
     // across figures by fingerprint.
@@ -334,8 +341,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     std::map<Fingerprint, CacheRecord> results;
     std::map<Fingerprint, double> jobSeconds;
     std::set<Fingerprint> cachedFps;
-    std::vector<size_t> missIdx;
     std::vector<SweepJob> misses;
+    std::vector<Fingerprint> missFps;
     std::vector<Fingerprint> jobFps(jobs.size());
     for (const auto &[fp, idx] : jobIndex)
         jobFps[idx] = fp;
@@ -348,8 +355,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
             cachedFps.insert(jobFps[i]);
             ++cacheHits;
         } else {
-            missIdx.push_back(i);
             misses.push_back(jobs[i]);
+            missFps.push_back(jobFps[i]);
         }
     }
 
@@ -360,12 +367,12 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
                   << misses.size() << " to compute\n";
     }
 
-    const int workerCount = SweepExecutor(opts.jobs).jobs();
+    SweepExecutor exec(opts.jobs);
     std::unique_ptr<obs::TelemetrySink> telemetry;
     if (!opts.telemetryPath.empty() || opts.progress ||
         !opts.renderDashPath.empty()) {
         telemetry = std::make_unique<obs::TelemetrySink>(
-            opts.telemetryPath, workerCount);
+            opts.telemetryPath, exec.jobs());
         std::string batch;
         for (const auto &name : opts.only)
             batch += (batch.empty() ? "" : ",") + name;
@@ -373,7 +380,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         telemetry->beginBatch(jobs.size(), jobs.size() - misses.size());
         telemetry->flush();
     }
-    std::function<void(size_t, size_t)> progress;
+    SweepExecutor::ProgressFn progress;
     if (opts.progress) {
         obs::TelemetrySink *sink = telemetry.get();
         progress = [sink](size_t, size_t) {
@@ -387,18 +394,13 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         };
     }
 
-    // Both compute paths persist incrementally through their
-    // completion hooks (invoked serialized, under the pool lock): a
-    // killed sweep keeps every finished job in the cache, and a rerun
-    // with the same cache computes only what is missing.
+    // One pool for both compute paths; --isolate swaps only the
+    // per-job body. The completion hook (invoked serialized, under the
+    // pool lock) persists each successful job as it finishes: a killed
+    // sweep keeps every finished job in the cache, and a rerun with the
+    // same cache computes only what is missing.
     uint64_t simulatedInsts = 0;
     std::map<Fingerprint, FailedJob> failed;
-    auto persist = [&](const Fingerprint &fp, const SweepOutcome &o) {
-        cache.store(fp, o.record);
-        jobSeconds[fp] = o.seconds;
-        simulatedInsts += o.simulatedInsts;
-        results.emplace(fp, o.record);
-    };
 
     // Per-pass compute-phase throughput samples (simulated insts per
     // wall second). With --repeat N the first N-1 passes only time the
@@ -406,53 +408,50 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     // persists, so cache contents are repeat-invariant.
     std::vector<double> ipsSamples;
     double computeT0 = now();
-    if (opts.isolate) {
+    for (int r = 0; r + 1 < opts.repeat; ++r) {
+        uint64_t passInsts = 0;
+        exec.setCompletion([&](size_t, const SweepOutcome &o) {
+            passInsts += o.simulatedInsts;
+        });
+        double t0 = now();
+        exec.runAll(misses);
+        double w = now() - t0;
+        if (w > 0 && passInsts)
+            ipsSamples.push_back(double(passInsts) / w);
+        if (opts.verbose)
+            std::cerr << "[sweep] timing pass " << (r + 1) << "/"
+                      << opts.repeat << ": "
+                      << uint64_t(w > 0 ? double(passInsts) / w : 0)
+                      << " insts/s\n";
+        computeT0 = now();
+    }
+    exec.setTelemetry(telemetry.get());
+    exec.setCompletion([&](size_t k, const SweepOutcome &o) {
+        cache.store(missFps[k], o.record);
+        jobSeconds[missFps[k]] = o.seconds;
+        simulatedInsts += o.simulatedInsts;
+        results.emplace(missFps[k], o.record);
+    });
+    if (!opts.isolate) {
+        exec.runAll(misses, progress);
+    } else {
         SupervisorOptions sopts;
-        sopts.jobs = opts.jobs;
         sopts.jobTimeoutSeconds =
             opts.jobTimeout > 0 ? opts.jobTimeout
                                 : 10.0 + double(insts) / 10000.0;
         sopts.retry.maxAttempts = opts.maxAttempts;
         if (plan.any())
             sopts.plan = &plan;
-        SweepSupervisor sup(sopts);
-        sup.setTelemetry(telemetry.get());
-        std::vector<Fingerprint> missFps;
-        missFps.reserve(missIdx.size());
-        for (size_t i : missIdx)
-            missFps.push_back(jobFps[i]);
-        sup.setCompletion([&](size_t k, const JobReport &r) {
-            if (r.ok)
-                persist(missFps[k], r.outcome);
-            else
-                failed.emplace(missFps[k], r.failure);
-        });
-        sup.runAll(misses, missFps, progress);
-    } else {
-        for (int r = 0; r + 1 < opts.repeat; ++r) {
-            SweepExecutor timing(opts.jobs);
-            uint64_t passInsts = 0;
-            timing.setCompletion([&](size_t, const SweepOutcome &o) {
-                passInsts += o.simulatedInsts;
-            });
-            double t0 = now();
-            timing.runAll(misses, {});
-            double w = now() - t0;
-            if (w > 0 && passInsts)
-                ipsSamples.push_back(double(passInsts) / w);
-            if (opts.verbose)
-                std::cerr << "[sweep] timing pass " << (r + 1) << "/"
-                          << opts.repeat << ": "
-                          << uint64_t(w > 0 ? double(passInsts) / w : 0)
-                          << " insts/s\n";
-            computeT0 = now();
-        }
-        SweepExecutor exec(opts.jobs);
-        exec.setTelemetry(telemetry.get());
-        exec.setCompletion([&](size_t k, const SweepOutcome &o) {
-            persist(jobFps[missIdx[k]], o);
-        });
-        exec.runAll(misses, progress);
+        std::vector<JobReport> reports = exec.run(
+            misses.size(),
+            [&](size_t k) {
+                return superviseJob(misses[k], missFps[k], sopts,
+                                    telemetry.get());
+            },
+            progress);
+        for (size_t k = 0; k < reports.size(); ++k)
+            if (!reports[k].ok)
+                failed.emplace(missFps[k], reports[k].failure);
     }
     {
         double w = now() - computeT0;
@@ -544,7 +543,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
            << "  \"schema\": \"mop-sweep-perf-3\",\n"
            << "  \"sim_version\": \"" << jsonEscape(kSimVersion)
            << "\",\n"
-           << "  \"jobs\": " << workerCount << ",\n"
+           << "  \"jobs\": " << exec.jobs() << ",\n"
            << "  \"insts_per_run\": " << insts << ",\n"
            << "  \"wall_seconds\": " << jsonNum(wallSeconds) << ",\n"
            << "  \"unique_runs\": " << jobs.size() << ",\n"
@@ -674,7 +673,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         PerfEntry e;
         e.label = opts.perfPinLabel;
         e.simVersion = kSimVersion;
-        e.jobs = workerCount;
+        e.jobs = exec.jobs();
         e.instsPerRun = insts;
         e.repeats = opts.repeat;
         e.ipsMedian = ipsMedian;
@@ -696,7 +695,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     if (!opts.renderDashPath.empty()) {
         obs::DashModel dm;
         dm.simVersion = kSimVersion;
-        dm.jobs = workerCount;
+        dm.jobs = exec.jobs();
         dm.instsPerRun = insts;
         dm.uniqueRuns = jobs.size();
         dm.cacheHits = cacheHits;

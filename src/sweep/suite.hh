@@ -33,7 +33,6 @@
 
 #include "sweep/executor.hh"
 #include "sweep/result_cache.hh"
-#include "sweep/supervisor.hh"
 
 namespace mop::sweep
 {

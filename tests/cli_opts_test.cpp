@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,7 @@ struct UsageCase
     std::vector<std::string> args;
     const char *diagnostic;  ///< expected in the first stderr line
     bool oneLine;            ///< the diagnostic is the whole of stderr
+    const char *mopInsts = nullptr;  ///< $MOP_INSTS for the case
 };
 
 TEST(SuiteMain, UsageErrorsExit2BeforeAnyWork)
@@ -110,6 +112,9 @@ TEST(SuiteMain, UsageErrorsExit2BeforeAnyWork)
         {{"--jobs"}, "--jobs requires a value", true},
         {{"--resume"}, "unknown option '--resume'", false},
         {{"--no-resume"}, "unknown option '--no-resume'", false},
+        {{"--only", "table2"}, "MOP_INSTS", true, "1e6"},
+        {{"--only", "table2"}, "MOP_INSTS", true, "abc"},
+        {{"--only", "table2"}, "MOP_INSTS", true, "-1"},
     };
     for (const UsageCase &c : cases) {
         // Should a case slip through, keep the sweep it starts off the
@@ -125,11 +130,16 @@ TEST(SuiteMain, UsageErrorsExit2BeforeAnyWork)
         for (std::string &a : args)
             argv.push_back(a.data());
 
+        if (c.mopInsts) {
+            setenv("MOP_INSTS", c.mopInsts, 1);
+            what += " with MOP_INSTS=" + std::string(c.mopInsts);
+        }
         testing::internal::CaptureStdout();
         testing::internal::CaptureStderr();
         int rc = mop::sweep::suiteMain(int(argv.size()), argv.data());
         std::string out = testing::internal::GetCapturedStdout();
         std::string err = testing::internal::GetCapturedStderr();
+        unsetenv("MOP_INSTS");
 
         EXPECT_EQ(rc, 2) << what;
         EXPECT_EQ(out, "") << what;

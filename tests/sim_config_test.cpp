@@ -8,6 +8,8 @@
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "sim/config.hh"
 #include "trace/profiles.hh"
@@ -119,6 +121,23 @@ TEST(Config, BenchInstsReadsEnvironment)
     EXPECT_EQ(sim::benchInsts(1234), 1234u);
     setenv("MOP_INSTS", "777", 1);
     EXPECT_EQ(sim::benchInsts(1234), 777u);
+    setenv("MOP_INSTS", "", 1);  // empty counts as unset
+    EXPECT_EQ(sim::benchInsts(1234), 1234u);
+    setenv("MOP_INSTS", "1099511627776", 1);  // 2^40, the --insts cap
+    EXPECT_EQ(sim::benchInsts(1234), uint64_t(1) << 40);
+    // strtoull would read these as 1, 0 (the fallback) and 2^64-1.
+    for (const char *bad :
+         {"1e6", "abc", "-1", "0", "1099511627777", "5x"}) {
+        setenv("MOP_INSTS", bad, 1);
+        try {
+            sim::benchInsts(1234);
+            ADD_FAILURE() << "MOP_INSTS=" << bad << " must throw";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("MOP_INSTS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     unsetenv("MOP_INSTS");
 }
 

@@ -382,7 +382,6 @@ TEST(SupervisorPolicyTest, SleeperReceivesBackoffSequence)
     // the unit proof that backoff wiring (not just the pure policy)
     // is correct. Uses the real sandbox, so keep it to one tiny job.
     sweep::SupervisorOptions o;
-    o.jobs = 1;
     o.jobTimeoutSeconds = 30;
     o.retry.maxAttempts = 3;
     o.retry.backoffBase = 0.125;
@@ -395,8 +394,7 @@ TEST(SupervisorPolicyTest, SleeperReceivesBackoffSequence)
     sweep::SweepJob job;
     job.bench = "gzip";
     job.insts = 200;
-    sweep::SweepSupervisor sup(o);
-    sweep::JobReport r = sup.superviseJob(job, fp(6, 6));
+    sweep::JobReport r = sweep::superviseJob(job, fp(6, 6), o);
 
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.attempts, 3);

@@ -54,6 +54,31 @@ slurp(const std::string &path)
     return ss.str();
 }
 
+/** Value of the series @p name in a Prometheus textfile. */
+double
+promValue(const std::string &prom, const std::string &name)
+{
+    std::istringstream in(prom);
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind(name + "{", 0) == 0 || line.rfind(name + " ", 0) == 0)
+            return std::stod(line.substr(line.rfind(' ') + 1));
+    ADD_FAILURE() << name << " missing from:\n" << prom;
+    return -1;
+}
+
+/** Value of the top-level integer @p key in the suite's perf JSON. */
+uint64_t
+perfValue(const std::string &json, const std::string &key)
+{
+    const std::string field = "\n  \"" + key + "\": ";
+    size_t at = json.find(field);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << key << " missing from:\n" << json;
+        return ~uint64_t(0);
+    }
+    return std::stoull(json.substr(at + field.size()));
+}
+
 sweep::SweepJob
 simJob(const std::string &bench = "gzip", uint64_t insts = 2000)
 {
@@ -156,7 +181,6 @@ TEST(SandboxTest, FaultsStopAfterFailAttempts)
 TEST(SupervisorTest, TransientCrashRecoversWithinBudget)
 {
     sweep::SupervisorOptions o;
-    o.jobs = 1;
     o.jobTimeoutSeconds = 30;
     o.retry.maxAttempts = 3;
     o.sleeper = [](double) {};  // no real backoff in tests
@@ -164,8 +188,7 @@ TEST(SupervisorTest, TransientCrashRecoversWithinBudget)
     o.plan = &plan;
 
     sweep::SweepJob job = simJob();
-    sweep::SweepSupervisor sup(o);
-    sweep::JobReport r = sup.superviseJob(job, fpOf(job));
+    sweep::JobReport r = sweep::superviseJob(job, fpOf(job), o);
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.attempts, 3);
     EXPECT_EQ(r.retries, 2);
@@ -176,7 +199,6 @@ TEST(SupervisorTest, TransientCrashRecoversWithinBudget)
 TEST(SupervisorTest, PersistentCrashIsQuarantined)
 {
     sweep::SupervisorOptions o;
-    o.jobs = 1;
     o.jobTimeoutSeconds = 30;
     o.retry.maxAttempts = 2;
     o.sleeper = [](double) {};
@@ -184,8 +206,7 @@ TEST(SupervisorTest, PersistentCrashIsQuarantined)
     o.plan = &plan;
 
     sweep::SweepJob job = simJob();
-    sweep::JobReport r =
-        sweep::SweepSupervisor(o).superviseJob(job, fpOf(job));
+    sweep::JobReport r = sweep::superviseJob(job, fpOf(job), o);
     ASSERT_FALSE(r.ok);
     EXPECT_EQ(r.failure.kind, sweep::FailureKind::Crash);
     EXPECT_EQ(r.failure.signal, SIGSEGV);
@@ -195,15 +216,13 @@ TEST(SupervisorTest, PersistentCrashIsQuarantined)
 TEST(SupervisorTest, DeterministicErrorIsNeverRetried)
 {
     sweep::SupervisorOptions o;
-    o.jobs = 1;
     o.jobTimeoutSeconds = 30;
     o.retry.maxAttempts = 5;
     int sleeps = 0;
     o.sleeper = [&](double) { ++sleeps; };
 
     sweep::SweepJob job = simJob("no-such-benchmark");
-    sweep::JobReport r =
-        sweep::SweepSupervisor(o).superviseJob(job, fpOf(job));
+    sweep::JobReport r = sweep::superviseJob(job, fpOf(job), o);
     ASSERT_FALSE(r.ok);
     EXPECT_EQ(r.failure.kind, sweep::FailureKind::Error);
     EXPECT_EQ(r.failure.attempts, 1);
@@ -221,11 +240,11 @@ TEST(SupervisorTest, RunAllKeepsGoodWorkAroundHoles)
         fps.push_back(fpOf(j));
 
     sweep::SupervisorOptions o;
-    o.jobs = 2;
     o.jobTimeoutSeconds = 30;
     o.sleeper = [](double) {};
-    sweep::SweepSupervisor sup(o);
-    std::vector<sweep::JobReport> reports = sup.runAll(batch, fps);
+    std::vector<sweep::JobReport> reports = sweep::SweepExecutor(2).run(
+        batch.size(),
+        [&](size_t i) { return sweep::superviseJob(batch[i], fps[i], o); });
     ASSERT_EQ(reports.size(), 3u);
     EXPECT_TRUE(reports[0].ok);
     EXPECT_FALSE(reports[1].ok);
@@ -292,6 +311,43 @@ TEST(SuiteFaultTest, ChaosWithinRetryBudgetRecoversByteIdentically)
     std::ostringstream chaotic;
     ASSERT_EQ(sweep::runSuite(opts, chaotic), 0);
     EXPECT_EQ(clean.str(), chaotic.str());
+}
+
+TEST(SuiteFaultTest, IsolatedAndInProcessReportTheSameCounters)
+{
+    // Both per-job bodies finish through the same pool, so they must
+    // count the same runs and instructions; the isolated body adds its
+    // retry and crash counters on top.
+    registerFaultFigure();
+    sweep::SuiteOptions opts = faultSuiteOpts();
+    opts.telemetryPath = testing::TempDir() + "mop-fault-counters.prom";
+    opts.perfJsonPath = testing::TempDir() + "mop-fault-counters.json";
+
+    std::ostringstream out;
+    ASSERT_EQ(sweep::runSuite(opts, out), 0);
+    const std::string promIn = slurp(opts.telemetryPath);
+    const std::string perfIn = slurp(opts.perfJsonPath);
+
+    // Every job crashes on its first attempt and recovers on its second.
+    opts.isolate = true;
+    opts.sweepInject = "crash:1.0:1";
+    ASSERT_EQ(sweep::runSuite(opts, out), 0);
+    const std::string promIso = slurp(opts.telemetryPath);
+    const std::string perfIso = slurp(opts.perfJsonPath);
+
+    for (const char *series :
+         {"mop_sweep_runs_completed", "mop_sweep_simulated_insts_total"})
+        EXPECT_EQ(promValue(promIn, series), promValue(promIso, series))
+            << series;
+    for (const char *key : {"computed_runs", "simulated_insts"})
+        EXPECT_EQ(perfValue(perfIn, key), perfValue(perfIso, key)) << key;
+    const double computed = double(perfValue(perfIso, "computed_runs"));
+    EXPECT_GT(computed, 0);
+    EXPECT_EQ(promValue(promIn, "mop_sweep_retries_total"), 0);
+    EXPECT_EQ(promValue(promIso, "mop_sweep_retries_total"), computed);
+    EXPECT_EQ(promValue(promIso, "mop_sweep_crashes_total"), computed);
+    std::remove(opts.telemetryPath.c_str());
+    std::remove(opts.perfJsonPath.c_str());
 }
 
 TEST(SuiteFaultTest, ExhaustedBudgetRendersFailedCellsAndExits3)
