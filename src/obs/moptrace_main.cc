@@ -30,12 +30,20 @@
 
 #include "obs/critpath.hh"
 #include "obs/render.hh"
+#include "sim/cli_opts.hh"
 #include "trace/trace_file.hh"
 
 namespace
 {
 
 using namespace mop;
+
+/** A cycle or instruction count option: an unsigned decimal. */
+uint64_t
+cycleArg(const char *opt, const std::string &value)
+{
+    return sim::parseUintOption(opt, value, 0, ~0ULL);
+}
 
 int
 usage()
@@ -106,14 +114,14 @@ parseWindow(const std::string &spec, obs::RenderOptions &opts)
 {
     size_t colon = spec.find(':');
     if (colon == std::string::npos)
-        throw std::runtime_error("--window expects LO:HI, got '" + spec +
-                                 "'");
+        throw std::invalid_argument("--window expects LO:HI, got '" +
+                                    spec + "'");
     if (colon > 0)
-        opts.windowLo = std::stoull(spec.substr(0, colon));
+        opts.windowLo = cycleArg("--window", spec.substr(0, colon));
     if (colon + 1 < spec.size())
-        opts.windowHi = std::stoull(spec.substr(colon + 1));
+        opts.windowHi = cycleArg("--window", spec.substr(colon + 1));
     if (opts.windowHi < opts.windowLo)
-        throw std::runtime_error("--window: HI < LO");
+        throw std::invalid_argument("--window: HI < LO");
 }
 
 int
@@ -222,6 +230,8 @@ main(int argc, char **argv)
     if (argc < 3)
         return usage();
     const std::string cmd = argv[1];
+    // Every option is parsed before any trace is loaded: a malformed
+    // value is a usage error (exit 2), never a silently altered run.
     try {
         if (cmd == "report")
             return cmdReport(argv[2]);
@@ -231,7 +241,7 @@ main(int argc, char **argv)
             uint64_t interval = 0;
             for (int i = 3; i < argc; ++i) {
                 if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc)
-                    interval = std::stoull(argv[++i]);
+                    interval = cycleArg("--interval", argv[++i]);
                 else
                     return usage();
             }
@@ -249,7 +259,7 @@ main(int argc, char **argv)
                     parseWindow(argv[++i], opts);
                 else if (std::strcmp(argv[i], "--max-insts") == 0 &&
                          i + 1 < argc)
-                    opts.maxInsts = std::stoull(argv[++i]);
+                    opts.maxInsts = cycleArg("--max-insts", argv[++i]);
                 else if (std::strcmp(argv[i], "--critpath") == 0)
                     opts.critpath = true;
                 else
@@ -271,12 +281,16 @@ main(int argc, char **argv)
             double failOn = 0;
             for (int i = 4; i < argc; ++i) {
                 if (std::strcmp(argv[i], "--fail-on") == 0 && i + 1 < argc)
-                    failOn = std::stod(argv[++i]);
+                    failOn = sim::parseDecimalOption("--fail-on", argv[++i],
+                                                     0, 1e6);
                 else
                     return usage();
             }
             return cmdDiff(argv[2], argv[3], failOn);
         }
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "moptrace: " << e.what() << "\n";
+        return 2;
     } catch (const std::exception &e) {
         std::cerr << "moptrace: " << e.what() << "\n";
         return 1;

@@ -20,7 +20,7 @@ occBuckets(int cap)
 } // namespace
 
 Observer::Observer(const ObsConfig &cfg, int issueWidth, int iqCapacity,
-                   int robSize)
+                   int robSize, bool wrongPath)
     : cfg_(cfg), stalls_(issueWidth),
       iqOcc_(0, iqCapacity + 1, occBuckets(iqCapacity)),
       robOcc_(0, robSize + 1, occBuckets(robSize)),
@@ -28,7 +28,7 @@ Observer::Observer(const ObsConfig &cfg, int issueWidth, int iqCapacity,
 {
     if (!cfg_.traceOut.empty())
         exporter_ = std::make_unique<TraceExporter>(
-            cfg_.traceOut, cfg_.wrongPath ? 3u : 2u);
+            cfg_.traceOut, wrongPath ? 3u : 2u);
 }
 
 void

@@ -33,18 +33,17 @@ struct ObsConfig
     std::string traceOut;
     /** Cycles between occupancy counter samples in the trace. */
     uint32_t tracePeriod = 128;
-    /** The producing run executes wrong-path µops: binary traces are
-     *  stamped MOPEVTRC v3 (flag bit 7 = kFlagWrongPath) instead of
-     *  v2, so wrong-path-off traces stay byte-identical. */
-    bool wrongPath = false;
 };
 
 class Observer
 {
   public:
-    /** @p iqCapacity / @p robSize bound the occupancy histograms. */
+    /** @p iqCapacity / @p robSize bound the occupancy histograms. When
+     *  the run executes wrong-path µops (@p wrongPath), binary traces
+     *  are stamped MOPEVTRC v3 (flag bit 7 = kFlagWrongPath) instead
+     *  of v2, so wrong-path-off traces stay byte-identical. */
     Observer(const ObsConfig &cfg, int issueWidth, int iqCapacity,
-             int robSize);
+             int robSize, bool wrongPath = false);
 
     bool tracing() const { return exporter_ != nullptr; }
 

@@ -164,52 +164,46 @@ renderPrometheus(const TelemetrySink::Snapshot &s)
         s.batch.empty()
             ? std::string()
             : "{batch=\"" + promEscapeLabelValue(s.batch) + "\"}";
-    auto gauge = [&os, &labels](const char *name, const char *help,
-                                double v) {
+    // Counts stream as exact integers; only the seconds and the
+    // utilization are doubles (default 6-significant-digit text).
+    auto series = [&os, &labels](const char *name, const char *type,
+                                 const char *help, auto v) {
         os << "# HELP " << name << " " << help << "\n"
-           << "# TYPE " << name << " gauge\n"
+           << "# TYPE " << name << " " << type << "\n"
            << name << labels << " " << v << "\n";
     };
-    gauge("mop_sweep_runs_total", "Jobs in the sweep batch.",
-          double(s.totalRuns));
-    gauge("mop_sweep_runs_completed", "Jobs simulated to completion.",
-          double(s.completedRuns));
-    gauge("mop_sweep_runs_cached", "Jobs satisfied by the result cache.",
-          double(s.cacheHits));
-    gauge("mop_sweep_runs_queued", "Jobs not yet finished.",
-          double(s.queuedRuns));
-    gauge("mop_sweep_workers", "Executor worker threads.",
-          double(s.workers));
-    gauge("mop_sweep_elapsed_seconds", "Wall time since batch start.",
-          s.elapsedSeconds);
-    gauge("mop_sweep_busy_seconds", "Summed per-run worker time.",
-          s.busySeconds);
-    gauge("mop_sweep_worker_utilization",
-          "busy_seconds / (elapsed * workers), 0-1.", s.utilization);
-    gauge("mop_sweep_eta_seconds",
-          "Estimated seconds until the batch drains.", s.etaSeconds);
-    gauge("mop_sweep_simulated_insts_total",
-          "Instructions simulated so far.", double(s.simulatedInsts));
-    auto counter = [&os, &labels](const char *name, const char *help,
-                                  double v) {
-        os << "# HELP " << name << " " << help << "\n"
-           << "# TYPE " << name << " counter\n"
-           << name << labels << " " << v << "\n";
-    };
-    counter("mop_sweep_retries_total",
-            "Failed job attempts that were retried.", double(s.retries));
-    counter("mop_sweep_crashes_total",
-            "Sandboxed workers that died on a signal.",
-            double(s.crashes));
-    counter("mop_sweep_quarantined_jobs",
-            "Jobs abandoned after exhausting their attempt budget.",
-            double(s.quarantinedJobs));
-    counter("mop_sweep_cache_corrupt_total",
-            "Damaged cache records detected and quarantined.",
-            double(s.cacheCorrupt));
-    counter("mop_sweep_cache_evictions_total",
-            "Cache records evicted by the size budget.",
-            double(s.cacheEvictions));
+    series("mop_sweep_runs_total", "gauge", "Jobs in the sweep batch.",
+           s.totalRuns);
+    series("mop_sweep_runs_completed", "gauge",
+           "Jobs simulated to completion.", s.completedRuns);
+    series("mop_sweep_runs_cached", "gauge",
+           "Jobs satisfied by the result cache.", s.cacheHits);
+    series("mop_sweep_runs_queued", "gauge", "Jobs not yet finished.",
+           s.queuedRuns);
+    series("mop_sweep_workers", "gauge", "Executor worker threads.",
+           s.workers);
+    series("mop_sweep_elapsed_seconds", "gauge",
+           "Wall time since batch start.", s.elapsedSeconds);
+    series("mop_sweep_busy_seconds", "gauge", "Summed per-run worker time.",
+           s.busySeconds);
+    series("mop_sweep_worker_utilization", "gauge",
+           "busy_seconds / (elapsed * workers), 0-1.", s.utilization);
+    series("mop_sweep_eta_seconds", "gauge",
+           "Estimated seconds until the batch drains.", s.etaSeconds);
+    series("mop_sweep_simulated_insts_total", "gauge",
+           "Instructions simulated so far.", s.simulatedInsts);
+    series("mop_sweep_retries_total", "counter",
+           "Failed job attempts that were retried.", s.retries);
+    series("mop_sweep_crashes_total", "counter",
+           "Sandboxed workers that died on a signal.", s.crashes);
+    series("mop_sweep_quarantined_jobs", "counter",
+           "Jobs abandoned after exhausting their attempt budget.",
+           s.quarantinedJobs);
+    series("mop_sweep_cache_corrupt_total", "counter",
+           "Damaged cache records detected and quarantined.",
+           s.cacheCorrupt);
+    series("mop_sweep_cache_evictions_total", "counter",
+           "Cache records evicted by the size budget.", s.cacheEvictions);
     return os.str();
 }
 

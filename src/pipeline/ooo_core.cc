@@ -29,15 +29,13 @@ OooCore::OooCore(const CoreParams &params, trace::TraceSource &source)
         sched::policyFor(params_.sched.policyId).dynamicFormation();
     if (dynFormation_) {
         formation_ = std::make_unique<core::MopFormation>(
-            params_.mopEnabled, ptrCache_, params_.detector.maxMopSize);
+            params_.sched.mopEnabled, ptrCache_, params_.detector.maxMopSize);
     } else {
         formation_ =
-            std::make_unique<core::StaticFuser>(params_.mopEnabled);
+            std::make_unique<core::StaticFuser>(params_.sched.mopEnabled);
     }
 
-    sched::SchedParams sp = params_.sched;
-    sp.mopEnabled = params_.mopEnabled;
-    sched_ = std::make_unique<sched::Scheduler>(sp);
+    sched_ = std::make_unique<sched::Scheduler>(params_.sched);
     formation_->setTagPool(sched_.get());
     sched_->setLoadLatencyFn([this](uint64_t seq) {
         RobEntry *re = robByDynId(seq);
@@ -67,12 +65,12 @@ OooCore::OooCore(const CoreParams &params, trace::TraceSource &source)
 
     if (params_.obs.enabled) {
         obs_ = std::make_unique<obs::Observer>(
-            params_.obs, sp.issueWidth, sched_->capacity(),
-            params_.robSize);
+            params_.obs, params_.sched.issueWidth, sched_->capacity(),
+            params_.robSize, params_.wrongPath);
         sched_->setStallProbe(true);
     }
 
-    if (params_.mopEnabled && dynFormation_) {
+    if (params_.sched.mopEnabled && dynFormation_) {
         // MOP pointers live alongside IL1 lines (Section 5.1.3).
         mem_.il1().setEvictCallback([this](uint64_t line_addr) {
             ptrCache_.evictLine(line_addr, mem_.il1().lineBytes());
@@ -384,7 +382,7 @@ OooCore::doQueueInsert()
 
         core::FormOutcome out = formation_->process(f.u, f.dynId);
         if (out.clearPendingEntry >= 0)
-            sched_->clearPending(out.clearPendingEntry);
+            sched_->clearPending(out.clearPendingEntry, now_);
 
         sched::SchedOp op;
         op.seq = f.dynId;
@@ -435,7 +433,7 @@ OooCore::doQueueInsert()
             } else {
                 // Source-union overflow: fall back to a solo entry.
                 op.dst = formation_->demoteTail(f.u, out.headEntry);
-                sched_->clearPending(out.headEntry);
+                sched_->clearPending(out.headEntry, now_);
                 sched_->insert(op, now_, false);
             }
             break;
@@ -451,7 +449,7 @@ OooCore::doQueueInsert()
         // The detector never sees wrong-path µops: pointers persist
         // across squashes, and a squashed stream must not teach the
         // pointer cache pairings no committed path exhibits.
-        if (params_.mopEnabled && dynFormation_ && !f.wrongPath)
+        if (params_.sched.mopEnabled && dynFormation_ && !f.wrongPath)
             detector_->observe(f.u, f.dynId);
 
         // The mispredicted branch just dispatched: checkpoint the
@@ -470,11 +468,11 @@ OooCore::doQueueInsert()
     // cache, so feeding the detector would be pure overhead. Static
     // fusion keeps the group window (its adjacency timeout) but never
     // feeds the detector.
-    if (params_.mopEnabled && (inserted > 0 || bubble)) {
+    if (params_.sched.mopEnabled && (inserted > 0 || bubble)) {
         if (dynFormation_)
             detector_->endGroup(now_);
         for (int e : formation_->groupBoundary())
-            sched_->clearPending(e);
+            sched_->clearPending(e, now_);
     }
     return inserted;
 }
@@ -642,7 +640,7 @@ OooCore::step()
     completedScratch_.clear();
     mopScratch_.clear();
     sched_->tick(now_, completedScratch_,
-                 params_.mopEnabled ? &mopScratch_ : nullptr);
+                 params_.sched.mopEnabled ? &mopScratch_ : nullptr);
     wpSquashBoundary_ = ~0ULL;
     for (const auto &ev : completedScratch_) {
         // A wrong-path squash earlier in this loop already flushed
@@ -652,7 +650,8 @@ OooCore::step()
             continue;
         handleCompletion(ev);
     }
-    if (params_.mopEnabled && dynFormation_ && params_.lastArrivalFilter) {
+    if (params_.sched.mopEnabled && dynFormation_ &&
+        params_.lastArrivalFilter) {
         for (const auto &mi : mopScratch_) {
             if (!mi.tailLastArriving)
                 continue;
@@ -686,7 +685,7 @@ OooCore::step()
     }
 
     int inserted = doQueueInsert();
-    if (params_.mopEnabled && dynFormation_)
+    if (params_.sched.mopEnabled && dynFormation_)
         detector_->drain(now_);
     doFetch();
 
@@ -775,7 +774,7 @@ OooCore::maybeSkipIdle()
     // (the last such call is what a stepped run leaves behind).
     uint64_t gap = t - now_ - 1;
     sched_->noteIdleCycles(gap);
-    if (params_.mopEnabled && dynFormation_) {
+    if (params_.sched.mopEnabled && dynFormation_) {
         detector_->drain(t - 1);
         sched::Cycle last_bubble = t - 1;
         if (!frontend_.empty() && frontend_.front().queueReadyAt <= t - 1)

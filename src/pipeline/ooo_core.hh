@@ -94,9 +94,10 @@ struct CoreParams
      *  same workload profile reproduce every wrong path bit-for-bit. */
     uint64_t wrongPathSeed = 0;
 
+    /** Scheduler parameters; sched.mopEnabled also switches on the
+     *  core's MOP formation. */
     sched::SchedParams sched;
     core::DetectorParams detector;
-    bool mopEnabled = false;
     bool lastArrivalFilter = true;
 
     mem::HierarchyParams mem;
@@ -202,6 +203,10 @@ class OooCore
     const verify::FaultInjector *injector() const { return inj_.get(); }
 
     const verify::EventRing &events() const { return ring_; }
+    /** Write tag @p tag's scheduler events to @p os as they are
+     *  recorded, in the event dump's line format (see
+     *  verify::EventRing::echoTag); a null @p os turns it off. */
+    void echoTag(sched::Tag tag, std::ostream *os) { ring_.echoTag(tag, os); }
 
     /** Pipeline snapshot (ROB, IQ, frontend) + recent scheduler
      *  events; written on DeadlockError / IntegrityError post-mortems. */

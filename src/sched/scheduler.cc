@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdio>
 #include <sstream>
 
 namespace mop::sched
@@ -215,15 +214,11 @@ Scheduler::resizeTags(size_t n)
 }
 
 void
-Scheduler::allocTagSlow(Tag t)
+Scheduler::poolExhausted()
 {
-    if (t == kNoTag) {
-        integrity_.fail(verify::IntegrityChecker::Check::TagLiveness,
-                        "tag pool exhausted: all " +
-                            std::to_string(pool_.bound()) +
-                            " tags are live");
-    }
-    std::fprintf(stderr, "[tag] allocated\n");
+    integrity_.fail(verify::IntegrityChecker::Check::TagLiveness,
+                    "tag pool exhausted: all " +
+                        std::to_string(pool_.bound()) + " tags are live");
 }
 
 void
@@ -348,7 +343,7 @@ Scheduler::allocEntry()
 }
 
 void
-Scheduler::freeEntry(int idx)
+Scheduler::freeEntry(int idx, Cycle now)
 {
     EntryState &st = state_[size_t(idx)];
     EntryCold &c = cold_[size_t(idx)];
@@ -359,10 +354,8 @@ Scheduler::freeEntry(int idx)
                                   std::to_string(idx) +
                                   " (double free or stale event)";
                        });
-    if (c.dstTag == params_.traceTag)
-        std::fprintf(stderr, "[tag] freeEntry entry=%d numOps=%d outBcast=%d\n",
-                     idx, int(opcls_[size_t(idx)].numOps), c.outBcast);
-    cancelBcast(idx);
+    record(now, verify::SchedEvent::Kind::Free, c.minSeq, c.dstTag, idx);
+    cancelBcast(idx, now);
     st.flags &= uint8_t(~kFValid);
     clearBit(validBits_, size_t(idx));
     clearBit(readyBits_, size_t(idx));
@@ -446,9 +439,6 @@ Scheduler::insert(const SchedOp &op, Cycle now, bool expect_tail)
     ++insertedOps_;
     ++insertedEntries_;
     record(now, verify::SchedEvent::Kind::Insert, op.seq, op.dst, idx);
-    if (op.dst == params_.traceTag)
-        std::fprintf(stderr, "[tag] %lu: insert seq=%lu entry=%d expect_tail=%d\n",
-                     (unsigned long)now, (unsigned long)op.seq, idx, expect_tail);
 
     if (!(st.flags & kFPending) && st.wait == 0) {
         c.readyAt = now + 1;
@@ -496,9 +486,6 @@ Scheduler::appendTail(int idx, const SchedOp &tail, Cycle now,
         int s = addSource(idx, fresh[size_t(f)]);
         st.fromTail |= uint8_t(1u << unsigned(s));
     }
-    if (c.dstTag == params_.traceTag || tail.dst == params_.traceTag)
-        std::fprintf(stderr, "[tag] %lu: appendTail seq=%lu entry=%d more=%d\n",
-                     (unsigned long)now, (unsigned long)tail.seq, idx, more_coming);
     c.ops[size_t(oc.numOps)] = tail;
     oc.cls[size_t(oc.numOps)] = tail.op;
     ++oc.numOps;
@@ -510,6 +497,9 @@ Scheduler::appendTail(int idx, const SchedOp &tail, Cycle now,
     minIssue_[size_t(idx)] = std::max(minIssue_[size_t(idx)], now + 1);
     ++insertedOps_;
     record(now, verify::SchedEvent::Kind::Append, tail.seq, c.dstTag, idx);
+    if (tail.dst != c.dstTag && tail.dst != kNoTag)
+        record(now, verify::SchedEvent::Kind::Append, tail.seq, tail.dst,
+               idx, "tail's own dst");
     if (!(st.flags & kFPending) && st.wait == 0)
         c.readyAt = now + 1;
     refreshReady(idx);
@@ -517,7 +507,7 @@ Scheduler::appendTail(int idx, const SchedOp &tail, Cycle now,
 }
 
 void
-Scheduler::clearPending(int idx)
+Scheduler::clearPending(int idx, Cycle now)
 {
     EntryState &st = state_[size_t(idx)];
     EntryCold &c = cold_[size_t(idx)];
@@ -527,9 +517,8 @@ Scheduler::clearPending(int idx)
                            return "clearPending on invalid entry " +
                                   std::to_string(idx);
                        });
-    if (c.dstTag == params_.traceTag)
-        std::fprintf(stderr, "[tag] clearPending entry=%d numOps=%d\n",
-                     idx, int(opcls_[size_t(idx)].numOps));
+    record(now, verify::SchedEvent::Kind::ClearPending, c.minSeq, c.dstTag,
+           idx);
     st.flags &= uint8_t(~kFPending);
     if (st.wait == 0 && c.readyAt == kNoCycle)
         c.readyAt = minIssue_[size_t(idx)];
@@ -553,18 +542,19 @@ Scheduler::scheduleBcast(int entry_idx, Cycle fire, bool speculative)
     int id = bcastCal_.push(
         fire, Broadcast{c.dstTag, entry_idx, c.gen, false, speculative});
     c.outBcast = id;
-    if (c.dstTag == params_.traceTag)
-        std::fprintf(stderr, "[tag] bcast scheduled fire=%lu spec=%d\n",
-                     (unsigned long)fire, speculative);
+    // minSeq (== ops[0].seq) shares a cache line with dstTag and gen;
+    // ops[0] would cost this path one more line per broadcast.
+    record(fire, verify::SchedEvent::Kind::Bcast, c.minSeq, c.dstTag,
+           entry_idx, speculative ? "speculative" : "");
 }
 
 void
-Scheduler::cancelBcast(int entry_idx)
+Scheduler::cancelBcast(int entry_idx, Cycle now)
 {
     EntryCold &c = cold_[size_t(entry_idx)];
-    if (c.dstTag == params_.traceTag && c.outBcast >= 0)
-        std::fprintf(stderr, "[tag] bcast CANCELED entry=%d\n", entry_idx);
     if (c.outBcast >= 0) {
+        record(now, verify::SchedEvent::Kind::BcastCancel, c.minSeq,
+               c.dstTag, entry_idx);
         bcastCal_.at(c.outBcast).canceled = true;
         c.outBcast = -1;
     }
@@ -591,8 +581,6 @@ void
 Scheduler::deliverTag(Tag tag, Cycle now)
 {
     ensureTag(tag);
-    if (tag == params_.traceTag)
-        std::fprintf(stderr, "[tag] %lu: DELIVERED\n", (unsigned long)now);
     setBit(tagReadyBits_, size_t(tag));
     tagReadyAt_[size_t(tag)] = now;
     if (stallProbe_)
@@ -648,18 +636,18 @@ Scheduler::deliverBcasts(Cycle now)
         }
         if (b.entry >= 0 && (state_[size_t(b.entry)].flags & kFValid) &&
             cold_[size_t(b.entry)].gen == b.gen) {
-            maybeReapShrunken(b.entry);
+            maybeReapShrunken(b.entry, now);
         }
     });
 }
 
 void
-Scheduler::maybeReapShrunken(int idx)
+Scheduler::maybeReapShrunken(int idx, Cycle now)
 {
     const EntryState &st = state_[size_t(idx)];
     if ((st.flags & kFValid) && (st.flags & kFIssued) && prefixDone(idx) &&
         cold_[size_t(idx)].outBcast < 0) {
-        freeEntry(idx);
+        freeEntry(idx, now);
     }
 }
 
@@ -682,7 +670,7 @@ Scheduler::invalidateEntry(int idx, Cycle now)
     ++c.gen;  // cancels in-flight completion/discovery/kill events
     c.opDone = 0;
     minIssue_[size_t(idx)] = now + Cycle(params_.replayPenalty);
-    cancelBcast(idx);
+    cancelBcast(idx, now);
     if (c.dstTag != kNoTag)
         tagValueReady_[size_t(c.dstTag)] = kNoCycle;
     refreshReady(idx);
@@ -694,8 +682,6 @@ Scheduler::recallTag(Tag tag, Cycle now)
     if (tag == kNoTag)
         return;
     ensureTag(tag);
-    if (tag == params_.traceTag)
-        std::fprintf(stderr, "[tag] %lu: RECALLED\n", (unsigned long)now);
     clearBit(tagReadyBits_, size_t(tag));
     tagReadyAt_[size_t(tag)] = kNoCycle;
     tagValueReady_[size_t(tag)] = kNoCycle;
@@ -730,7 +716,7 @@ Scheduler::recallTag(Tag tag, Cycle now)
         } else if (c.outBcast >= 0) {
             // Un-issued consumer with a speculative (select-free)
             // broadcast outstanding: recall it transitively.
-            cancelBcast(int(i));
+            cancelBcast(int(i), now);
             c.readyAt = kNoCycle;
             recallTag(c.dstTag, now);
         } else {
@@ -1078,7 +1064,7 @@ Scheduler::tick(Cycle now, std::vector<ExecEvent> &completed,
             !(st.flags & kFIssued)) {
             return;
         }
-        cancelBcast(ev.entry);  // if the spec wakeup has not fired
+        cancelBcast(ev.entry, now);  // if the spec wakeup has not fired
         recallTag(c.dstTag, now);
         tagValueReady_[size_t(c.dstTag)] =
             c.opComplete[size_t(opcls_[size_t(ev.entry)].numOps - 1)];
@@ -1112,7 +1098,7 @@ Scheduler::tick(Cycle now, std::vector<ExecEvent> &completed,
         // Squash-dep: undo the speculative wakeup tree. If the
         // victim managed to issue in the meantime, re-broadcast
         // with its true issue timing instead of invalidating it.
-        cancelBcast(ev.entry);
+        cancelBcast(ev.entry, now);
         bool was_issued = st.flags & kFIssued;
         recallTag(c.dstTag, now);
         if (was_issued && c.dstTag != kNoTag) {
@@ -1139,7 +1125,7 @@ Scheduler::tick(Cycle now, std::vector<ExecEvent> &completed,
             any = true;
             c.opDone |= 1u << unsigned(ev.opIdx);
             if (prefixDone(ev.entry))
-                freeEntry(ev.entry);
+                freeEntry(ev.entry, now);
         });
         if (any)
             lastProgress_ = now;
@@ -1559,7 +1545,7 @@ Scheduler::squashAfter(uint64_t seq, Cycle now)
         EntryCold &c = cold_[i];
         EntryOps &oc = opcls_[i];
         if (c.minSeq > seq) {
-            freeEntry(int(i));
+            freeEntry(int(i), now);
             return;
         }
         if (int(oc.numOps) > 1 && c.maxSeq > seq) {
@@ -1591,7 +1577,7 @@ Scheduler::squashAfter(uint64_t seq, Cycle now)
                         c.opComplete[size_t(oc.numOps - 1)];
                 }
                 if (c.outBcast >= 0) {
-                    cancelBcast(int(i));
+                    cancelBcast(int(i), now);
                     // The calendar indexes by fire % kRing: a fire
                     // cycle in the past would alias into a future
                     // slot, so floor the reschedule at now + 1.
@@ -1601,7 +1587,7 @@ Scheduler::squashAfter(uint64_t seq, Cycle now)
                                                Cycle(schedLatency(int(i)))),
                                   false);
                 }
-                maybeReapShrunken(int(i));
+                maybeReapShrunken(int(i), now);
                 if (!(st.flags & kFValid))
                     return;
             }

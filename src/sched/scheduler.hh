@@ -124,8 +124,8 @@ class Scheduler
     allocTag()
     {
         Tag t = pool_.alloc();
-        if (t == kNoTag || t == params_.traceTag) [[unlikely]]
-            allocTagSlow(t);
+        if (t == kNoTag) [[unlikely]]
+            poolExhausted();
         // A recycled tag starts over in the state of a never-used one,
         // so nothing of its previous life can leak into its next.
         const size_t i = size_t(t);
@@ -175,8 +175,9 @@ class Scheduler
     bool appendTail(int entry, const SchedOp &tail, Cycle now,
                     bool more_coming = false);
 
-    /** The expected tail never arrived; the head becomes a plain op. */
-    void clearPending(int entry);
+    /** The expected tail never arrived (noticed during cycle @p now);
+     *  the head becomes a plain op. */
+    void clearPending(int entry, Cycle now);
 
     /**
      * Advance one cycle. Delivers wakeups, selects and issues, applies
@@ -240,7 +241,8 @@ class Scheduler
     void setFaultInjector(verify::FaultInjector *inj) { inj_ = inj; }
 
     /** Attach a diagnostic event ring (not owned); when set, every
-     *  insert/issue/deliver/recall/... is recorded for post-mortems. */
+     *  insert/issue/broadcast/deliver/recall/free/... is recorded for
+     *  post-mortems and the ring's tag echo. */
     void setEventRing(verify::EventRing *ring) { ring_ = ring; }
 
     /** Always-on invariant checker; violation counters live here. */
@@ -414,9 +416,9 @@ class Scheduler
     int sampledLoadDelay(int idx, int o) const;
 
     int allocEntry();
-    void freeEntry(int idx);
+    void freeEntry(int idx, Cycle now);
     void scheduleBcast(int entry, Cycle fire, bool speculative);
-    void cancelBcast(int entry);
+    void cancelBcast(int entry, Cycle now);
     void deliverBcasts(Cycle now);
     /** Set tag ready and wake waiting entries (one wakeup delivery). */
     void deliverTag(Tag tag, Cycle now);
@@ -445,8 +447,7 @@ class Scheduler
     void resizeTags(size_t n);
     /** Tag-lifetime part of auditStructures (see tag_pool.hh). */
     void auditTags();
-    /** allocTag's cold paths: an exhausted pool, or the traced tag. */
-    [[gnu::cold]] void allocTagSlow(Tag t);
+    [[gnu::cold, noreturn]] void poolExhausted();
     [[gnu::cold, noreturn]] void unbalancedRelease(Tag t);
     int &slotDebt(Cycle c);
 
@@ -556,7 +557,7 @@ class Scheduler
     /** Free a squash-shrunken issued entry whose surviving ops have
      *  all completed once its broadcast has left the bus; no
      *  completion event remains to free it through the normal path. */
-    void maybeReapShrunken(int idx);
+    void maybeReapShrunken(int idx, Cycle now);
 
     TagPool pool_;
     const TagHolder *tagHolder_ = nullptr;  ///< not owned

@@ -175,12 +175,6 @@ struct SchedParams
 
     /** Forward-progress watchdog (cycles without issue/commit). */
     uint64_t watchdogCycles = 100000;
-
-    /** Debug: dump one tag's lifecycle to stderr. -2 disables (kNoTag
-     *  destinations must never match). Hoisted from the MOP_TRACE_TAG
-     *  environment read so sweep worker threads never touch the
-     *  environment; mopsim seeds it from the env once at startup. */
-    Tag traceTag = -2;
 };
 
 } // namespace mop::sched

@@ -37,7 +37,6 @@ makeCoreParams(const RunConfig &cfg)
     p.obs = cfg.obs;
     p.wrongPath = cfg.wrongPath;
     p.wrongPathDepth = cfg.wrongPathDepth;
-    p.obs.wrongPath = cfg.wrongPath;
 
     p.sched.policyId = cfg.policy;
     p.sched.numEntries = cfg.iqEntries;
@@ -57,12 +56,12 @@ makeCoreParams(const RunConfig &cfg)
       case Machine::MopCam:
         p.sched.policy = sched::LoopPolicy::TwoCycle;
         p.sched.style = sched::WakeupStyle::Cam2;
-        p.mopEnabled = true;
+        p.sched.mopEnabled = true;
         break;
       case Machine::MopWiredOr:
         p.sched.policy = sched::LoopPolicy::TwoCycle;
         p.sched.style = sched::WakeupStyle::WiredOr;
-        p.mopEnabled = true;
+        p.sched.mopEnabled = true;
         break;
       case Machine::SelectFreeSquashDep:
         p.sched.policy = sched::LoopPolicy::SelectFreeSquashDep;
@@ -72,12 +71,11 @@ makeCoreParams(const RunConfig &cfg)
         break;
     }
 
-    p.extraFormationStages = p.mopEnabled ? cfg.extraStages : 0;
+    p.extraFormationStages = p.sched.mopEnabled ? cfg.extraStages : 0;
     p.lastArrivalFilter = cfg.lastArrivalFilter;
 
     p.sched.maxMopSize = cfg.mopSize;
     p.sched.schedDepth = cfg.schedDepth;
-    p.sched.traceTag = cfg.traceTag;
     p.detector.maxMopSize = cfg.mopSize;
     p.detector.groupWidth = 4;          // 2-cycle scope on 4-wide
     p.detector.camRestrict = p.sched.style == sched::WakeupStyle::Cam2;

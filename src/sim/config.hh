@@ -74,10 +74,6 @@ struct RunConfig
     verify::FaultSpec faults;
     /** Dump a pipeline snapshot + event ring on fatal errors. */
     bool dumpOnError = false;
-    /** Debug: trace one tag's lifecycle to stderr (-2 = off). Seeded
-     *  from MOP_TRACE_TAG once at CLI startup, never read by workers;
-     *  excluded from result fingerprints (pure observability). */
-    sched::Tag traceTag = -2;
 };
 
 /** Build the Table 1 machine for one scheduler configuration. */

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -34,10 +35,12 @@ namespace
 
 using namespace mop;
 
+/** The option summary: on stdout for --help, on stderr after a usage
+ *  error, so a rejected command line writes nothing to stdout. */
 void
-usage()
+usage(std::ostream &os)
 {
-    std::cout <<
+    os <<
         "mopsim — macro-op scheduling simulator (Kim & Lipasti, "
         "MICRO-36)\n\n"
         "  --bench <name>     SPEC CINT2000-like synthetic workload\n"
@@ -124,12 +127,21 @@ parseMachine(const std::string &s, sim::Machine &m)
 int
 main(int argc, char **argv)
 {
+    // MOP_TRACE_TAG=<n> echoes scheduler tag n's events to stderr as
+    // they are recorded. Read once, here, and validated like an option.
+    int64_t trace_tag = -1;
+    if (const char *env = std::getenv("MOP_TRACE_TAG")) {
+        try {
+            trace_tag = sim::parseIntOption(
+                "MOP_TRACE_TAG", env, 0,
+                std::numeric_limits<sched::Tag>::max());
+        } catch (const std::invalid_argument &e) {
+            std::cerr << "error: " << e.what() << "\n";
+            return 2;
+        }
+    }
     std::string bench, kernel, inject;
     sim::RunConfig cfg;
-    // Seed the debug trace tag from the environment exactly once, on
-    // the main thread; nothing downstream touches getenv for it.
-    if (const char *env = std::getenv("MOP_TRACE_TAG"))
-        cfg.traceTag = sched::Tag(std::strtol(env, nullptr, 10));
     uint64_t insts = 300000;
     uint64_t seed = 1;
     bool dump_stats = false;
@@ -226,7 +238,7 @@ main(int argc, char **argv)
                              " sf-squash-dep sf-scoreboard\n";
                 return 0;
             } else if (a == "--help" || a == "-h") {
-                usage();
+                usage(std::cout);
                 return 0;
             } else {
                 throw std::invalid_argument("unknown option " + a);
@@ -238,7 +250,7 @@ main(int argc, char **argv)
             cfg.faults.seed = seed;
     } catch (const std::invalid_argument &e) {
         std::cerr << "error: " << e.what() << "\n\n";
-        usage();
+        usage(std::cerr);
         return 2;
     }
 
@@ -260,7 +272,7 @@ main(int argc, char **argv)
 
     if (bench.empty() == kernel.empty()) {
         std::cerr << "pick exactly one of --bench / --kernel\n";
-        usage();
+        usage(std::cerr);
         return 2;
     }
     // Resolve the workload name here too: an unknown one is a usage
@@ -297,6 +309,8 @@ main(int argc, char **argv)
         params.wrongPathSeed = trace::wrongPathSeed(
             bench.empty() ? seed : profile.seed);
         core = std::make_unique<pipeline::OooCore>(params, *src);
+        if (trace_tag >= 0)
+            core->echoTag(sched::Tag(trace_tag), &std::cerr);
         if (golden)
             core->setGoldenModel(golden.get());
         pipeline::SimResult r = core->run(insts);

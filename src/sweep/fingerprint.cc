@@ -55,8 +55,7 @@ hashProfile(Hasher &h, const trace::WorkloadProfile &p)
 void
 hashRunConfig(Hasher &h, const sim::RunConfig &cfg)
 {
-    // Every field that can influence a run's numbers. traceTag is
-    // deliberately excluded: it only gates stderr debug prints.
+    // Every field that can influence a run's numbers.
     h.u64(uint64_t(cfg.machine));
     h.i64(cfg.iqEntries);
     h.i64(cfg.extraStages);
@@ -73,8 +72,8 @@ hashRunConfig(Hasher &h, const sim::RunConfig &cfg)
     // Observability never changes timing, but it adds stall vectors to
     // the cached payload, so enabled runs get their own key. Hashing
     // the block only when enabled keeps every pre-existing fingerprint
-    // (and its cached result) bit-identical. traceOut is excluded like
-    // traceTag: the file path does not influence any number.
+    // (and its cached result) bit-identical. traceOut is excluded: the
+    // file path does not influence any number.
     if (cfg.obs.enabled) {
         h.u64(0x0b5ULL);  // domain tag for the obs block
         h.u64(cfg.obs.enabled);

@@ -143,24 +143,7 @@ decodeRecord(const std::string &bytes, CacheRecord &out)
     size_t eol = bytes.find('\n');
     if (eol == std::string::npos)
         return RecordStatus::Corrupt;
-    const std::string magic = bytes.substr(0, eol);
-
-    if (magic == "mopres 1") {
-        // Legacy pre-CRC record: tolerant whitespace parse, exactly as
-        // the v1 loader behaved. No integrity guarantee is possible.
-        std::istringstream in(bytes.substr(eol + 1));
-        CacheRecord rec;
-        std::string key;
-        uint64_t val;
-        while (in >> key >> val)
-            rec.add(key, val);
-        if (rec.fields.empty())
-            return RecordStatus::Corrupt;
-        out = std::move(rec);
-        return RecordStatus::LegacyOk;
-    }
-
-    if (magic != "mopres 2")
+    if (bytes.compare(0, eol, "mopres 2") != 0)
         return RecordStatus::Corrupt;
 
     // The file must end "crc <8-hex>\n"; the CRC covers every byte
@@ -380,51 +363,19 @@ ResultCache::load(const Fingerprint &fp, CacheRecord &out) const
         return false;
     }
     CacheRecord rec;
-    switch (decodeRecord(bytes, rec)) {
-      case RecordStatus::Corrupt:
+    if (decodeRecord(bytes, rec) != RecordStatus::Ok) {
         quarantine(file);
         return false;
-      case RecordStatus::LegacyOk:
-        // Transparent v1 -> v2 upgrade: next load gets a CRC.
-        store(fp, rec);
-        break;
-      case RecordStatus::Ok: {
-        // Bump atime so LRU eviction tracks use even on relatime
-        // mounts (mtime untouched: it dates the computation).
-        struct timespec times[2];
-        times[0].tv_nsec = UTIME_NOW;
-        times[1].tv_nsec = UTIME_OMIT;
-        ::utimensat(AT_FDCWD, file.c_str(), times, 0);
-        break;
-      }
     }
+    // Bump atime so LRU eviction tracks use even on relatime mounts
+    // (mtime untouched: it dates the computation).
+    struct timespec times[2];
+    times[0].tv_nsec = UTIME_NOW;
+    times[1].tv_nsec = UTIME_OMIT;
+    ::utimensat(AT_FDCWD, file.c_str(), times, 0);
     out = std::move(rec);
     ++hits_;
     return true;
-}
-
-void
-ResultCache::writeRecordFile(const std::string &dest,
-                             const CacheRecord &rec) const
-{
-    // Unique temp name per writer, then an atomic rename into place.
-    // The stream is closed and checked before the rename: a flush that
-    // fails at close (disk full, file-size limit) must not install an
-    // empty record. Any failure removes the temp file, so a failed
-    // store is a plain miss next time.
-    std::ostringstream name;
-    name << dest << ".tmp." << ::getpid() << "."
-         << std::this_thread::get_id();
-    const std::string tmp = name.str();
-    std::ofstream outf(tmp, std::ios::trunc | std::ios::binary);
-    const std::string bytes = encodeRecordV2(rec);
-    outf.write(bytes.data(), std::streamsize(bytes.size()));
-    outf.close();
-    std::error_code ec;
-    if (outf)
-        std::filesystem::rename(tmp, dest, ec);
-    if (!outf || ec)
-        std::filesystem::remove(tmp, ec);
 }
 
 void
@@ -436,7 +387,24 @@ ResultCache::store(const Fingerprint &fp, const CacheRecord &rec) const
     std::filesystem::create_directories(dir_, ec);
     if (ec)
         return;  // unwritable cache degrades to a miss, never an error
-    writeRecordFile(path(fp), rec);
+    // Unique temp name per writer, then an atomic rename into place.
+    // The stream is closed and checked before the rename: a flush that
+    // fails at close (disk full, file-size limit) must not install an
+    // empty record. Any failure removes the temp file, so a failed
+    // store is a plain miss next time.
+    const std::string dest = path(fp);
+    std::ostringstream name;
+    name << dest << ".tmp." << ::getpid() << "."
+         << std::this_thread::get_id();
+    const std::string tmp = name.str();
+    std::ofstream outf(tmp, std::ios::trunc | std::ios::binary);
+    const std::string bytes = encodeRecordV2(rec);
+    outf.write(bytes.data(), std::streamsize(bytes.size()));
+    outf.close();
+    if (outf)
+        std::filesystem::rename(tmp, dest, ec);
+    if (!outf || ec)
+        std::filesystem::remove(tmp, ec);
 }
 
 CacheVerifyStats
@@ -463,18 +431,11 @@ ResultCache::verify() const
         if (!slurp(file, bytes)) {
             continue;  // raced with eviction/another verifier
         }
-        switch (decodeRecord(bytes, rec)) {
-          case RecordStatus::Ok:
+        if (decodeRecord(bytes, rec) == RecordStatus::Ok) {
             ++stats.ok;
-            break;
-          case RecordStatus::LegacyOk:
-            writeRecordFile(file, rec);
-            ++stats.upgraded;
-            break;
-          case RecordStatus::Corrupt:
+        } else {
             quarantine(file);
             ++stats.corrupt;
-            break;
         }
     }
     for (const std::string &file : files) {

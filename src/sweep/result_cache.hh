@@ -13,8 +13,9 @@
  * Integrity: the CRC makes truncation, short writes and bit flips
  * *detectable* — a damaged record is counted as corrupt (distinct from
  * a plain miss), moved to `<dir>/quarantine/` for post-mortem, and the
- * job is recomputed. Legacy `mopres 1` records (no CRC) still load and
- * are transparently re-stored in v2 form. verify() runs the same check
+ * job is recomputed. A record without a verified CRC -- including one
+ * in the retired pre-CRC `mopres 1` form -- is corrupt: nothing
+ * unvalidated drives a figure. verify() runs the same check
  * over the whole directory; evictToBudget() applies an atime-LRU size
  * budget (successful loads bump atime so the policy tracks real use).
  *
@@ -75,7 +76,6 @@ std::string encodeRecordV2(const CacheRecord &rec);
 enum class RecordStatus : uint8_t
 {
     Ok,        ///< v2, CRC verified
-    LegacyOk,  ///< v1 (pre-CRC), parsed clean
     Corrupt,   ///< damaged: bad magic/parse/truncation/CRC mismatch
 };
 
@@ -97,7 +97,6 @@ struct CacheVerifyStats
 {
     uint64_t checked = 0;   ///< .res files examined
     uint64_t ok = 0;        ///< v2, CRC verified
-    uint64_t upgraded = 0;  ///< valid v1, re-stored as v2
     uint64_t corrupt = 0;   ///< quarantined
     uint64_t bytes = 0;     ///< directory size after the pass
 };
@@ -126,14 +125,13 @@ class ResultCache
      * Load the record for @p fp. Returns false on a plain miss *and*
      * on a corrupt record; the two are distinguished by the counters,
      * and a corrupt file is moved to quarantineDir() (first offender
-     * logged to stderr once per cache). A valid v1 record is re-stored
-     * as v2 on the way out.
+     * logged to stderr once per cache).
      */
     bool load(const Fingerprint &fp, CacheRecord &out) const;
     void store(const Fingerprint &fp, const CacheRecord &rec) const;
 
     /** Re-check every record in the directory (the --cache-verify
-     *  pass): corrupt ones are quarantined, valid v1 ones upgraded. */
+     *  pass): corrupt ones are quarantined. */
     CacheVerifyStats verify() const;
 
     /**
@@ -154,8 +152,6 @@ class ResultCache
     std::string path(const Fingerprint &fp) const;
     /** Move a damaged record aside, count it, log the first path. */
     void quarantine(const std::string &file) const;
-    void writeRecordFile(const std::string &dest,
-                         const CacheRecord &rec) const;
 
     std::string dir_;
     mutable std::atomic<uint64_t> hits_{0};

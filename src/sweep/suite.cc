@@ -283,9 +283,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
                                ? cache.evictToBudget(opts.cacheMaxBytes)
                                : 0;
         out << "[cache] " << st.checked << " record(s): " << st.ok
-            << " ok, " << st.upgraded << " upgraded, " << st.corrupt
-            << " corrupt (quarantined), " << evicted << " evicted, "
-            << st.bytes << " bytes\n";
+            << " ok, " << st.corrupt << " corrupt (quarantined), "
+            << evicted << " evicted, " << st.bytes << " bytes\n";
         return st.corrupt ? 1 : 0;
     }
 

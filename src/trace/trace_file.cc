@@ -11,153 +11,6 @@ namespace mop::trace
 namespace
 {
 
-constexpr char kMagic[8] = {'M', 'O', 'P', 'T', 'R', 'A', 'C', 'E'};
-constexpr uint32_t kVersion = 1;
-
-/** On-disk record, 32 bytes, little-endian host assumed. */
-struct Record
-{
-    uint64_t pc;
-    uint64_t memAddr;
-    uint64_t target;
-    uint8_t op;
-    int8_t dst;
-    int8_t src0;
-    int8_t src1;
-    uint8_t flags;  // bit0 taken, bit1 firstUop
-    uint8_t pad[3];
-};
-static_assert(sizeof(Record) == 32, "trace record must be 32 bytes");
-
-Record
-pack(const isa::MicroOp &u)
-{
-    Record r{};
-    r.pc = u.pc;
-    r.memAddr = u.memAddr;
-    r.target = u.target;
-    r.op = uint8_t(u.op);
-    r.dst = int8_t(u.dst);
-    r.src0 = int8_t(u.src[0]);
-    r.src1 = int8_t(u.src[1]);
-    r.flags = uint8_t(u.taken) | uint8_t(u.firstUop) << 1;
-    return r;
-}
-
-isa::MicroOp
-unpack(const Record &r, uint64_t seq)
-{
-    isa::MicroOp u;
-    u.seq = seq;
-    u.pc = r.pc;
-    u.memAddr = r.memAddr;
-    u.target = r.target;
-    u.op = isa::OpClass(r.op);
-    u.dst = r.dst;
-    u.src = {r.src0, r.src1};
-    u.taken = r.flags & 1;
-    u.firstUop = (r.flags >> 1) & 1;
-    return u;
-}
-
-} // namespace
-
-TraceWriter::TraceWriter(const std::string &path)
-{
-    f_ = std::fopen(path.c_str(), "wb");
-    if (!f_)
-        throw std::runtime_error("cannot create trace file: " + path);
-    uint32_t version = kVersion, reserved = 0;
-    std::fwrite(kMagic, 1, sizeof(kMagic), f_);
-    std::fwrite(&version, sizeof(version), 1, f_);
-    std::fwrite(&reserved, sizeof(reserved), 1, f_);
-}
-
-TraceWriter::~TraceWriter()
-{
-    close();
-}
-
-void
-TraceWriter::write(const isa::MicroOp &u)
-{
-    Record r = pack(u);
-    if (std::fwrite(&r, sizeof(r), 1, f_) != 1)
-        throw std::runtime_error("trace write failed");
-    ++count_;
-}
-
-void
-TraceWriter::close()
-{
-    if (f_) {
-        std::fclose(f_);
-        f_ = nullptr;
-    }
-}
-
-FileSource::FileSource(const std::string &path)
-{
-    f_ = std::fopen(path.c_str(), "rb");
-    if (!f_)
-        throw std::runtime_error("cannot open trace file: " + path);
-    char magic[8];
-    uint32_t version = 0, reserved = 0;
-    if (std::fread(magic, 1, 8, f_) != 8 ||
-        std::memcmp(magic, kMagic, 8) != 0 ||
-        std::fread(&version, sizeof(version), 1, f_) != 1 ||
-        std::fread(&reserved, sizeof(reserved), 1, f_) != 1 ||
-        version != kVersion) {
-        std::fclose(f_);
-        f_ = nullptr;
-        throw std::runtime_error("bad trace file header: " + path);
-    }
-}
-
-FileSource::~FileSource()
-{
-    if (f_)
-        std::fclose(f_);
-}
-
-bool
-FileSource::next(isa::MicroOp &out)
-{
-    Record r;
-    size_t n = std::fread(&r, 1, sizeof(r), f_);
-    if (n == 0)
-        return false;
-    if (n < sizeof(r)) {
-        throw std::runtime_error(
-            "truncated trace record: got " + std::to_string(n) +
-            " bytes, expected " + std::to_string(sizeof(r)));
-    }
-    out = unpack(r, seq_++);
-    return true;
-}
-
-void
-FileSource::reset()
-{
-    std::fseek(f_, 16, SEEK_SET);
-    seq_ = 0;
-}
-
-uint64_t
-recordTrace(TraceSource &src, const std::string &path, uint64_t max_uops)
-{
-    TraceWriter w(path);
-    isa::MicroOp u;
-    while (w.written() < max_uops && src.next(u))
-        w.write(u);
-    uint64_t n = w.written();
-    w.close();
-    return n;
-}
-
-namespace
-{
-
 constexpr char kEventMagic[8] = {'M', 'O', 'P', 'E', 'V', 'T', 'R', 'C'};
 constexpr uint32_t kEventVersionV1 = 1;
 constexpr uint32_t kEventVersion = 2;

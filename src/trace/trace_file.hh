@@ -1,73 +1,21 @@
 /**
  * @file
- * Binary trace recording and replay.
- *
- * Records a micro-op stream to a compact binary file and replays it as
- * a TraceSource. Useful for pinning down a workload exactly (e.g.
- * sharing a regression trace) or decoupling slow trace generation from
- * timing runs, like SimpleScalar's EIO traces.
- *
- * Format: 16-byte header ("MOPTRACE", u32 version, u32 reserved)
- * followed by fixed 32-byte records.
+ * Binary cycle-event traces (MOPEVTRC): the lifecycle records the
+ * observability layer exports with `--trace-out` and moptrace reads
+ * back.
  */
 
 #ifndef MOP_TRACE_TRACE_FILE_HH
 #define MOP_TRACE_TRACE_FILE_HH
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "trace/source.hh"
-
 namespace mop::trace
 {
-
-/** Writes micro-ops to a binary trace file. */
-class TraceWriter
-{
-  public:
-    /** @throws std::runtime_error if the file cannot be created. */
-    explicit TraceWriter(const std::string &path);
-    ~TraceWriter();
-
-    TraceWriter(const TraceWriter &) = delete;
-    TraceWriter &operator=(const TraceWriter &) = delete;
-
-    void write(const isa::MicroOp &u);
-    uint64_t written() const { return count_; }
-    /** Flush and close; further writes are invalid. */
-    void close();
-
-  private:
-    FILE *f_ = nullptr;
-    uint64_t count_ = 0;
-};
-
-/** Replays a binary trace file as a TraceSource. */
-class FileSource : public TraceSource
-{
-  public:
-    /** @throws std::runtime_error on open failure or bad header. */
-    explicit FileSource(const std::string &path);
-    ~FileSource() override;
-
-    FileSource(const FileSource &) = delete;
-    FileSource &operator=(const FileSource &) = delete;
-
-    bool next(isa::MicroOp &out) override;
-    void reset() override;
-
-  private:
-    FILE *f_ = nullptr;
-    uint64_t seq_ = 0;
-};
-
-/** Record up to @p max_uops micro-ops of @p src into @p path.
- *  @return the number of micro-ops written. */
-uint64_t recordTrace(TraceSource &src, const std::string &path,
-                     uint64_t max_uops);
 
 /**
  * One cycle-event record exported by the observability layer

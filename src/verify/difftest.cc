@@ -678,7 +678,7 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
                     } else {
                         // Over budget / size cap: the MOP former gives
                         // up and dispatches the tail solo.
-                        prod.clearPending(hs.ph);
+                        prod.clearPending(hs.ph, now);
                         ref.clearPending(hs.rh);
                         prodSkipUntil = 0;
                         hs.pendingHead = false;
@@ -723,7 +723,7 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
                 break;
             ItemState &hs = st[size_t(it.ref)];
             if (hs.inserted && !hs.dead && hs.pendingHead) {
-                prod.clearPending(hs.ph);
+                prod.clearPending(hs.ph, now);
                 ref.clearPending(hs.rh);
                 prodSkipUntil = 0;
                 hs.pendingHead = false;
@@ -745,7 +745,7 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
     // Drain: close leftover pending windows, then run both dry.
     for (ItemState &hs : st) {
         if (hs.inserted && !hs.dead && hs.pendingHead) {
-            prod.clearPending(hs.ph);
+            prod.clearPending(hs.ph, now);
             ref.clearPending(hs.rh);
             prodSkipUntil = 0;
             hs.pendingHead = false;

@@ -11,14 +11,21 @@
  *
  * Recording is header-only and allocation-free after construction, so
  * it is cheap enough to leave enabled whenever diagnostics are wanted.
+ *
+ * The ring can also echo one tag's events as they are pushed (mopsim's
+ * MOP_TRACE_TAG), in the same line format as dump(): following one tag
+ * through its lives needs no second record of the scheduler's events.
  */
 
 #ifndef MOP_VERIFY_EVENT_RING_HH
 #define MOP_VERIFY_EVENT_RING_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,6 +46,10 @@ struct SchedEvent
         Collision,  ///< select-free collision / grant lost
         Squash,     ///< entries squashed (pipeline flush)
         Inject,     ///< fault injector perturbed this cycle
+        Bcast,         ///< broadcast scheduled (cycle = when it fires)
+        BcastCancel,   ///< scheduled broadcast cancelled before firing
+        ClearPending,  ///< pending MOP head's tail never came
+        Free,          ///< issue-queue entry freed
     };
 
     uint64_t cycle = 0;
@@ -62,6 +73,10 @@ schedEventKindName(SchedEvent::Kind k)
       case SchedEvent::Kind::Collision: return "collision";
       case SchedEvent::Kind::Squash: return "squash";
       case SchedEvent::Kind::Inject: return "inject";
+      case SchedEvent::Kind::Bcast: return "bcast";
+      case SchedEvent::Kind::BcastCancel: return "bcast-cancel";
+      case SchedEvent::Kind::ClearPending: return "clear-pending";
+      case SchedEvent::Kind::Free: return "free";
     }
     return "?";
 }
@@ -79,10 +94,13 @@ class EventRing
     void
     push(const SchedEvent &e)
     {
-        buf_[head_] = e;
-        head_ = (head_ + 1) & mask_;
-        if (size_ < buf_.size())
-            ++size_;
+        // The echo reads the stored slot, not @p e, so an event built
+        // in the call is written straight into the ring.
+        SchedEvent &slot = buf_[pushed_ & mask_];
+        slot = e;
+        ++pushed_;
+        if (slot.tag == echoTag_) [[unlikely]]
+            echo(slot);
     }
 
     void
@@ -92,38 +110,65 @@ class EventRing
         push(SchedEvent{cycle, kind, seq, tag, entry, note});
     }
 
-    size_t size() const { return size_; }
+    size_t size() const { return std::min<uint64_t>(pushed_, buf_.size()); }
     size_t capacity() const { return buf_.size(); }
 
     /** Retained event @p i, oldest first (i < size()). */
     const SchedEvent &
     at(size_t i) const
     {
-        return buf_[(head_ + buf_.size() - size_ + i) & mask_];
+        return buf_[(pushed_ - size() + i) & mask_];
     }
 
     /** Oldest-first dump of the retained events. */
     void
     dump(std::ostream &os) const
     {
-        os << "last " << size_ << " scheduler events (oldest first):\n";
-        for (size_t i = 0; i < size_; ++i) {
-            const SchedEvent &e = at(i);
-            os << "  cycle " << e.cycle << "  "
-               << schedEventKindName(e.kind);
-            if (e.seq)
-                os << "  seq=" << e.seq;
-            if (e.tag >= 0)
-                os << "  tag=" << e.tag;
-            if (e.entry >= 0)
-                os << "  entry=" << e.entry;
-            if (e.note && *e.note)
-                os << "  (" << e.note << ")";
-            os << "\n";
-        }
+        os << "last " << size() << " scheduler events (oldest first):\n";
+        for (size_t i = 0; i < size(); ++i)
+            writeLine(os, at(i));
+    }
+
+    /** From now on, write every pushed event whose tag is @p tag
+     *  (>= 0) to @p os as it arrives, one dump() line each; a null
+     *  @p os turns the echo off. @p os is not owned. */
+    void
+    echoTag(int32_t tag, std::ostream *os)
+    {
+        echo_ = os;
+        echoTag_ = os ? tag : kNoEcho;
+    }
+
+    /** One event in dump()'s line format. */
+    static void
+    writeLine(std::ostream &os, const SchedEvent &e)
+    {
+        os << "  cycle " << e.cycle << "  " << schedEventKindName(e.kind);
+        if (e.seq)
+            os << "  seq=" << e.seq;
+        if (e.tag >= 0)
+            os << "  tag=" << e.tag;
+        if (e.entry >= 0)
+            os << "  entry=" << e.entry;
+        if (e.note && *e.note)
+            os << "  (" << e.note << ")";
+        os << "\n";
     }
 
   private:
+    /** No event carries this tag (kNoTag is -1). */
+    static constexpr int32_t kNoEcho = std::numeric_limits<int32_t>::min();
+
+    /** Off the push path: one write per line, so an unbuffered stream
+     *  such as std::cerr gets whole lines. */
+    [[gnu::cold, gnu::noinline]] void
+    echo(const SchedEvent &e) const
+    {
+        std::ostringstream line;
+        writeLine(line, e);
+        *echo_ << line.str();
+    }
+
     static size_t
     checkedCapacity(size_t capacity)
     {
@@ -136,8 +181,9 @@ class EventRing
 
     std::vector<SchedEvent> buf_;
     size_t mask_;
-    size_t head_ = 0;
-    size_t size_ = 0;
+    uint64_t pushed_ = 0;  ///< events ever pushed; the next slot is & mask_
+    int32_t echoTag_ = kNoEcho;
+    std::ostream *echo_ = nullptr;  ///< not owned
 };
 
 } // namespace mop::verify

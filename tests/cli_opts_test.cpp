@@ -42,6 +42,31 @@ TEST(CliOpts, RejectsTrailingGarbage)
                  std::invalid_argument);
     EXPECT_THROW(parseUintOption("--insts", "10 20", 1, 100),
                  std::invalid_argument);
+    // The whole token means no leading blank or '+' either (strtoll
+    // and strtoull skip and accept both).
+    for (const char *v : {" 2000", "\t5", "+5"}) {
+        EXPECT_THROW(parseIntOption("--iq", v, 0, 65536),
+                     std::invalid_argument)
+            << "'" << v << "'";
+        EXPECT_THROW(parseUintOption("--insts", v, 1, 1'000'000),
+                     std::invalid_argument)
+            << "'" << v << "'";
+    }
+}
+
+TEST(CliOpts, DecimalsArePlainAndFinite)
+{
+    using mop::sim::parseDecimalOption;
+    EXPECT_EQ(parseDecimalOption("--fail-on", "0.1", 0, 1e6), 0.1);
+    EXPECT_EQ(parseDecimalOption("--fail-on", "5", 0, 1e6), 5.0);
+    EXPECT_EQ(parseDecimalOption("--fail-on", ".5", 0, 1e6), 0.5);
+    EXPECT_EQ(parseDecimalOption("--x", "-2.5", -10, 10), -2.5);
+    for (const char *v : {"", ".", "-", "nan", "inf", "1e3", "0x10", " 1",
+                          "+1", "1.2.3", "12abc", "-5", "2000000"}) {
+        EXPECT_THROW(parseDecimalOption("--fail-on", v, 0, 1e6),
+                     std::invalid_argument)
+            << "'" << v << "'";
+    }
 }
 
 TEST(CliOpts, RejectsEmptyAndNonNumeric)
@@ -115,6 +140,7 @@ TEST(SuiteMain, UsageErrorsExit2BeforeAnyWork)
         {{"--only", "table2"}, "MOP_INSTS", true, "1e6"},
         {{"--only", "table2"}, "MOP_INSTS", true, "abc"},
         {{"--only", "table2"}, "MOP_INSTS", true, "-1"},
+        {{"--only", "table2"}, "MOP_INSTS", true, " 2000"},
     };
     for (const UsageCase &c : cases) {
         // Should a case slip through, keep the sweep it starts off the

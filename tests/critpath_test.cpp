@@ -432,6 +432,17 @@ TEST(Telemetry, PrometheusRenderIsStable)
               std::string::npos);
     EXPECT_NE(text.find("# TYPE mop_sweep_eta_seconds gauge"),
               std::string::npos);
+    EXPECT_NE(text.find("# TYPE mop_sweep_retries_total counter"),
+              std::string::npos);
+    // Counts are exact integers at any size, never rounded to six
+    // significant digits (2.963e+06).
+    s.simulatedInsts = 2962997;
+    s.cacheEvictions = 12345678901;
+    text = obs::renderPrometheus(s);
+    EXPECT_NE(text.find("\nmop_sweep_simulated_insts_total 2962997\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("\nmop_sweep_cache_evictions_total 12345678901\n"),
+              std::string::npos);
 }
 
 TEST(Telemetry, ProgressLineFormats)

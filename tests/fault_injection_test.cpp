@@ -201,7 +201,7 @@ TEST(DeadlockDiag, DissolvingThePendingMopRecovers)
     for (int i = 0; i < 100; ++i)
         h.tick();
     EXPECT_TRUE(h.done.empty());  // circularly blocked so far
-    h.s.clearPending(e);          // dissolve: head becomes a plain op
+    h.s.clearPending(e, h.now);          // dissolve: head becomes a plain op
     h.runUntilIdle();
     EXPECT_TRUE(h.done.count(1));
     EXPECT_TRUE(h.done.count(2));

@@ -71,7 +71,7 @@ TEST(MopSize, AppendBeyondCapacityRejected)
     int e = h.s.insert(Harness::alu(0, 0), h.now, true);
     ASSERT_TRUE(h.s.appendTail(e, Harness::alu(1, 0, 0), h.now, true));
     EXPECT_FALSE(h.s.appendTail(e, Harness::alu(2, 0, 0), h.now));
-    h.s.clearPending(e);
+    h.s.clearPending(e, h.now);
     h.runUntilIdle();
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -15,6 +17,8 @@
 #include "prog/kernels.hh"
 #include "sched/policy.hh"
 #include "sim/config.hh"
+#include "stats/stats.hh"
+#include "sweep/result_cache.hh"
 #include "trace/profiles.hh"
 
 namespace
@@ -255,6 +259,55 @@ TEST(SyntheticPipeline, DeterministicResults)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.groupedFrac(), b.groupedFrac());
     EXPECT_EQ(a.replays, b.replays);
+}
+
+TEST(TagEcho, CoversOneTagsLivesAndChangesNoResult)
+{
+    // MOP_TRACE_TAG's path: the core's event ring echoes one tag's
+    // events as they are recorded. Tags are pooled, so tag 5 lives
+    // many lives in a run; each shows up from insert to free, and the
+    // echo perturbs nothing.
+    RunConfig cfg;
+    cfg.machine = Machine::MopWiredOr;
+    cfg.iqEntries = 32;
+    auto run = [&cfg](std::ostream *echo, std::string &stats) {
+        trace::SyntheticSource src(trace::profileFor("gzip"));
+        pipeline::OooCore core(sim::makeCoreParams(cfg), src);
+        if (echo)
+            core.echoTag(5, echo);
+        pipeline::SimResult r = core.run(20000);
+        stats::StatGroup g("sim");
+        core.addStats(g);
+        std::ostringstream os;
+        g.print(os);
+        stats = os.str();
+        return r;
+    };
+    std::string plainStats, echoStats;
+    std::ostringstream echo;
+    pipeline::SimResult plain = run(nullptr, plainStats);
+    pipeline::SimResult echoed = run(&echo, echoStats);
+    EXPECT_EQ(sweep::packSimResult(echoed).fields,
+              sweep::packSimResult(plain).fields);
+    EXPECT_EQ(echoStats, plainStats);
+
+    std::istringstream in(echo.str());
+    std::string line;
+    std::set<std::string> kinds;
+    size_t lines = 0;
+    while (std::getline(in, line)) {
+        ++lines;
+        ASSERT_EQ(line.rfind("  cycle ", 0), 0u) << line;
+        EXPECT_NE((line + "  ").find("  tag=5  "), std::string::npos)
+            << line;
+        std::istringstream words(line);
+        std::string cycleWord, cycle, kind;
+        words >> cycleWord >> cycle >> kind;
+        kinds.insert(kind);
+    }
+    EXPECT_GT(lines, 100u);
+    for (const char *k : {"insert", "issue", "bcast", "deliver", "free"})
+        EXPECT_EQ(kinds.count(k), 1u) << k;
 }
 
 TEST(Termination, TinyQueuesCompleteOrAreRejected)

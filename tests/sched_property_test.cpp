@@ -399,7 +399,7 @@ TEST(SchedStallProbe, SwitchingOnMidRunRebuildsThePlanes)
     sched::StallSnapshot snap;
     for (int c = 0; c < 400 && h.s.occupancy() > 0; ++c) {
         if (c == 20)
-            h.s.clearPending(head);
+            h.s.clearPending(head, h.now);
         Cycle now = h.now;
         h.tick();
         h.s.collectStallSnapshot(now, snap);

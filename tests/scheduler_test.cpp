@@ -113,7 +113,7 @@ TEST_P(Mop, PendingEntryDoesNotIssue)
     for (int i = 0; i < 10; ++i)
         h.tick();
     EXPECT_TRUE(h.done.empty());  // head waits for its tail
-    h.s.clearPending(e);
+    h.s.clearPending(e, h.now);
     h.runUntilIdle();
     EXPECT_TRUE(h.done.count(0));
 }
@@ -509,7 +509,7 @@ TEST(StaticFuseSched, MopSizeClampedToPairs)
     ASSERT_TRUE(h.s.appendTail(e, Harness::alu(1, 0, 0), h.now,
                                /*more_coming=*/true));
     EXPECT_FALSE(h.s.appendTail(e, Harness::alu(2, 0, 0), h.now));
-    h.s.clearPending(e);
+    h.s.clearPending(e, h.now);
     h.runUntilIdle();
     EXPECT_TRUE(h.done.count(0));
     EXPECT_TRUE(h.done.count(1));

@@ -46,22 +46,22 @@ TEST(Config, MachineVariantsMapToPolicies)
     cfg.machine = Machine::Base;
     EXPECT_EQ(sim::makeCoreParams(cfg).sched.policy,
               sched::LoopPolicy::Atomic);
-    EXPECT_FALSE(sim::makeCoreParams(cfg).mopEnabled);
+    EXPECT_FALSE(sim::makeCoreParams(cfg).sched.mopEnabled);
 
     cfg.machine = Machine::TwoCycle;
     EXPECT_EQ(sim::makeCoreParams(cfg).sched.policy,
               sched::LoopPolicy::TwoCycle);
-    EXPECT_FALSE(sim::makeCoreParams(cfg).mopEnabled);
+    EXPECT_FALSE(sim::makeCoreParams(cfg).sched.mopEnabled);
 
     cfg.machine = Machine::MopCam;
     auto p = sim::makeCoreParams(cfg);
-    EXPECT_TRUE(p.mopEnabled);
+    EXPECT_TRUE(p.sched.mopEnabled);
     EXPECT_EQ(p.sched.style, sched::WakeupStyle::Cam2);
     EXPECT_TRUE(p.detector.camRestrict);
 
     cfg.machine = Machine::MopWiredOr;
     p = sim::makeCoreParams(cfg);
-    EXPECT_TRUE(p.mopEnabled);
+    EXPECT_TRUE(p.sched.mopEnabled);
     EXPECT_FALSE(p.detector.camRestrict);
 
     cfg.machine = Machine::SelectFreeScoreboard;

@@ -115,14 +115,16 @@ TEST(RecordV2Test, EncodeDecodeRoundTrip)
     }
 }
 
-TEST(RecordV2Test, LegacyV1StillDecodes)
+TEST(RecordV2Test, LegacyV1IsCorrupt)
 {
+    // The pre-CRC form carries nothing to verify, so it never decodes
+    // (and never partially fills the output).
     CacheRecord out;
+    out.add("keep", 1);
     EXPECT_EQ(sweep::decodeRecord("mopres 1\ncycles 7\nipc 3\n", out),
-              RecordStatus::LegacyOk);
-    uint64_t v = 0;
-    EXPECT_TRUE(out.get("cycles", v));
-    EXPECT_EQ(v, 7u);
+              RecordStatus::Corrupt);
+    ASSERT_EQ(out.fields.size(), 1u);
+    EXPECT_EQ(out.fields[0].first, "keep");
 }
 
 TEST(RecordV2Test, EveryTruncationIsDetected)
@@ -201,8 +203,10 @@ TEST(CacheIntegrityTest, CorruptRecordQuarantinedAndCounted)
     EXPECT_TRUE(cache.load(f1, out));
 }
 
-TEST(CacheIntegrityTest, LegacyV1UpgradedOnLoad)
+TEST(CacheIntegrityTest, LegacyV1QuarantinedOnLoad)
 {
+    // A pre-CRC record is never served or certified: load counts it as
+    // corrupt and moves it aside, and the recomputed result replaces it.
     std::string dir = freshDir("mop-sup-v1");
     sweep::ResultCache cache(dir);
     Fingerprint f1 = fp(3, 4);
@@ -214,14 +218,16 @@ TEST(CacheIntegrityTest, LegacyV1UpgradedOnLoad)
     spit(file, "mopres 1\ncycles 11\n");
 
     CacheRecord out;
+    EXPECT_FALSE(cache.load(f1, out));
+    EXPECT_TRUE(out.fields.empty());
+    EXPECT_EQ(cache.corrupt(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(file));
+    EXPECT_TRUE(std::filesystem::exists(
+        cache.quarantineDir() + "/" +
+        std::filesystem::path(file).filename().string()));
+    cache.store(f1, sampleRecord());
     ASSERT_TRUE(cache.load(f1, out));
-    uint64_t v = 0;
-    ASSERT_TRUE(out.get("cycles", v));
-    EXPECT_EQ(v, 11u);
-    // The file on disk is now v2 with a valid CRC.
-    CacheRecord reread;
-    EXPECT_EQ(sweep::decodeRecord(slurp(file), reread),
-              RecordStatus::Ok);
+    EXPECT_EQ(out.fields.size(), sampleRecord().fields.size());
 }
 
 TEST(CacheIntegrityTest, VerifyPassReportsAndRepairs)
@@ -238,21 +244,19 @@ TEST(CacheIntegrityTest, VerifyPassReportsAndRepairs)
             files.push_back(e.path().string());
     std::sort(files.begin(), files.end());
     ASSERT_EQ(files.size(), 3u);
-    spit(files[0], "mopres 1\ncycles 5\n");          // legacy
+    spit(files[0], "mopres 1\ncycles 5\n");          // legacy: no CRC
     spit(files[1], slurp(files[1]).substr(0, 10));   // truncated
 
     sweep::CacheVerifyStats st = cache.verify();
     EXPECT_EQ(st.checked, 3u);
     EXPECT_EQ(st.ok, 1u);
-    EXPECT_EQ(st.upgraded, 1u);
-    EXPECT_EQ(st.corrupt, 1u);
+    EXPECT_EQ(st.corrupt, 2u);
     EXPECT_GT(st.bytes, 0u);
 
-    // A second pass sees a fully healthy (v2) directory.
+    // A second pass sees only the healthy record.
     st = cache.verify();
-    EXPECT_EQ(st.checked, 2u);
-    EXPECT_EQ(st.ok, 2u);
-    EXPECT_EQ(st.upgraded, 0u);
+    EXPECT_EQ(st.checked, 1u);
+    EXPECT_EQ(st.ok, 1u);
     EXPECT_EQ(st.corrupt, 0u);
 }
 

@@ -145,11 +145,13 @@ TEST(ResultCacheTest, MissingAndCorruptEntriesMiss)
     }
     EXPECT_FALSE(cache.load(fp, rec));
 
-    // Right magic, but a required field is gone: load succeeds at the
-    // record level and unpack reports the miss.
+    // A valid record, but a required field is gone: load succeeds at
+    // the record level and unpack reports the miss.
     {
+        sweep::CacheRecord partial;
+        partial.add("cycles", 1);
         std::ofstream f(dir + "/" + fp.hex() + ".res", std::ios::trunc);
-        f << "mopres 1\ncycles 1\n";
+        f << sweep::encodeRecordV2(partial);
     }
     ASSERT_TRUE(cache.load(fp, rec));
     pipeline::SimResult out;

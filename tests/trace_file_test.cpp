@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for binary trace recording/replay and the dependence-matrix
- * renderer.
+ * Tests for the MOPEVTRC cycle-event trace format and the
+ * dependence-matrix renderer.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/matrix_render.hh"
-#include "trace/profiles.hh"
 #include "trace/trace_file.hh"
 
 namespace
@@ -30,138 +29,6 @@ std::string
 tmpPath(const char *name)
 {
     return std::string(::testing::TempDir()) + name;
-}
-
-TEST(TraceFile, RoundTripsSyntheticStream)
-{
-    std::string path = tmpPath("roundtrip.mtrace");
-    SyntheticSource src(profileFor("gzip"));
-    uint64_t n = recordTrace(src, path, 5000);
-    EXPECT_EQ(n, 5000u);
-
-    src.reset();
-    FileSource replay(path);
-    MicroOp a, b;
-    for (uint64_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(src.next(a));
-        ASSERT_TRUE(replay.next(b)) << i;
-        ASSERT_EQ(a.pc, b.pc);
-        ASSERT_EQ(a.op, b.op);
-        ASSERT_EQ(a.dst, b.dst);
-        ASSERT_EQ(a.src[0], b.src[0]);
-        ASSERT_EQ(a.src[1], b.src[1]);
-        ASSERT_EQ(a.memAddr, b.memAddr);
-        ASSERT_EQ(a.taken, b.taken);
-        ASSERT_EQ(a.target, b.target);
-        ASSERT_EQ(a.firstUop, b.firstUop);
-    }
-    MicroOp end;
-    EXPECT_FALSE(replay.next(end));
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, ResetRestartsReplay)
-{
-    std::string path = tmpPath("reset.mtrace");
-    SyntheticSource src(profileFor("bzip"));
-    recordTrace(src, path, 100);
-    FileSource replay(path);
-    MicroOp first, u;
-    ASSERT_TRUE(replay.next(first));
-    while (replay.next(u)) {
-    }
-    replay.reset();
-    ASSERT_TRUE(replay.next(u));
-    EXPECT_EQ(u.pc, first.pc);
-    EXPECT_EQ(u.seq, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, RejectsMissingFile)
-{
-    EXPECT_THROW(FileSource("/nonexistent/dir/x.mtrace"),
-                 std::runtime_error);
-}
-
-TEST(TraceFile, RejectsCorruptHeader)
-{
-    std::string path = tmpPath("corrupt.mtrace");
-    FILE *f = std::fopen(path.c_str(), "wb");
-    std::fwrite("NOTATRACEFILE123", 1, 16, f);
-    std::fclose(f);
-    EXPECT_THROW(FileSource fs(path), std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, RejectsZeroLengthFile)
-{
-    std::string path = tmpPath("empty.mtrace");
-    FILE *f = std::fopen(path.c_str(), "wb");
-    std::fclose(f);
-    EXPECT_THROW(FileSource fs(path), std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, RejectsTruncatedHeader)
-{
-    // Valid magic but the version word is cut off.
-    std::string path = tmpPath("shorthdr.mtrace");
-    FILE *f = std::fopen(path.c_str(), "wb");
-    std::fwrite("MOPTRACE", 1, 8, f);
-    std::fwrite("\x01\x00", 1, 2, f);
-    std::fclose(f);
-    EXPECT_THROW(FileSource fs(path), std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, RejectsWrongVersion)
-{
-    std::string path = tmpPath("badver.mtrace");
-    FILE *f = std::fopen(path.c_str(), "wb");
-    uint32_t version = 999, reserved = 0;
-    std::fwrite("MOPTRACE", 1, 8, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&reserved, sizeof(reserved), 1, f);
-    std::fclose(f);
-    EXPECT_THROW(FileSource fs(path), std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, ThrowsOnShortRecord)
-{
-    // A record cut mid-way must raise, not be silently treated as EOF.
-    std::string path = tmpPath("shortrec.mtrace");
-    {
-        SyntheticSource src(profileFor("gzip"));
-        recordTrace(src, path, 3);
-    }
-    // Chop 5 bytes off the last 32-byte record.
-    FILE *f = std::fopen(path.c_str(), "rb+");
-    std::fseek(f, 0, SEEK_END);
-    long len = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(len, 16 + 3 * 32);
-    ASSERT_EQ(truncate(path.c_str(), len - 5), 0);
-
-    FileSource replay(path);
-    MicroOp u;
-    ASSERT_TRUE(replay.next(u));
-    ASSERT_TRUE(replay.next(u));
-    EXPECT_THROW(replay.next(u), std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, WriterReportsCount)
-{
-    std::string path = tmpPath("count.mtrace");
-    TraceWriter w(path);
-    MicroOp u;
-    u.op = OpClass::IntAlu;
-    for (int i = 0; i < 7; ++i)
-        w.write(u);
-    EXPECT_EQ(w.written(), 7u);
-    w.close();
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "prog/interpreter.hh"
@@ -204,6 +205,56 @@ TEST(EventRing, KeepsOnlyTheLastCapacityEvents)
     EXPECT_NE(s.find("seq=9"), std::string::npos);
     // Oldest-first ordering.
     EXPECT_LT(s.find("seq=6"), s.find("seq=9"));
+}
+
+TEST(EventRing, EchoesExactlyTheMatchingTagInDumpFormat)
+{
+    using K = verify::SchedEvent::Kind;
+    verify::EventRing ring(8);
+    std::ostringstream echo;
+    ring.echoTag(7, &echo);
+    const verify::SchedEvent events[] = {
+        {1, K::Insert, 10, 7, 2, ""},
+        {1, K::Insert, 11, 70, 3, ""},   // "tag=70" must not match 7
+        {2, K::Squash, 12, -1, -1, ""},  // tagless
+        {3, K::Issue, 10, 7, 2, ""},
+        {5, K::Bcast, 10, 7, 2, "speculative"},
+        {5, K::Deliver, 0, 7, -1, ""},
+        {6, K::Free, 10, 7, 2, ""},
+        {6, K::Free, 11, 17, 3, ""},
+    };
+    std::string expected;
+    for (const verify::SchedEvent &e : events) {
+        ring.push(e);
+        if (e.tag == 7) {
+            std::ostringstream line;
+            verify::EventRing::writeLine(line, e);
+            expected += line.str();
+        }
+    }
+    EXPECT_EQ(echo.str(), expected);
+
+    // The echoed lines are the dump's lines for those events.
+    std::ostringstream dump;
+    ring.dump(dump);
+    std::istringstream in(dump.str());
+    std::string line, dumped;
+    std::getline(in, line);  // header
+    for (const verify::SchedEvent &e : events) {
+        std::getline(in, line);
+        if (e.tag == 7)
+            dumped += line + "\n";
+    }
+    EXPECT_EQ(dumped, expected);
+    EXPECT_NE(echo.str().find("  cycle 5  bcast  seq=10  tag=7  entry=2"
+                              "  (speculative)\n"),
+              std::string::npos);
+
+    // Off again: nothing more is written, and the ring still records.
+    ring.echoTag(7, nullptr);
+    ring.push(7, K::Recall, 0, 7);
+    EXPECT_EQ(echo.str(), expected);
+    EXPECT_EQ(ring.at(ring.size() - 1).kind, K::Recall);
 }
 
 TEST(EventRing, RejectsCapacitiesThatAreNotPowersOfTwo)
