@@ -47,8 +47,7 @@ renderBreakdown(sweep::Context &ctx, std::ostream &out)
                 return Table::pct(
                     total ? double(r.stallSlots[size_t(c)]) / total : 0.0);
             };
-            t.addRow({b,
-                      m == sim::Machine::Base ? "base" : "MOP-wiredOR",
+            t.addRow({b, sim::machineName(m),
                       pct(StallCause::Useful), pct(StallCause::WakeupWait),
                       pct(StallCause::SelectLoss), pct(StallCause::Replay),
                       pct(StallCause::DcacheMiss),

@@ -165,10 +165,12 @@ renderFig15(sweep::Context &ctx, std::ostream &out)
         double w0 = norm(sim::Machine::MopWiredOr, 0);
         double w1 = norm(sim::Machine::MopWiredOr, 1);
         double w2 = norm(sim::Machine::MopWiredOr, 2);
+        // Character literals: GCC 12 at -O3 misreads a string literal
+        // prepended with operator+ as an overlapping copy (-Wrestrict).
         t.addRow({b, Table::fmt(n2), Table::fmt(c1),
-                  "[" + Table::fmt(c0) + "/" + Table::fmt(c2) + "]",
+                  '[' + Table::fmt(c0) + '/' + Table::fmt(c2) + ']',
                   Table::fmt(w1),
-                  "[" + Table::fmt(w0) + "/" + Table::fmt(w2) + "]"});
+                  '[' + Table::fmt(w0) + '/' + Table::fmt(w2) + ']'});
         sum2 += n2;
         sumc += c1;
         sumw += w1;

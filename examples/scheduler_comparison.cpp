@@ -18,14 +18,7 @@ main()
 {
     using namespace mop;
 
-    const std::vector<sim::Machine> machines = {
-        sim::Machine::Base,
-        sim::Machine::TwoCycle,
-        sim::Machine::MopCam,
-        sim::Machine::MopWiredOr,
-        sim::Machine::SelectFreeSquashDep,
-        sim::Machine::SelectFreeScoreboard,
-    };
+    const std::vector<sim::Machine> &machines = sim::allMachines();
 
     stats::Table t("IPC of every kernel on every scheduler "
                    "(32-entry issue queue)");

@@ -5,7 +5,7 @@
  * translating register dependences into the grouping name space.
  *
  * Formation is the abstract stage; which concrete formation runs is a
- * scheduler-policy decision (sched/policy.hh, dynamicFormation()):
+ * column of the policy table (sched/policy.hh, dynamicFormation):
  *
  *  - MopFormation (this file): the paper's MOP formation (Section 5.2)
  *    — pairs located via the IL1-coupled pointer cache, the pending-bit

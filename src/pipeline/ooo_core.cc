@@ -19,15 +19,30 @@ SimResult::groupedFrac() const
     return insts ? double(grouped) / double(insts) : 0.0;
 }
 
+std::string
+configError(const CoreParams &p)
+{
+    std::string why = sched::configError(p.sched);
+    if (why.empty() && p.sched.mopEnabled && p.sched.numEntries == 1) {
+        why = "a 1-entry issue queue deadlocks macro-op scheduling: a "
+              "pending MOP head fills the queue and its tail can never "
+              "be admitted; use 2 or more entries (or 0, unrestricted)";
+    }
+    return why;
+}
+
 OooCore::OooCore(const CoreParams &params, trace::TraceSource &source)
     : params_(params), src_(source), mem_(params.mem),
       bpred_(params.bpred)
 {
+    if (std::string why = configError(params_); !why.empty())
+        throw std::invalid_argument(why);
     detector_ = std::make_unique<core::MopDetector>(params_.detector,
                                                     ptrCache_);
-    dynFormation_ =
-        sched::policyFor(params_.sched.policyId).dynamicFormation();
-    if (dynFormation_) {
+    const bool dyn_formation =
+        sched::policyTraits(params_.sched.policyId).dynamicFormation;
+    dynMops_ = params_.sched.mopEnabled && dyn_formation;
+    if (dyn_formation) {
         formation_ = std::make_unique<core::MopFormation>(
             params_.sched.mopEnabled, ptrCache_, params_.detector.maxMopSize);
     } else {
@@ -61,7 +76,6 @@ OooCore::OooCore(const CoreParams &params, trace::TraceSource &source)
         sched_->setFaultInjector(inj_.get());
         formation_->setFaultInjector(inj_.get());
     }
-    sched_->setEventRing(&ring_);
 
     if (params_.obs.enabled) {
         obs_ = std::make_unique<obs::Observer>(
@@ -70,7 +84,7 @@ OooCore::OooCore(const CoreParams &params, trace::TraceSource &source)
         sched_->setStallProbe(true);
     }
 
-    if (params_.sched.mopEnabled && dynFormation_) {
+    if (dynMops_) {
         // MOP pointers live alongside IL1 lines (Section 5.1.3).
         mem_.il1().setEvictCallback([this](uint64_t line_addr) {
             ptrCache_.evictLine(line_addr, mem_.il1().lineBytes());
@@ -283,8 +297,9 @@ OooCore::doCommit()
             if (golden_) {
                 isa::MicroOp committed = re.u;
                 if (corrupt) {
-                    ring_.push(now_, verify::SchedEvent::Kind::Inject,
-                               re.dynId, -1, -1, "corrupt-commit");
+                    if (recording_)
+                        ring_.push(now_, verify::SchedEvent::Kind::Inject,
+                                   re.dynId, -1, -1, "corrupt-commit");
                     committed.pc ^= 4;
                     committed.memAddr ^= 8;
                 }
@@ -449,7 +464,7 @@ OooCore::doQueueInsert()
         // The detector never sees wrong-path µops: pointers persist
         // across squashes, and a squashed stream must not teach the
         // pointer cache pairings no committed path exhibits.
-        if (params_.sched.mopEnabled && dynFormation_ && !f.wrongPath)
+        if (dynMops_ && !f.wrongPath)
             detector_->observe(f.u, f.dynId);
 
         // The mispredicted branch just dispatched: checkpoint the
@@ -469,7 +484,7 @@ OooCore::doQueueInsert()
     // fusion keeps the group window (its adjacency timeout) but never
     // feeds the detector.
     if (params_.sched.mopEnabled && (inserted > 0 || bubble)) {
-        if (dynFormation_)
+        if (dynMops_)
             detector_->endGroup(now_);
         for (int e : formation_->groupBoundary())
             sched_->clearPending(e, now_);
@@ -650,8 +665,7 @@ OooCore::step()
             continue;
         handleCompletion(ev);
     }
-    if (params_.sched.mopEnabled && dynFormation_ &&
-        params_.lastArrivalFilter) {
+    if (dynMops_ && params_.lastArrivalFilter) {
         for (const auto &mi : mopScratch_) {
             if (!mi.tailLastArriving)
                 continue;
@@ -685,7 +699,7 @@ OooCore::step()
     }
 
     int inserted = doQueueInsert();
-    if (params_.sched.mopEnabled && dynFormation_)
+    if (dynMops_)
         detector_->drain(now_);
     doFetch();
 
@@ -774,7 +788,7 @@ OooCore::maybeSkipIdle()
     // (the last such call is what a stepped run leaves behind).
     uint64_t gap = t - now_ - 1;
     sched_->noteIdleCycles(gap);
-    if (params_.sched.mopEnabled && dynFormation_) {
+    if (dynMops_) {
         detector_->drain(t - 1);
         sched::Cycle last_bubble = t - 1;
         if (!frontend_.empty() && frontend_.front().queueReadyAt <= t - 1)

@@ -125,6 +125,13 @@ struct CoreParams
     bool cycleSkip = true;
 };
 
+/**
+ * Why a core cannot run @p p, or "" when it can: sched::configError's
+ * rules plus the core's own. The OooCore constructor throws
+ * std::invalid_argument with the reason; mopsim asks first and exits 2.
+ */
+std::string configError(const CoreParams &p);
+
 /** Figure 13 commit-time classification. */
 enum class GroupClass : uint8_t
 {
@@ -166,6 +173,8 @@ struct SimResult
 class OooCore
 {
   public:
+    /** @throws std::invalid_argument with configError's reason when
+     *  @p params cannot run. */
     OooCore(const CoreParams &params, trace::TraceSource &source);
     ~OooCore();
 
@@ -202,14 +211,31 @@ class OooCore
     /** The injector driving this core's campaign (null when off). */
     const verify::FaultInjector *injector() const { return inj_.get(); }
 
+    /** The recent scheduler events; empty unless recordEvents() or
+     *  echoTag() turned recording on. */
     const verify::EventRing &events() const { return ring_; }
-    /** Write tag @p tag's scheduler events to @p os as they are
+    /** Record scheduler events from now on. Off by default: only a
+     *  post-mortem (dumpState) or an echo reads them. */
+    void
+    recordEvents()
+    {
+        recording_ = true;
+        sched_->setEventRing(&ring_);
+    }
+    /** Record events and write tag @p tag's to @p os as they are
      *  recorded, in the event dump's line format (see
-     *  verify::EventRing::echoTag); a null @p os turns it off. */
-    void echoTag(sched::Tag tag, std::ostream *os) { ring_.echoTag(tag, os); }
+     *  verify::EventRing::echoTag); a null @p os turns the echo off. */
+    void
+    echoTag(sched::Tag tag, std::ostream *os)
+    {
+        ring_.echoTag(tag, os);
+        if (os)
+            recordEvents();
+    }
 
     /** Pipeline snapshot (ROB, IQ, frontend) + recent scheduler
-     *  events; written on DeadlockError / IntegrityError post-mortems. */
+     *  events (recordEvents()); written on DeadlockError /
+     *  IntegrityError post-mortems. */
     void dumpState(std::ostream &os) const;
 
   private:
@@ -401,10 +427,10 @@ class OooCore
     core::MopPointerCache ptrCache_;
     std::unique_ptr<core::MopDetector> detector_;
     std::unique_ptr<core::Formation> formation_;
-    /** Policy answer cached at construction: true = pointer-driven
-     *  MopFormation (detector + pointer cache live), false =
-     *  decode-time StaticFuser (both bypassed). */
-    bool dynFormation_ = true;
+    /** Dynamic MOPs: grouping is on and the policy forms MOPs through
+     *  the detector and pointer cache (MopFormation). False under a
+     *  decode-time StaticFuser or with grouping off: both bypassed. */
+    bool dynMops_ = false;
     std::unique_ptr<sched::Scheduler> sched_;
     std::unique_ptr<obs::Observer> obs_;
 
@@ -455,6 +481,7 @@ class OooCore
     // Integrity & fault injection (see verify/).
     verify::IntegrityChecker integrity_;
     verify::EventRing ring_{256};
+    bool recording_ = false;  ///< ring_ is attached (recordEvents())
     std::unique_ptr<verify::FaultInjector> inj_;
     verify::GoldenModel *golden_ = nullptr;  ///< not owned
     uint64_t nextCommitDynId_ = 0;

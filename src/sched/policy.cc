@@ -3,101 +3,59 @@
 namespace mop::sched
 {
 
-namespace
-{
-
-/** Kim & Lipasti (MICRO-36): dynamic MOP detection over the pointer
- *  cache, speculative load wakeup with selective replay. */
-class PaperPolicy final : public SchedPolicy
-{
-  public:
-    PolicyId id() const override { return PolicyId::Paper; }
-    const char *name() const override { return "paper"; }
-    bool speculateOnLoads() const override { return true; }
-    bool dynamicFormation() const override { return true; }
-};
-
-/** Diavastos & Carlson: the scheduler tracks each load's true delay
- *  and wakes consumers non-speculatively, trading wakeup latency on
- *  misses for the elimination of recalls and replays. */
-class LoadDelayPolicy final : public SchedPolicy
-{
-  public:
-    PolicyId id() const override { return PolicyId::LoadDelay; }
-    const char *name() const override { return "load-delay"; }
-    bool speculateOnLoads() const override { return false; }
-    bool dynamicFormation() const override { return true; }
-};
-
-/** Celio et al.: macro-op fusion decided at decode from a fixed
- *  pattern table of adjacent dependent pairs; no dynamic detector,
- *  pairs only. */
-class StaticFusePolicy final : public SchedPolicy
-{
-  public:
-    PolicyId id() const override { return PolicyId::StaticFuse; }
-    const char *name() const override { return "static-fuse"; }
-    bool speculateOnLoads() const override { return true; }
-    bool dynamicFormation() const override { return false; }
-    int
-    clampMopSize(int configured) const override
-    {
-        return configured < 2 ? configured : 2;
-    }
-};
-
-const PaperPolicy kPaper;
-const LoadDelayPolicy kLoadDelay;
-const StaticFusePolicy kStaticFuse;
-
-} // namespace
-
-const SchedPolicy &
-policyFor(PolicyId id)
-{
-    switch (id) {
-    case PolicyId::Paper: return kPaper;
-    case PolicyId::LoadDelay: return kLoadDelay;
-    case PolicyId::StaticFuse: return kStaticFuse;
-    }
-    return kPaper;
-}
-
 const std::vector<PolicyId> &
 registeredPolicies()
 {
-    static const std::vector<PolicyId> kAll = {
-        PolicyId::Paper, PolicyId::LoadDelay, PolicyId::StaticFuse};
+    static const std::vector<PolicyId> kAll = [] {
+        std::vector<PolicyId> ids;
+        for (const PolicyTraits &t : kPolicyTable)
+            ids.push_back(t.id);
+        return ids;
+    }();
     return kAll;
 }
 
 const char *
 policyIdName(PolicyId id)
 {
-    return policyFor(id).name();
+    return policyTraits(id).name;
 }
 
 const char *
 policyIdToken(PolicyId id)
 {
-    switch (id) {
-    case PolicyId::Paper: return "paper";
-    case PolicyId::LoadDelay: return "loaddelay";
-    case PolicyId::StaticFuse: return "staticfuse";
-    }
-    return "paper";
+    return policyTraits(id).token;
 }
 
 bool
 parsePolicyId(std::string_view text, PolicyId &out)
 {
-    for (PolicyId id : registeredPolicies()) {
-        if (text == policyFor(id).name() || text == policyIdToken(id)) {
-            out = id;
+    for (const PolicyTraits &t : kPolicyTable) {
+        if (text == t.name || text == t.token) {
+            out = t.id;
             return true;
         }
     }
     return false;
+}
+
+std::string
+configError(const SchedParams &p)
+{
+    if (!selectFree(p.policy))
+        return "";
+    if (p.mopEnabled) {
+        return "macro-op scheduling is built on the 2-cycle policy; it "
+               "cannot be combined with a select-free policy";
+    }
+    if (!policyTraits(p.policyId).speculateOnLoads) {
+        return std::string(policyTraits(p.policyId).name) +
+               " scheduling cannot run on a select-free loop: it times a "
+               "load's broadcast at issue, from the load's sampled delay, "
+               "and the select-free organizations broadcast before "
+               "selection, when the delay is not yet known";
+    }
+    return "";
 }
 
 } // namespace mop::sched

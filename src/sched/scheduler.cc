@@ -100,29 +100,14 @@ Scheduler::Scheduler(const SchedParams &params)
     : params_(params), fu_(params.fuCounts),
       pool_(tagBoundFor(queueEntries(params)))
 {
-    const SchedPolicy &pol = policyFor(params_.policyId);
-    loadsSpeculate_ = pol.speculateOnLoads();
+    if (std::string why = configError(params_); !why.empty())
+        throw std::invalid_argument(why);
+    const PolicyTraits &pol = policyTraits(params_.policyId);
+    loadsSpeculate_ = pol.speculateOnLoads;
     // Clamp once here so appendTail, the select-time FU booking and
     // the structural audit all agree on the entry size the policy's
     // formation can produce.
-    params_.maxMopSize = pol.clampMopSize(params_.maxMopSize);
-
-    if (params_.mopEnabled &&
-        (params_.policy == LoopPolicy::SelectFreeSquashDep ||
-         params_.policy == LoopPolicy::SelectFreeScoreboard)) {
-        throw std::invalid_argument(
-            "macro-op scheduling is built on the 2-cycle policy; it "
-            "cannot be combined with a select-free policy");
-    }
-    if (!loadsSpeculate_ &&
-        (params_.policy == LoopPolicy::SelectFreeSquashDep ||
-         params_.policy == LoopPolicy::SelectFreeScoreboard)) {
-        throw std::invalid_argument(
-            "load-delay scheduling computes an entry's broadcast "
-            "timing at issue, from the load's sampled delay; the "
-            "select-free organizations broadcast before selection, "
-            "when the delay is not yet known");
-    }
+    params_.maxMopSize = std::min(params_.maxMopSize, pol.maxMopSize);
 
     size_t n = queueEntries(params_);
     srcTag_.resize(n);
@@ -144,13 +129,6 @@ Scheduler::Scheduler(const SchedParams &params)
     readyScratch_.reserve(n);
     injRecalls_.reserve(64);
     resizeTags(pool_.bound());
-}
-
-bool
-Scheduler::isSelectFree() const
-{
-    return params_.policy == LoopPolicy::SelectFreeSquashDep ||
-           params_.policy == LoopPolicy::SelectFreeScoreboard;
 }
 
 int
@@ -442,7 +420,7 @@ Scheduler::insert(const SchedOp &op, Cycle now, bool expect_tail)
 
     if (!(st.flags & kFPending) && st.wait == 0) {
         c.readyAt = now + 1;
-        if (isSelectFree() && !(st.flags & kFCollided))
+        if (selectFree(params_.policy) && !(st.flags & kFCollided))
             scheduleBcast(idx, c.readyAt + Cycle(schedLatency(idx)), true);
     }
     refreshReady(idx);
@@ -566,7 +544,7 @@ Scheduler::onEntryBecameReady(int idx, Cycle now)
     EntryState &st = state_[size_t(idx)];
     EntryCold &c = cold_[size_t(idx)];
     c.readyAt = now;
-    if (isSelectFree() && !(st.flags & (kFCollided | kFIssued)) &&
+    if (selectFree(params_.policy) && !(st.flags & (kFCollided | kFIssued)) &&
         c.outBcast < 0) {
         // Speculate selection at the earliest cycle the entry can
         // actually request (a replayed entry is held back by its
@@ -896,7 +874,7 @@ Scheduler::doSelect(Cycle now, std::vector<MopIssue> *mop_issues)
     int width = params_.issueWidth - debt0;
     int issuedNow = 0;
     int issuedNowWp = 0;
-    const bool select_free = isSelectFree();
+    const bool select_free = selectFree(params_.policy);
     for (int idx : readyScratch_) {
         // Once the width is spent nothing more can issue. Select-free
         // losers are collisions and must still be seen; any other

@@ -35,13 +35,13 @@
  * selectively invalidated and replayed with a penalty (Table 1's
  * "speculative scheduling with selective replay, 2-cycle penalty").
  *
- * Scheduler behaviour beyond the loop organization is factored into
- * the SchedPolicy interface (sched/policy.hh): speculative-wakeup
- * decision, MOP-formation eligibility, select priority and replay
- * semantics. SchedParams::policyId picks the implementation; its
- * answers are cached as plain bools at construction, so the Paper
- * policy is byte-identical to the pre-interface scheduler. Under
- * PolicyId::LoadDelay the load paragraph above is replaced: the
+ * Scheduler behaviour beyond the loop organization is a row of the
+ * policy table (sched/policy.hh): the speculative-wakeup decision and
+ * the MOP size the policy's formation produces. SchedParams::policyId
+ * picks the row; the constructor caches its answers as plain bools and
+ * throws std::invalid_argument for a configuration sched::configError
+ * rejects. Under PolicyId::LoadDelay the load paragraph above is
+ * replaced: the
  * broadcast for a load entry fires when its value is really ready
  * (predicted from the load's delay, sampled at issue) and no recall or
  * replay ever happens.
@@ -102,6 +102,8 @@ class Scheduler
      *  t + kConsumerBuckets share one bucket. */
     static constexpr unsigned kConsumerBuckets = 256;
 
+    /** @throws std::invalid_argument with sched::configError's reason
+     *  when @p params cannot run. */
     explicit Scheduler(const SchedParams &params);
 
     void setLoadLatencyFn(LoadLatencyFn fn) { loadLatency_ = std::move(fn); }
@@ -409,7 +411,6 @@ class Scheduler
     int schedLatency(int idx) const;
     /** Execution latency of one op (loads: addr-gen only). */
     static int execLatency(const SchedOp &op);
-    bool isSelectFree() const;
 
     /** Op @p o of entry @p idx's sampled load delay (load-delay
      *  policy); dl1HitLatency if none is sampled. */
@@ -455,8 +456,8 @@ class Scheduler
     FuPool fu_;
     LoadLatencyFn loadLatency_;
 
-    /** Policy answer cached at construction (sched/policy.hh); the
-     *  hot paths branch on a plain bool, never a virtual call. */
+    /** Policy-table answer cached at construction (sched/policy.hh);
+     *  the hot paths branch on a plain bool. */
     bool loadsSpeculate_ = true;
 
     // Entry planes (see the EntryState/EntryOps/EntryCold comment).

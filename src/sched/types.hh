@@ -29,9 +29,9 @@ constexpr Tag kNoTag = -1;
 
 /** Scheduling-loop organization (Section 6.2 configurations). This is
  *  the loop-pipelining axis (how deep wakeup+select is pipelined and
- *  how collisions are repaired), orthogonal to the SchedPolicy
- *  behaviour interface (sched/policy.hh) which decides speculation,
- *  formation eligibility and replay semantics. */
+ *  how collisions are repaired), orthogonal to the behaviour policies
+ *  (PolicyId, sched/policy.hh), which decide load speculation and how
+ *  MOPs are formed. */
 enum class LoopPolicy : uint8_t
 {
     /** "Base": ideally pipelined scheduling logic, conceptually atomic
@@ -52,11 +52,21 @@ enum class LoopPolicy : uint8_t
     SelectFreeScoreboard,
 };
 
+/** True for the select-free organizations, which broadcast a wakeup
+ *  before the entry wins select. */
+constexpr bool
+selectFree(LoopPolicy p)
+{
+    return p == LoopPolicy::SelectFreeSquashDep ||
+           p == LoopPolicy::SelectFreeScoreboard;
+}
+
 /**
- * Scheduler behaviour policies (see sched/policy.hh for the interface
- * and registry). Paper is the reproduction's native rule set; the two
+ * Scheduler behaviour policies (one row each in sched/policy.hh's
+ * table). Paper is the reproduction's native rule set; the two
  * alternatives reuse the same issue-queue machinery with different
- * speculation/formation decisions.
+ * speculation/formation decisions. The values are hashed into result
+ * fingerprints: append, never renumber.
  */
 enum class PolicyId : uint8_t
 {
@@ -73,8 +83,6 @@ enum class PolicyId : uint8_t
      *  are capped at two ops. */
     StaticFuse,
 };
-
-constexpr int kNumPolicyIds = int(PolicyId::StaticFuse) + 1;
 
 /** Wakeup-array flavour; constrains MOP source-operand counts. */
 enum class WakeupStyle : uint8_t

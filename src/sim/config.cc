@@ -9,18 +9,77 @@
 namespace mop::sim
 {
 
+namespace
+{
+
+using LP = sched::LoopPolicy;
+using WS = sched::WakeupStyle;
+
+struct MachineTraits
+{
+    Machine machine;
+    const char *name;   ///< figure / report spelling
+    const char *token;  ///< --machine spelling
+    LP loop;
+    WS style;
+    bool mop;           ///< macro-op scheduling (SchedParams::mopEnabled)
+};
+
+/** One row per Machine, in enum order (traits() indexes it). */
+constexpr MachineTraits kMachineTable[] = {
+    {Machine::Base, "base", "base", LP::Atomic, WS::Cam2, false},
+    {Machine::TwoCycle, "2-cycle", "2-cycle", LP::TwoCycle, WS::Cam2, false},
+    {Machine::MopCam, "MOP-2src", "mop-2src", LP::TwoCycle, WS::Cam2, true},
+    {Machine::MopWiredOr, "MOP-wiredOR", "mop-wiredor", LP::TwoCycle,
+     WS::WiredOr, true},
+    {Machine::SelectFreeSquashDep, "select-free-squash-dep", "sf-squash-dep",
+     LP::SelectFreeSquashDep, WS::Cam2, false},
+    {Machine::SelectFreeScoreboard, "select-free-scoreboard",
+     "sf-scoreboard", LP::SelectFreeScoreboard, WS::Cam2, false},
+};
+
+const MachineTraits &
+traits(Machine m)
+{
+    return kMachineTable[size_t(m)];
+}
+
+} // namespace
+
+const std::vector<Machine> &
+allMachines()
+{
+    static const std::vector<Machine> kAll = [] {
+        std::vector<Machine> ms;
+        for (const MachineTraits &t : kMachineTable)
+            ms.push_back(t.machine);
+        return ms;
+    }();
+    return kAll;
+}
+
 const char *
 machineName(Machine m)
 {
-    switch (m) {
-      case Machine::Base: return "base";
-      case Machine::TwoCycle: return "2-cycle";
-      case Machine::MopCam: return "MOP-2src";
-      case Machine::MopWiredOr: return "MOP-wiredOR";
-      case Machine::SelectFreeSquashDep: return "select-free-squash-dep";
-      case Machine::SelectFreeScoreboard: return "select-free-scoreboard";
+    return traits(m).name;
+}
+
+const char *
+machineToken(Machine m)
+{
+    return traits(m).token;
+}
+
+bool
+parseMachine(std::string_view token, Machine &out)
+{
+    for (const MachineTraits &t : kMachineTable) {
+        if (token == t.token) {
+            out = t.machine;
+            return true;
+        }
     }
-    return "?";
+    return false;
 }
 
 pipeline::CoreParams
@@ -46,30 +105,10 @@ makeCoreParams(const RunConfig &cfg)
     p.sched.replayPenalty = 2;   // Table 1 selective-replay penalty
     p.sched.fuCounts = {4, 2, 2, 2, 2};  // Table 1 functional units
 
-    switch (cfg.machine) {
-      case Machine::Base:
-        p.sched.policy = sched::LoopPolicy::Atomic;
-        break;
-      case Machine::TwoCycle:
-        p.sched.policy = sched::LoopPolicy::TwoCycle;
-        break;
-      case Machine::MopCam:
-        p.sched.policy = sched::LoopPolicy::TwoCycle;
-        p.sched.style = sched::WakeupStyle::Cam2;
-        p.sched.mopEnabled = true;
-        break;
-      case Machine::MopWiredOr:
-        p.sched.policy = sched::LoopPolicy::TwoCycle;
-        p.sched.style = sched::WakeupStyle::WiredOr;
-        p.sched.mopEnabled = true;
-        break;
-      case Machine::SelectFreeSquashDep:
-        p.sched.policy = sched::LoopPolicy::SelectFreeSquashDep;
-        break;
-      case Machine::SelectFreeScoreboard:
-        p.sched.policy = sched::LoopPolicy::SelectFreeScoreboard;
-        break;
-    }
+    const MachineTraits &m = traits(cfg.machine);
+    p.sched.policy = m.loop;
+    p.sched.style = m.style;
+    p.sched.mopEnabled = m.mop;
 
     p.extraFormationStages = p.sched.mopEnabled ? cfg.extraStages : 0;
     p.lastArrivalFilter = cfg.lastArrivalFilter;
@@ -84,28 +123,6 @@ makeCoreParams(const RunConfig &cfg)
     p.detector.detectLatency = cfg.detectLatency;
 
     return p;
-}
-
-void
-validateRunConfig(const RunConfig &cfg)
-{
-    bool mop = cfg.machine == Machine::MopCam ||
-               cfg.machine == Machine::MopWiredOr;
-    if (mop && cfg.iqEntries == 1) {
-        throw std::invalid_argument(
-            std::string("--iq 1 deadlocks on ") + machineName(cfg.machine) +
-            ": a pending MOP head fills the queue and its tail can never "
-            "be admitted; use --iq 2 or more (or 0, unrestricted)");
-    }
-    bool select_free = cfg.machine == Machine::SelectFreeSquashDep ||
-                       cfg.machine == Machine::SelectFreeScoreboard;
-    if (select_free && cfg.policy == sched::PolicyId::LoadDelay) {
-        throw std::invalid_argument(
-            std::string("--policy loaddelay cannot run on ") +
-            machineName(cfg.machine) +
-            ": select-free machines broadcast before selection, when a "
-            "load's delay is not yet known");
-    }
 }
 
 pipeline::SimResult

@@ -9,13 +9,16 @@
 #define MOP_SIM_CONFIG_HH
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "pipeline/ooo_core.hh"
 
 namespace mop::sim
 {
 
-/** The scheduler configurations evaluated in Section 6. */
+/** The scheduler configurations evaluated in Section 6. The values
+ *  are hashed into result fingerprints: append, never renumber. */
 enum class Machine : uint8_t
 {
     Base,                  ///< ideally pipelined (atomic) scheduling
@@ -26,18 +29,28 @@ enum class Machine : uint8_t
     SelectFreeScoreboard,  ///< Brown et al., scoreboard
 };
 
+/** Every machine, in enum order (one row each of config.cc's table). */
+const std::vector<Machine> &allMachines();
+
+/** Figure / report spelling ("MOP-wiredOR"). */
 const char *machineName(Machine m);
+
+/** --machine spelling ("mop-wiredor"). */
+const char *machineToken(Machine m);
+
+/** Parse a --machine argument; returns false on an unknown token. */
+bool parseMachine(std::string_view token, Machine &out);
 
 struct RunConfig
 {
     Machine machine = Machine::Base;
     /** Scheduler behaviour policy (sched/policy.hh). Paper is the
      *  default and leaves every result byte-identical to the
-     *  pre-policy simulator; LoadDelay rejects the select-free
-     *  machines (the Scheduler constructor throws); StaticFuse caps
-     *  MOPs at decode-fused pairs and bypasses the detector. Folded
-     *  into result fingerprints only when not Paper, so existing
-     *  cached results keep their keys. */
+     *  pre-policy simulator; LoadDelay cannot run on the select-free
+     *  machines (sched::configError); StaticFuse caps MOPs at
+     *  decode-fused pairs and bypasses the detector. Folded into
+     *  result fingerprints only when not Paper, so existing cached
+     *  results keep their keys. */
     sched::PolicyId policy = sched::PolicyId::Paper;
     /** Issue-queue entries; 0 = unrestricted (Table 2 / Figure 14). */
     int iqEntries = 32;
@@ -72,25 +85,16 @@ struct RunConfig
     obs::ObsConfig obs;
     /** Deterministic fault campaign (--inject/--seed); empty = off. */
     verify::FaultSpec faults;
-    /** Dump a pipeline snapshot + event ring on fatal errors. */
-    bool dumpOnError = false;
 };
 
-/** Build the Table 1 machine for one scheduler configuration. */
+/** Build the Table 1 machine for one scheduler configuration. Whether
+ *  it can run is pipeline::configError's answer; the OooCore
+ *  constructor refuses it otherwise. */
 pipeline::CoreParams makeCoreParams(const RunConfig &cfg);
 
-/**
- * Reject configurations that cannot run to completion, with
- * std::invalid_argument naming the options (mopsim exits 2):
- *  - a MOP machine with a 1-entry issue queue: a pending MOP head
- *    fills the queue and its tail is never admitted (tails need a
- *    free entry, as in every figure run), so the run deadlocks;
- *  - the load-delay policy on a select-free machine, which the
- *    scheduler refuses at construction.
- */
-void validateRunConfig(const RunConfig &cfg);
-
-/** Run @p insts instructions of a SPEC CINT2000-like workload. */
+/** Run @p insts instructions of a SPEC CINT2000-like workload.
+ *  @throws std::invalid_argument for a configuration that cannot run
+ *  (pipeline::configError). */
 pipeline::SimResult runBenchmark(const std::string &bench,
                                  const RunConfig &cfg, uint64_t insts);
 

@@ -109,19 +109,6 @@ usage(std::ostream &os)
         "  --list             list workloads, kernels and machines\n";
 }
 
-bool
-parseMachine(const std::string &s, sim::Machine &m)
-{
-    if (s == "base") m = sim::Machine::Base;
-    else if (s == "2-cycle") m = sim::Machine::TwoCycle;
-    else if (s == "mop-2src") m = sim::Machine::MopCam;
-    else if (s == "mop-wiredor") m = sim::Machine::MopWiredOr;
-    else if (s == "sf-squash-dep") m = sim::Machine::SelectFreeSquashDep;
-    else if (s == "sf-scoreboard") m = sim::Machine::SelectFreeScoreboard;
-    else return false;
-    return true;
-}
-
 } // namespace
 
 int
@@ -148,6 +135,7 @@ main(int argc, char **argv)
     bool golden_enabled = true;
     bool selftest = false;
     bool report_breakdown = false;
+    bool dump_on_error = false;
     int difftest_n = 0;
     uint64_t difftest_seed = 1;
     std::string difftest_repro;
@@ -166,7 +154,7 @@ main(int argc, char **argv)
             else if (a == "--kernel") kernel = next();
             else if (a == "--machine") {
                 std::string m = next();
-                if (!parseMachine(m, cfg.machine))
+                if (!sim::parseMachine(m, cfg.machine))
                     throw std::invalid_argument("unknown machine '" + m +
                                                 "'");
             } else if (a == "--policy") {
@@ -215,7 +203,7 @@ main(int argc, char **argv)
             else if (a == "--seed") {
                 seed = sim::parseUintOption(a, next(), 0, ~0ULL);
             } else if (a == "--no-golden") golden_enabled = false;
-            else if (a == "--dump-on-error") cfg.dumpOnError = true;
+            else if (a == "--dump-on-error") dump_on_error = true;
             else if (a == "--selftest") selftest = true;
             else if (a == "--difftest") {
                 difftest_n =
@@ -234,8 +222,10 @@ main(int argc, char **argv)
                 std::cout << "\nkernels:";
                 for (const auto &k : prog::kernelNames())
                     std::cout << " " << k;
-                std::cout << "\nmachines: base 2-cycle mop-2src mop-wiredor"
-                             " sf-squash-dep sf-scoreboard\n";
+                std::cout << "\nmachines:";
+                for (sim::Machine m : sim::allMachines())
+                    std::cout << " " << sim::machineToken(m);
+                std::cout << "\n";
                 return 0;
             } else if (a == "--help" || a == "-h") {
                 usage(std::cout);
@@ -275,12 +265,15 @@ main(int argc, char **argv)
         usage(std::cerr);
         return 2;
     }
-    // Resolve the workload name here too: an unknown one is a usage
-    // error, like every other bad value.
+    // Resolve the workload name and check that the configuration can
+    // run here too: either failing is a usage error, like every other
+    // bad value.
     trace::WorkloadProfile profile;
     std::string kernelText;
     try {
-        sim::validateRunConfig(cfg);
+        std::string why = pipeline::configError(sim::makeCoreParams(cfg));
+        if (!why.empty())
+            throw std::invalid_argument(why);
         if (!bench.empty())
             profile = trace::profileFor(bench);
         else
@@ -309,6 +302,8 @@ main(int argc, char **argv)
         params.wrongPathSeed = trace::wrongPathSeed(
             bench.empty() ? seed : profile.seed);
         core = std::make_unique<pipeline::OooCore>(params, *src);
+        if (dump_on_error)
+            core->recordEvents();
         if (trace_tag >= 0)
             core->echoTag(sched::Tag(trace_tag), &std::cerr);
         if (golden)
@@ -353,7 +348,7 @@ main(int argc, char **argv)
         }
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
-        if (cfg.dumpOnError && core)
+        if (dump_on_error && core)
             core->dumpState(std::cerr);
         return 1;
     }

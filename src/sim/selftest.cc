@@ -1,6 +1,5 @@
 #include "sim/selftest.hh"
 
-#include <array>
 #include <iomanip>
 #include <memory>
 #include <sstream>
@@ -17,12 +16,6 @@ namespace mop::sim
 
 namespace
 {
-
-constexpr std::array<Machine, 6> kMachines = {
-    Machine::Base,          Machine::TwoCycle,
-    Machine::MopCam,        Machine::MopWiredOr,
-    Machine::SelectFreeSquashDep, Machine::SelectFreeScoreboard,
-};
 
 /** Injection rate per kind, tuned so a few-thousand-cycle run sees
  *  multiple fires without drowning the machine. */
@@ -123,7 +116,7 @@ runSelftest(std::ostream &os, const std::string &kernel, uint64_t seed)
     SelftestResult res;
 
     os << "selftest: kernel '" << kernel << "', seed " << seed << ", "
-       << kMachines.size() << " machines x " << verify::kNumFaultKinds
+       << allMachines().size() << " machines x " << verify::kNumFaultKinds
        << " fault kinds\n\n";
 
     os << std::left << std::setw(24) << "machine";
@@ -134,7 +127,7 @@ runSelftest(std::ostream &os, const std::string &kernel, uint64_t seed)
     os << "\n";
 
     std::vector<std::string> failures;
-    for (Machine m : kMachines) {
+    for (Machine m : allMachines()) {
         // Clean per-machine reference: with injection off the golden
         // cross-check must pass and gives the expected commit count.
         uint64_t ref_insts = runCell(prog, cellConfig(m, seed));

@@ -68,7 +68,9 @@ hashRunConfig(Hasher &h, const sim::RunConfig &cfg)
     for (double r : cfg.faults.rate)
         h.f64(r);
     h.u64(cfg.faults.seed);
-    h.u64(cfg.dumpOnError);
+    // The retired dump-on-error flag's slot: a constant keeps every
+    // fingerprint, and so every cached result, where it was.
+    h.u64(0);
     // Observability never changes timing, but it adds stall vectors to
     // the cached payload, so enabled runs get their own key. Hashing
     // the block only when enabled keeps every pre-existing fingerprint

@@ -145,21 +145,18 @@ makeRandomScript(uint64_t seed, const ScriptConfig &cfg)
         p.fuCounts = {1, 1, 1, 1, 1};
     }
     p.policyId = cfg.policy;
-    if (cfg.policy == sched::PolicyId::LoadDelay &&
-        (p.policy == LoopPolicy::SelectFreeSquashDep ||
-         p.policy == LoopPolicy::SelectFreeScoreboard)) {
-        // The Scheduler rejects load-delay + select-free (the delay is
-        // unknown at speculative-broadcast time); keep the rotation's
-        // entropy but fold it onto the two legal organizations.
+    if (!sched::configError(p).empty()) {
+        // The Scheduler rejects this policy on the rotation's loop
+        // organization; keep the rotation's entropy but fold it onto
+        // the two organizations every policy runs on.
         p.policy = rng.chance(50) ? LoopPolicy::Atomic
                                   : LoopPolicy::TwoCycle;
         p.mopEnabled = p.policy == LoopPolicy::TwoCycle;
     }
-    if (cfg.policy == sched::PolicyId::StaticFuse) {
-        // Decode-time fusion produces pairs only; both models clamp,
-        // so generate scripts that respect the cap up front.
-        p.maxMopSize = std::min(p.maxMopSize, 2);
-    }
+    // Both models clamp to the policy's MOP-size cap, so generate
+    // scripts that respect it up front.
+    p.maxMopSize =
+        std::min(p.maxMopSize, sched::policyTraits(cfg.policy).maxMopSize);
     // The driver detects stalls itself, long before the watchdog.
     p.watchdogCycles = 1u << 20;
 

@@ -83,10 +83,10 @@ struct ScriptConfig
     bool faults = true;       ///< load misses, squashes, abandoned heads
     /** Rotate loop policy/style/mopSize/queue-shape from the seed. */
     bool sweepParams = true;
-    /** Behaviour policy every generated script runs under. LoadDelay
-     *  restricts the loop-policy rotation to Atomic/TwoCycle (the
-     *  Scheduler rejects load-delay + select-free); StaticFuse caps
-     *  generated MOPs at pairs. */
+    /** Behaviour policy every generated script runs under. A loop
+     *  organization sched::configError rejects for it (load-delay on
+     *  select-free) is folded onto Atomic/TwoCycle, and generated MOPs
+     *  respect the policy's size cap (static-fuse: pairs). */
     sched::PolicyId policy = sched::PolicyId::Paper;
     /** Weave mispredict episodes through the script: a branch anchor,
      *  a wrong-path burst (missing loads whose replay windows the

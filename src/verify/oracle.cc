@@ -14,6 +14,7 @@ using sched::kNoCycle;
 using sched::kNoTag;
 using sched::SchedOp;
 using sched::SchedParams;
+using sched::selectFree;
 using sched::LoopPolicy;
 using sched::Tag;
 using sched::WakeupStyle;
@@ -22,20 +23,13 @@ RefScheduler::RefScheduler(const SchedParams &params,
                            const RefQuirks &quirks)
     : params_(params), quirks_(quirks)
 {
-    const sched::SchedPolicy &pol = sched::policyFor(params_.policyId);
-    loadsSpeculate_ = pol.speculateOnLoads();
-    params_.maxMopSize = pol.clampMopSize(params_.maxMopSize);
+    const sched::PolicyTraits &pol = sched::policyTraits(params_.policyId);
+    loadsSpeculate_ = pol.speculateOnLoads;
+    params_.maxMopSize = std::min(params_.maxMopSize, pol.maxMopSize);
     lastLoadLat_ = params_.dl1HitLatency;
     capacity_ = params_.numEntries > 0 ? params_.numEntries : 512;
     for (size_t k = 0; k < isa::kNumFuKinds; ++k)
         fuBusy_[k].assign(size_t(params_.fuCounts[k]), 0);
-}
-
-bool
-RefScheduler::isSelectFree() const
-{
-    return params_.policy == LoopPolicy::SelectFreeSquashDep ||
-           params_.policy == LoopPolicy::SelectFreeScoreboard;
 }
 
 int
@@ -261,7 +255,7 @@ RefScheduler::insert(const SchedOp &op, Cycle now, bool expect_tail)
 
     if (!e.pending && fullyReady(e)) {
         e.readyAt = now + 1;
-        if (isSelectFree() && !e.collided)
+        if (selectFree(params_.policy) && !e.collided)
             scheduleBcast(e, e.readyAt + Cycle(schedLatency(e)), true);
     }
     entries_.push_back(e);
@@ -331,7 +325,8 @@ void
 RefScheduler::becameReady(REntry &e, Cycle now)
 {
     e.readyAt = now;
-    if (isSelectFree() && !e.collided && !e.issued && !hasBcast(e.uid)) {
+    if (selectFree(params_.policy) && !e.collided && !e.issued &&
+        !hasBcast(e.uid)) {
         // Select-free wakeup is speculative: broadcast at the earliest
         // cycle the entry can request selection (Section 6.2).
         Cycle earliest = std::max(now, e.minIssue);
@@ -650,7 +645,7 @@ RefScheduler::doSelect(Cycle now, std::vector<RefMopIssue> *mop_issues)
         }
         // Selection loss: under select-free policies the speculative
         // wakeup was premature — a collision (Section 6.2).
-        if (isSelectFree() && !e.collided) {
+        if (selectFree(params_.policy) && !e.collided) {
             ++collisions_;
             e.collided = true;
             if (params_.policy == LoopPolicy::SelectFreeSquashDep)

@@ -205,7 +205,6 @@ class RefScheduler
         sched::Cycle valueReady = sched::kNoCycle;
     };
 
-    bool isSelectFree() const;
     int schedDepthVal() const;
     int schedLatency(const REntry &e) const;
     static int execLatency(const sched::SchedOp &op);

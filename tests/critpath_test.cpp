@@ -525,10 +525,11 @@ TEST(Telemetry, BatchLabelIsEscapedPerTextFormat)
     // No raw newline may survive inside a series line.
     for (size_t p = text.find('\n'); p != std::string::npos;
          p = text.find('\n', p + 1))
-        if (p + 1 < text.size())
+        if (p + 1 < text.size()) {
             EXPECT_TRUE(text[p + 1] == '#' ||
                         text.compare(p + 1, 4, "mop_") == 0)
                 << "series line broken at offset " << p;
+        }
 
     // And the label rides on every series, counters included.
     EXPECT_NE(text.find("mop_sweep_retries_total{batch="),

@@ -119,20 +119,11 @@ expectEquivalent(const RunOut &skip, const RunOut &step,
         << label << ": stats must be byte-identical modulo skippedCycles";
 }
 
-const std::vector<Machine> kMachines = {
-    Machine::Base,
-    Machine::TwoCycle,
-    Machine::MopCam,
-    Machine::MopWiredOr,
-    Machine::SelectFreeSquashDep,
-    Machine::SelectFreeScoreboard,
-};
-
 /** Every machine, a compute-bound and a memory-bound kernel: the
  *  skipping run must be indistinguishable from the stepped one. */
 TEST(CycleSkip, KernelRunsAreByteIdenticalAcrossMachines)
 {
-    for (Machine m : kMachines) {
+    for (Machine m : sim::allMachines()) {
         for (const char *kernel : {"sort", "chase"}) {
             RunOut skip = runKernel(kernel, m, true);
             RunOut step = runKernel(kernel, m, false);
@@ -167,11 +158,12 @@ TEST(CycleSkip, PolicyRunsAreByteIdentical)
     for (auto pol : {sched::PolicyId::LoadDelay,
                      sched::PolicyId::StaticFuse}) {
         std::string tok = sched::policyIdToken(pol);
-        for (Machine m : kMachines) {
-            if (pol == sched::PolicyId::LoadDelay &&
-                (m == Machine::SelectFreeSquashDep ||
-                 m == Machine::SelectFreeScoreboard))
-                continue;  // load-delay rejects select-free loops
+        for (Machine m : sim::allMachines()) {
+            RunConfig cfg;
+            cfg.machine = m;
+            cfg.policy = pol;
+            if (!pipeline::configError(sim::makeCoreParams(cfg)).empty())
+                continue;
             RunOut skip = runKernel("chase", m, true, pol);
             RunOut step = runKernel("chase", m, false, pol);
             expectEquivalent(skip, step,

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "prog/interpreter.hh"
 #include "prog/kernels.hh"
@@ -40,15 +41,6 @@ runKernel(const std::string &kernel, Machine m, int iq = 32)
     return core.run(10'000'000);
 }
 
-const std::vector<Machine> kMachines = {
-    Machine::Base,
-    Machine::TwoCycle,
-    Machine::MopCam,
-    Machine::MopWiredOr,
-    Machine::SelectFreeSquashDep,
-    Machine::SelectFreeScoreboard,
-};
-
 /** Every (machine, kernel) combination must drain with the dataflow
  *  invariant checker on, and commit the same instruction count. */
 class MachineKernelTest
@@ -69,7 +61,7 @@ TEST_P(MachineKernelTest, RunsToCompletionWithInvariants)
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, MachineKernelTest,
-    ::testing::Combine(::testing::ValuesIn(kMachines),
+    ::testing::Combine(::testing::ValuesIn(sim::allMachines()),
                        ::testing::ValuesIn(mop::prog::kernelNames())),
     [](const auto &info) {
         std::string n = sim::machineName(std::get<0>(info.param));
@@ -157,7 +149,7 @@ TEST_P(SyntheticMachineTest, SyntheticWorkloadRunsWithInvariants)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMachines, SyntheticMachineTest,
-                         ::testing::ValuesIn(kMachines),
+                         ::testing::ValuesIn(sim::allMachines()),
                          [](const auto &info) {
                              std::string n = sim::machineName(info.param);
                              for (auto &c : n)
@@ -270,7 +262,8 @@ TEST(TagEcho, CoversOneTagsLivesAndChangesNoResult)
     RunConfig cfg;
     cfg.machine = Machine::MopWiredOr;
     cfg.iqEntries = 32;
-    auto run = [&cfg](std::ostream *echo, std::string &stats) {
+    auto run = [&cfg](std::ostream *echo, std::string &stats,
+                      size_t &events) {
         trace::SyntheticSource src(trace::profileFor("gzip"));
         pipeline::OooCore core(sim::makeCoreParams(cfg), src);
         if (echo)
@@ -281,15 +274,20 @@ TEST(TagEcho, CoversOneTagsLivesAndChangesNoResult)
         std::ostringstream os;
         g.print(os);
         stats = os.str();
+        events = core.events().size();
         return r;
     };
     std::string plainStats, echoStats;
+    size_t plainEvents = 0, echoEvents = 0;
     std::ostringstream echo;
-    pipeline::SimResult plain = run(nullptr, plainStats);
-    pipeline::SimResult echoed = run(&echo, echoStats);
+    pipeline::SimResult plain = run(nullptr, plainStats, plainEvents);
+    pipeline::SimResult echoed = run(&echo, echoStats, echoEvents);
     EXPECT_EQ(sweep::packSimResult(echoed).fields,
               sweep::packSimResult(plain).fields);
     EXPECT_EQ(echoStats, plainStats);
+    // Nothing reads a plain run's events, so none are recorded.
+    EXPECT_EQ(plainEvents, 0u);
+    EXPECT_EQ(echoEvents, 256u);
 
     std::istringstream in(echo.str());
     std::string line;
@@ -312,52 +310,52 @@ TEST(TagEcho, CoversOneTagsLivesAndChangesNoResult)
 
 TEST(Termination, TinyQueuesCompleteOrAreRejected)
 {
-    // machine x policy x iq 1..4 x mop-size 2..4: validateRunConfig
-    // (mopsim exits 2 on it) rejects exactly the cells that cannot
-    // finish, and every other cell runs its budget to the end.
-    int rejected = 0;
-    for (Machine m : kMachines) {
-        bool mop = m == Machine::MopCam || m == Machine::MopWiredOr;
-        bool select_free = m == Machine::SelectFreeSquashDep ||
-                           m == Machine::SelectFreeScoreboard;
-        for (sched::PolicyId pol : sched::registeredPolicies()) {
-            for (int iq = 1; iq <= 4; ++iq) {
-                for (int size = 2; size <= 4; ++size) {
-                    RunConfig cfg;
-                    cfg.machine = m;
-                    cfg.policy = pol;
-                    cfg.iqEntries = iq;
-                    cfg.mopSize = size;
-                    std::string cell = std::string(sim::machineName(m)) +
-                                       " " + sched::policyIdToken(pol) +
-                                       " iq " + std::to_string(iq) +
-                                       " mop-size " + std::to_string(size);
-                    bool deadlocks = mop && iq == 1;
-                    bool refused =
-                        select_free && pol == sched::PolicyId::LoadDelay;
-                    if (deadlocks || refused) {
-                        EXPECT_THROW(sim::validateRunConfig(cfg),
-                                     std::invalid_argument)
-                            << cell;
-                        ++rejected;
-                        continue;
-                    }
-                    EXPECT_NO_THROW(sim::validateRunConfig(cfg)) << cell;
-                    pipeline::SimResult r;
-                    EXPECT_NO_THROW(r = sim::runBenchmark("gzip", cfg, 2000))
-                        << cell;
-                    EXPECT_EQ(r.insts, 2000u) << cell;
-                }
-            }
-        }
-    }
-    EXPECT_EQ(rejected, 2 * 3 * 3 + 2 * 4 * 3);
+    // Every machine x policy x iq 1..4 x mop-size 2..4 x wrong-path x
+    // sched-depth {0, 3}: pipeline::configError (mopsim exits 2 on it)
+    // rejects exactly the cells that cannot finish, building one of
+    // them throws before a cycle runs, and every other cell runs its
+    // budget to the end.
+    std::vector<RunConfig> grid;
+    for (Machine m : sim::allMachines())
+        for (sched::PolicyId pol : sched::registeredPolicies())
+            for (int iq = 1; iq <= 4; ++iq)
+                for (int size = 2; size <= 4; ++size)
+                    for (bool wp : {false, true})
+                        for (int depth : {0, 3}) {
+                            RunConfig cfg;
+                            cfg.machine = m;
+                            cfg.policy = pol;
+                            cfg.iqEntries = iq;
+                            cfg.mopSize = size;
+                            cfg.wrongPath = wp;
+                            cfg.schedDepth = depth;
+                            grid.push_back(cfg);
+                        }
+    ASSERT_EQ(grid.size(), 864u);
 
-    // Why the iq-1 MOP cells are rejected: run anyway, they deadlock.
-    RunConfig cfg;
-    cfg.machine = Machine::MopWiredOr;
-    cfg.iqEntries = 1;
-    EXPECT_THROW(sim::runBenchmark("gzip", cfg, 2000), sched::DeadlockError);
+    int rejected = 0;
+    for (const RunConfig &cfg : grid) {
+        std::string cell = std::string(sim::machineName(cfg.machine)) +
+                           " " + sched::policyIdToken(cfg.policy) +
+                           " iq " + std::to_string(cfg.iqEntries) +
+                           " mop-size " + std::to_string(cfg.mopSize) +
+                           (cfg.wrongPath ? " wrong-path" : "") +
+                           " sched-depth " +
+                           std::to_string(cfg.schedDepth);
+        if (!pipeline::configError(sim::makeCoreParams(cfg)).empty()) {
+            EXPECT_THROW(sim::runBenchmark("gzip", cfg, 2000),
+                         std::invalid_argument)
+                << cell;
+            ++rejected;
+            continue;
+        }
+        pipeline::SimResult r;
+        EXPECT_NO_THROW(r = sim::runBenchmark("gzip", cfg, 2000)) << cell;
+        EXPECT_EQ(r.insts, 2000u) << cell;
+    }
+    // iq 1 on the two MOP machines (2 x 3 policies x 3 sizes x 2 x 2)
+    // and load-delay on the two select-free machines (2 x 4 x 3 x 2 x 2).
+    EXPECT_EQ(rejected, 168);
 }
 
 } // namespace

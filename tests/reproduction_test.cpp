@@ -139,8 +139,8 @@ TEST(Reproduction, Figure13GroupedFractionBand)
 // vector is indexed by obs::StallCause (useful, frontend, iq-full,
 // rob-full, wakeup-wait, select-loss, replay, dcache-miss, drain,
 // wrong-path).
-// Regenerate a row with:
-//   build/src/sim/mopsim --bench <b> --machine <m> --iq 32 \
+// Regenerate a row with (one command line):
+//   build/src/sim/mopsim --bench <b> --machine <m> --iq 32
 //       --insts 20000 --report breakdown
 // ---------------------------------------------------------------------
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "sched/policy.hh"
@@ -56,16 +57,6 @@ struct Harness
         SchedParams p = params(pol, entries);
         p.policyId = pid;
         return p;
-    }
-
-    /** False only for the one rejected combination: load-delay
-     *  scheduling under a select-free loop organization. */
-    static bool
-    policyAllows(PolicyId pid, LoopPolicy pol)
-    {
-        return pid != PolicyId::LoadDelay ||
-               (pol != LoopPolicy::SelectFreeSquashDep &&
-                pol != LoopPolicy::SelectFreeScoreboard);
     }
 
     static SchedOp
@@ -144,18 +135,27 @@ class PerPolicyTest : public ::testing::TestWithParam<PolicyId>
     }
 
     /** Skip-or-substitute helper: the loop organization this policy
-     *  actually runs for a requested @p pol (load-delay folds the
-     *  select-free organizations onto their non-select-free bases). */
+     *  actually runs for a requested @p pol (an organization
+     *  sched::configError rejects for it is folded onto a
+     *  non-select-free base). */
     LoopPolicy
     effectiveLoop(LoopPolicy pol) const
     {
-        if (Harness::policyAllows(GetParam(), pol))
+        if (sched::configError(params(pol)).empty())
             return pol;
         return pol == LoopPolicy::SelectFreeSquashDep
                    ? LoopPolicy::Atomic
                    : LoopPolicy::TwoCycle;
     }
 };
+
+/** Skip the running test when the scheduler refuses @p p; the skip
+ *  message is sched::configError's reason. */
+#define MOP_SKIP_IF_REJECTED(p)                                          \
+    do {                                                                 \
+        if (std::string why_ = mop::sched::configError(p); !why_.empty()) \
+            GTEST_SKIP() << why_;                                        \
+    } while (0)
 
 inline std::string
 policyParamName(const ::testing::TestParamInfo<PolicyId> &info)

@@ -116,14 +116,13 @@ TEST_P(SchedProperty, RandomDagsCompleteInDataflowOrder)
         LoopPolicy::SelectFreeScoreboard,
     };
     LoopPolicy pol = policies[pol_idx];
-    if (!Harness::policyAllows(pid, pol))
-        GTEST_SKIP() << "load-delay rejects select-free organizations";
+    SchedParams p = Harness::params(pol, pid);
+    MOP_SKIP_IF_REJECTED(p);
 
     std::mt19937 rng(uint32_t(seed) * 7919 + uint32_t(pol_idx));
     bool mops = pol == LoopPolicy::TwoCycle;
     std::vector<GenOp> dag = makeDag(rng, mops, 60);
 
-    SchedParams p = Harness::params(pol, pid);
     p.numEntries = 24;  // force contention and stalls
     p.issueWidth = 2;
     Harness h(p);

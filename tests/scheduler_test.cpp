@@ -302,9 +302,8 @@ TEST_P(Select, UnpipelinedDivideBlocksUnit)
 
 TEST_P(SelectFree, SquashDepCollisionsCountedAndCorrect)
 {
-    if (policyId() == PolicyId::LoadDelay)
-        GTEST_SKIP() << "load-delay rejects select-free organizations";
     SchedParams p = params(LoopPolicy::SelectFreeSquashDep);
+    MOP_SKIP_IF_REJECTED(p);
     p.issueWidth = 1;
     Harness h(p);
     // Two independent producers, each with a dependent chain; with
@@ -320,8 +319,7 @@ TEST_P(SelectFree, SquashDepCollisionsCountedAndCorrect)
 
 TEST_P(SelectFree, NoCollisionMatchesAtomicTiming)
 {
-    if (policyId() == PolicyId::LoadDelay)
-        GTEST_SKIP() << "load-delay rejects select-free organizations";
+    MOP_SKIP_IF_REJECTED(params(LoopPolicy::SelectFreeSquashDep));
     Harness sf(params(LoopPolicy::SelectFreeSquashDep));
     Harness at(params(LoopPolicy::Atomic));
     for (Harness *h : {&sf, &at}) {
@@ -336,13 +334,12 @@ TEST_P(SelectFree, NoCollisionMatchesAtomicTiming)
 
 TEST_P(SelectFree, ScoreboardPileupVictimsReplayed)
 {
-    if (policyId() == PolicyId::LoadDelay)
-        GTEST_SKIP() << "load-delay rejects select-free organizations";
     // A collision victim's child is woken as if its parent issued at
     // ready time; when the parent is delayed by older work, the child
     // can issue in the same cycle as the parent and reaches RF before
     // the value exists: the scoreboard kills and replays it.
     SchedParams p = params(LoopPolicy::SelectFreeScoreboard);
+    MOP_SKIP_IF_REJECTED(p);
     p.issueWidth = 4;
     Harness h(p);
     for (uint64_t i = 0; i < 4; ++i)
@@ -357,8 +354,7 @@ TEST_P(SelectFree, ScoreboardPileupVictimsReplayed)
 
 TEST_P(SelectFree, ScoreboardConsumesIssueBandwidth)
 {
-    if (policyId() == PolicyId::LoadDelay)
-        GTEST_SKIP() << "load-delay rejects select-free organizations";
+    MOP_SKIP_IF_REJECTED(params(LoopPolicy::SelectFreeScoreboard));
     // Pileup victims occupy issue slots; squash-dep mostly avoids
     // that. Compare total cycles to drain the same workload.
     auto drain_cycles = [this](LoopPolicy pol) {

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "sched/policy.hh"
 #include "sim/config.hh"
 #include "trace/profiles.hh"
 
@@ -90,16 +91,45 @@ TEST(Config, UnrestrictedQueueConfig)
     EXPECT_GE(s.capacity(), 2 * p.robSize);
 }
 
-TEST(Config, MachineNamesUnique)
+TEST(Config, MachineAndPolicyTablesRoundTrip)
 {
-    std::set<std::string> names;
-    for (Machine m :
-         {Machine::Base, Machine::TwoCycle, Machine::MopCam,
-          Machine::MopWiredOr, Machine::SelectFreeSquashDep,
-          Machine::SelectFreeScoreboard}) {
-        names.insert(sim::machineName(m));
+    // Both configuration tables: every token parses back to its row,
+    // names and tokens are unique, an unknown token is refused and
+    // leaves the output alone.
+    std::set<std::string> names, tokens;
+    for (Machine m : sim::allMachines()) {
+        Machine back = Machine::Base;
+        EXPECT_TRUE(sim::parseMachine(sim::machineToken(m), back))
+            << sim::machineToken(m);
+        EXPECT_EQ(back, m) << sim::machineToken(m);
+        EXPECT_TRUE(names.insert(sim::machineName(m)).second);
+        EXPECT_TRUE(tokens.insert(sim::machineToken(m)).second);
     }
-    EXPECT_EQ(names.size(), 6u);
+    EXPECT_EQ(tokens.size(), 6u);
+    Machine m = Machine::MopCam;
+    for (const char *bad : {"nosuch", "", "MOP-wiredOR", "mop-wiredor "})
+        EXPECT_FALSE(sim::parseMachine(bad, m)) << "'" << bad << "'";
+    EXPECT_EQ(m, Machine::MopCam);
+
+    names.clear();
+    tokens.clear();
+    for (sched::PolicyId id : sched::registeredPolicies()) {
+        for (const char *text :
+             {sched::policyIdName(id), sched::policyIdToken(id)}) {
+            sched::PolicyId back = sched::PolicyId::StaticFuse;
+            if (id == back)
+                back = sched::PolicyId::Paper;
+            EXPECT_TRUE(sched::parsePolicyId(text, back)) << text;
+            EXPECT_EQ(back, id) << text;
+        }
+        EXPECT_TRUE(names.insert(sched::policyIdName(id)).second);
+        EXPECT_TRUE(tokens.insert(sched::policyIdToken(id)).second);
+    }
+    EXPECT_EQ(tokens.size(), 3u);
+    sched::PolicyId pol = sched::PolicyId::LoadDelay;
+    for (const char *bad : {"nosuch", "", "Paper", "load_delay"})
+        EXPECT_FALSE(sched::parsePolicyId(bad, pol)) << "'" << bad << "'";
+    EXPECT_EQ(pol, sched::PolicyId::LoadDelay);
 }
 
 TEST(Config, PaperRefTable2Values)

@@ -115,8 +115,9 @@ TEST(SyntheticStructure, CalibrationPreservesRecurrences)
     WorkloadProfile p = profileFor("gap");
     SyntheticSource s(p);
     for (const auto &op : s.program().code) {
-        if (op.pinned)
+        if (op.pinned) {
             EXPECT_EQ(op.op, OpClass::IntAlu);
+        }
     }
 }
 

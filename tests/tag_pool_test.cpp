@@ -27,12 +27,6 @@ using namespace mop;
 using sim::Machine;
 using sched::PolicyId;
 
-constexpr Machine kMachines[] = {
-    Machine::Base,       Machine::TwoCycle,
-    Machine::MopCam,     Machine::MopWiredOr,
-    Machine::SelectFreeSquashDep, Machine::SelectFreeScoreboard,
-};
-
 class TagPlanes
     : public ::testing::TestWithParam<std::tuple<Machine, bool, PolicyId>>
 {
@@ -43,14 +37,11 @@ TEST_P(TagPlanes, CapacityAfter2MInstsEqualsCapacityAfter200k)
     sim::RunConfig cfg;
     std::tie(cfg.machine, cfg.wrongPath, cfg.policy) = GetParam();
     cfg.iqEntries = 32;
-    try {
-        sim::validateRunConfig(cfg);
-    } catch (const std::invalid_argument &) {
-        GTEST_SKIP() << "rejected configuration";
-    }
+    pipeline::CoreParams params = sim::makeCoreParams(cfg);
+    if (std::string why = pipeline::configError(params); !why.empty())
+        GTEST_SKIP() << why;
     trace::WorkloadProfile prof = trace::profileFor("mcf");
     trace::SyntheticSource src(prof);
-    pipeline::CoreParams params = sim::makeCoreParams(cfg);
     params.wrongPathSeed = trace::wrongPathSeed(prof.seed);
     pipeline::OooCore core(params, src);
     const sched::Scheduler &s = core.scheduler();
@@ -69,7 +60,8 @@ TEST_P(TagPlanes, CapacityAfter2MInstsEqualsCapacityAfter200k)
 
 INSTANTIATE_TEST_SUITE_P(
     AllMachines, TagPlanes,
-    ::testing::Combine(::testing::ValuesIn(kMachines), ::testing::Bool(),
+    ::testing::Combine(::testing::ValuesIn(sim::allMachines()),
+                       ::testing::Bool(),
                        ::testing::ValuesIn(sched::registeredPolicies())),
     [](const auto &info) {
         std::string n = sim::machineName(std::get<0>(info.param));
