@@ -21,60 +21,73 @@ occBuckets(int cap)
 
 Observer::Observer(const ObsConfig &cfg, int issueWidth, int iqCapacity,
                    int robSize, bool wrongPath)
-    : cfg_(cfg), stalls_(issueWidth),
+    : cfg_(cfg), stalls_(issueWidth), iqAt_(iqCapacity), robAt_(robSize),
+      frontendAt_(64), mopPendingAt_(16),
       iqOcc_(0, iqCapacity + 1, occBuckets(iqCapacity)),
       robOcc_(0, robSize + 1, occBuckets(robSize)),
       frontendOcc_(0, 64, 32), mopPending_(0, 16, 16)
 {
-    if (!cfg_.traceOut.empty())
+    if (!cfg_.traceOut.empty()) {
         exporter_ = std::make_unique<TraceExporter>(
             cfg_.traceOut, wrongPath ? 3u : 2u);
+        if (cfg_.tracePeriod > 0)
+            nextCounter_ = 0;
+    }
 }
 
 void
-Observer::onCycle(sched::Cycle now, const sched::StallSnapshot &snap,
-                  StallCause upstream, int iq_occ, int rob_occ,
-                  int frontend_occ, int mop_pending)
+Observer::Tally::drainInto(stats::Histogram &h)
 {
-    const CycleInputs in{snap,    upstream,     iq_occ,
-                         rob_occ, frontend_occ, mop_pending};
-    if (runCycles_ > 0 && in == run_) {
-        ++runCycles_;
-    } else {
-        flushRun();
-        run_ = in;
-        runCycles_ = 1;
-    }
-
-    // A sample every cycle divisible by tracePeriod. The clock only
-    // moves forward, so no such cycle lies before nextCounter_ and the
-    // division runs once per period instead of every cycle.
-    if (exporter_ && cfg_.tracePeriod > 0 && now >= nextCounter_) {
-        if (now % cfg_.tracePeriod == 0) {
-            trace::CycleEvent ev;
-            ev.kind = trace::CycleEvent::Kind::Counter;
-            ev.insert = now;
-            ev.issue = uint64_t(iq_occ);
-            ev.execStart = uint64_t(rob_occ);
-            ev.complete = uint64_t(frontend_occ);
-            ev.commit = uint64_t(mop_pending);
-            exporter_->push(ev);
+    for (size_t v = 0; v < at_.size(); ++v) {
+        if (at_[v] != 0) {
+            h.sample(int64_t(v), at_[v]);
+            at_[v] = 0;
         }
-        nextCounter_ = (now / cfg_.tracePeriod + 1) * cfg_.tracePeriod;
     }
 }
 
 void
-Observer::flushRun()
+Observer::Tally::grow(int v)
+{
+    at_.resize(size_t(v) + 1);
+}
+
+void
+Observer::startRun(const sched::StallSnapshot &snap, StallCause upstream)
+{
+    chargeRun();
+    runSnap_ = snap;
+    runUpstream_ = upstream;
+    runCycles_ = 1;
+}
+
+void
+Observer::chargeRun()
 {
     if (runCycles_ == 0)
         return;
-    stalls_.charge(run_.snap, run_.upstream, runCycles_);
-    iqOcc_.sample(run_.iq, runCycles_);
-    robOcc_.sample(run_.rob, runCycles_);
-    frontendOcc_.sample(run_.frontend, runCycles_);
-    mopPending_.sample(run_.mopPending, runCycles_);
+    stalls_.charge(runSnap_, runUpstream_, runCycles_);
     runCycles_ = 0;
+}
+
+void
+Observer::sampleCounters(sched::Cycle now, int iq, int rob, int frontend,
+                         int mop_pending)
+{
+    // A sample every cycle divisible by tracePeriod. The clock only
+    // moves forward, so no such cycle lies before nextCounter_ and the
+    // division runs once per period instead of every cycle.
+    if (now % cfg_.tracePeriod == 0) {
+        trace::CycleEvent ev;
+        ev.kind = trace::CycleEvent::Kind::Counter;
+        ev.insert = now;
+        ev.issue = uint64_t(iq);
+        ev.execStart = uint64_t(rob);
+        ev.complete = uint64_t(frontend);
+        ev.commit = uint64_t(mop_pending);
+        exporter_->push(ev);
+    }
+    nextCounter_ = (now / cfg_.tracePeriod + 1) * cfg_.tracePeriod;
 }
 
 void
@@ -87,7 +100,11 @@ Observer::onCommit(const trace::CycleEvent &ev)
 void
 Observer::finish()
 {
-    flushRun();
+    chargeRun();
+    iqAt_.drainInto(iqOcc_);
+    robAt_.drainInto(robOcc_);
+    frontendAt_.drainInto(frontendOcc_);
+    mopPendingAt_.drainInto(mopPending_);
     stalls_.verifyInvariant();
     if (exporter_)
         exporter_->close();

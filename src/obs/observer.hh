@@ -16,6 +16,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "obs/stall.hh"
 #include "obs/trace_export.hh"
@@ -48,23 +49,40 @@ class Observer
     bool tracing() const { return exporter_ != nullptr; }
 
     /**
-     * Per-cycle hook: charge issue slots and sample occupancies. A run
-     * of cycles with identical inputs is charged and sampled once,
-     * weighted by its length, when the inputs change or at finish();
-     * occupancy counter events still go out every tracePeriod cycles.
-     * @p now must grow from call to call, as the core's clock does.
+     * Per-cycle hook: charge issue slots and tally occupancies. A run
+     * of cycles with the same snapshot and upstream cause is charged
+     * once, weighted by its length, when either changes or at
+     * finish(); each occupancy adds one cycle to its value's tally,
+     * and finish() samples the tallies into the histograms. Occupancy
+     * counter events still go out every tracePeriod cycles. Inline:
+     * a cycle that extends the run makes no call. @p now must grow
+     * from call to call, as the core's clock does.
      */
-    void onCycle(sched::Cycle now, const sched::StallSnapshot &snap,
-                 StallCause upstream, int iqOcc, int robOcc,
-                 int frontendOcc, int mopPending);
+    void
+    onCycle(sched::Cycle now, const sched::StallSnapshot &snap,
+            StallCause upstream, int iqOcc, int robOcc, int frontendOcc,
+            int mopPending)
+    {
+        iqAt_.add(iqOcc);
+        robAt_.add(robOcc);
+        frontendAt_.add(frontendOcc);
+        mopPendingAt_.add(mopPending);
+        if (runCycles_ > 0 && upstream == runUpstream_ && snap == runSnap_)
+            ++runCycles_;
+        else
+            startRun(snap, upstream);
+        if (now >= nextCounter_)
+            sampleCounters(now, iqOcc, robOcc, frontendOcc, mopPending);
+    }
 
     /** Commit-time hook: one lifecycle record per committed µop
      *  (only called when tracing() is true). */
     void onCommit(const trace::CycleEvent &ev);
 
-    /** Charge the pending run of cycles, validate the stall invariant
-     *  and finalize the trace. Read the accounting only after it.
-     *  Idempotent (run() may be invoked more than once). */
+    /** Charge the pending run of cycles, sample the occupancy tallies
+     *  into the histograms, validate the stall invariant and finalize
+     *  the trace. Read the accounting and the histograms only after
+     *  it. Idempotent (run() may be invoked more than once). */
     void finish();
 
     const StallAccounting &stalls() const { return stalls_; }
@@ -90,27 +108,52 @@ class Observer
     void printReport(std::ostream &os) const;
 
   private:
-    /** The inputs of one cycle, as onCycle compares them. */
-    struct CycleInputs
+    /** Cycles spent at each value of one occupancy, the form Carroll &
+     *  Lin's queuing model takes it in; finish() drains it into a
+     *  histogram. */
+    class Tally
     {
-        sched::StallSnapshot snap;
-        StallCause upstream = StallCause::Useful;
-        int iq = 0;
-        int rob = 0;
-        int frontend = 0;
-        int mopPending = 0;
+      public:
+        explicit Tally(int maxValue) : at_(size_t(maxValue) + 1) {}
 
-        bool operator==(const CycleInputs &) const = default;
+        void
+        add(int v)
+        {
+            if (size_t(v) >= at_.size()) [[unlikely]]
+                grow(v);
+            ++at_[size_t(v)];
+        }
+
+        /** Sample every value into @p h, weighted by its cycles, and
+         *  start over. */
+        void drainInto(stats::Histogram &h);
+
+      private:
+        void grow(int v);
+
+        std::vector<uint64_t> at_;
     };
 
-    /** Charge and sample the pending run, then start none. */
-    void flushRun();
+    /** Charge the pending run, then start one of @p snap, @p upstream. */
+    void startRun(const sched::StallSnapshot &snap, StallCause upstream);
+    /** Charge the pending run, then start none. */
+    void chargeRun();
+    /** Emit the counter event when @p now is a multiple of the trace
+     *  period and move nextCounter_ to the next one. */
+    void sampleCounters(sched::Cycle now, int iq, int rob, int frontend,
+                        int mopPending);
 
     ObsConfig cfg_;
-    CycleInputs run_;
-    uint64_t runCycles_ = 0;  ///< cycles of run_ not yet charged
-    sched::Cycle nextCounter_ = 0;  ///< no counter sample before it
+    sched::StallSnapshot runSnap_;
+    StallCause runUpstream_ = StallCause::Useful;
+    uint64_t runCycles_ = 0;  ///< cycles of the run not yet charged
+    /** No counter sample before it; never without a trace. */
+    sched::Cycle nextCounter_ = sched::kNoCycle;
     StallAccounting stalls_;
+    Tally iqAt_;
+    Tally robAt_;
+    Tally frontendAt_;
+    Tally mopPendingAt_;
     stats::Histogram iqOcc_;
     stats::Histogram robOcc_;
     stats::Histogram frontendOcc_;

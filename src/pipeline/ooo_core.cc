@@ -237,7 +237,8 @@ OooCore::squashWrongPath(uint64_t boundary)
             obs_->onCommit(tev);
         }
     }
-    wpSquashedUops_ += rob_.size() - keep;
+    const size_t flushed = rob_.size() - keep;
+    wpSquashedUops_ += flushed;
     while (rob_.size() > keep) {
         // Stale dataflow producer records for recycled dyn ids would
         // trip the invariant check against a *future* µop's sources.
@@ -246,6 +247,7 @@ OooCore::squashWrongPath(uint64_t boundary)
             slot = {~0ULL, 0};
         rob_.popBack();
     }
+    robLedger_.depart(now_, flushed);
 
     // Frontend wrong-path µops that never dispatched get no rows.
     while (!frontend_.empty() && frontend_.back().dynId > boundary)
@@ -362,8 +364,10 @@ OooCore::doCommit()
         rob_.popFront();
         ++n;
     }
-    if (n > 0)
+    if (n > 0) {
+        robLedger_.depart(now_, uint64_t(n));
         lastCommit_ = now_;
+    }
 }
 
 int
@@ -699,13 +703,12 @@ OooCore::step()
     }
 
     int inserted = doQueueInsert();
+    robLedger_.arrive(now_, uint64_t(inserted));
     if (dynMops_)
         detector_->drain(now_);
     doFetch();
 
     if (obs_) {
-        sched::StallSnapshot snap;
-        sched_->collectStallSnapshot(now_, snap);
         // Residual slots go to the pipeline-level cause, most specific
         // first: backpressure outranks drain outranks frontend supply.
         obs::StallCause upstream = obs::StallCause::Frontend;
@@ -715,9 +718,9 @@ OooCore::step()
             upstream = obs::StallCause::IqFull;
         else if (traceDone_)
             upstream = obs::StallCause::Drain;
-        obs_->onCycle(now_, snap, upstream, sched_->occupancy(),
-                      int(rob_.size()), int(frontend_.size()),
-                      formation_->pendingCount());
+        obs_->onCycle(now_, sched_->stallSnapshot(now_), upstream,
+                      sched_->occupancy(), int(rob_.size()),
+                      int(frontend_.size()), formation_->pendingCount());
     }
 
     // Attempt a skip only on quiet cycles (no completion, commit or
@@ -835,7 +838,47 @@ OooCore::run(uint64_t max_insts)
         res_.stallSlots = obs_->stalls().slots();
         res_.stallWidth = uint32_t(obs_->stalls().width());
     }
+    auditOccupancy();
     return res_;
+}
+
+void
+OooCore::auditOccupancy()
+{
+    using Check = verify::IntegrityChecker::Check;
+    // auditStructures checked the scheduler's samples against its
+    // ledger on the sample clock; here that clock must be the cycle
+    // clock, one sample per cycle whether stepped or skipped.
+    const uint64_t samples = sched_->occupancyAvg().count();
+    integrity_.require(samples == now_, Check::IqAccounting, [&] {
+        return "issue-queue occupancy sampled " + std::to_string(samples) +
+               " times in " + std::to_string(now_) + " cycles";
+    });
+    if (!obs_)
+        return;
+    // The observer samples at the end of each step. The ROB ledger is
+    // stamped in cycles, and an entry is in the sample of the cycle it
+    // is inserted in and gone from that of the cycle it leaves in. The
+    // observer's sample of cycle t is what the scheduler's tick of
+    // t + 1 samples, so on the scheduler's clock the horizon is one
+    // past the cycle count.
+    const stats::Histogram &iq = obs_->iqOccupancy();
+    const stats::Histogram &rob = obs_->robOccupancy();
+    integrity_.require(iq.total() == now_ && rob.total() == now_,
+                       Check::IqAccounting, [&] {
+                           return "obs.occ.iq/rob hold " +
+                                  std::to_string(iq.total()) + "/" +
+                                  std::to_string(rob.total()) +
+                                  " samples in " + std::to_string(now_) +
+                                  " cycles";
+                       });
+    integrity_.requireOccupancyLaw(Check::IqAccounting, "obs.occ.iq",
+                                   uint64_t(iq.sum()), iq.total(),
+                                   sched_->occupancyLedger(),
+                                   uint64_t(sched_->occupancy()), now_ + 1);
+    integrity_.requireOccupancyLaw(Check::RobOrder, "obs.occ.rob",
+                                   uint64_t(rob.sum()), rob.total(),
+                                   robLedger_, rob_.size(), now_);
 }
 
 void

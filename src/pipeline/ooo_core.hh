@@ -418,6 +418,10 @@ class OooCore
     /** Advance now_ over a provably idle region (see CoreParams::
      *  cycleSkip); called with now_ = the cycle just executed. */
     void maybeSkipIdle();
+    /** End-of-run Little's-law checks: the scheduler sampled its
+     *  occupancy once per cycle, and with obs on the obs.occ.iq and
+     *  obs.occ.rob histograms agree with the IQ and ROB ledgers. */
+    void auditOccupancy();
 
     CoreParams params_;
     trace::TraceSource &src_;
@@ -467,6 +471,8 @@ class OooCore
      *  (fetchWidth x (frontendDepth + 4)): the queue stage stalled. */
     size_t frontendLimit_ = 0;
     RobRing rob_;
+    /** ROB arrivals and departures in cycles (auditOccupancy). */
+    verify::OccupancyLedger robLedger_;
     bool skipEnabled_ = false;  ///< cycleSkip && !obs && !faults
 
     /** Last completed-cycle ring for dataflow invariant checks. */

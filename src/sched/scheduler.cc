@@ -243,42 +243,38 @@ Scheduler::tagMissPending(Tag t) const
     return size_t(t) < tagCap_ && testBit(tagMissPending_, size_t(t));
 }
 
-uint8_t
+Scheduler::StallClass
 Scheduler::stallClassOf(int idx) const
 {
     const EntryState &st = state_[size_t(idx)];
-    if (!(st.flags & kFValid))
-        return 0;
-    uint8_t cls = 0;
-    if (st.flags & kFIssued)
-        cls |= 1u << kPlaneIssued;
-    if (st.flags & kFPending)
-        cls |= 1u << kPlanePending;
+    if ((st.flags & (kFValid | kFIssued)) != kFValid)
+        return kStallNone;
     if (st.flags & kFWrongPath)
-        cls |= 1u << kPlaneWrongPath;
-    if (st.flags & kFReplayed)
-        cls |= 1u << kPlaneReplayed;
+        return kStallWrongPath;
+    if (st.flags & kFPending)
+        return kStallPending;
+    const bool replayed = st.flags & kFReplayed;
+    if (st.wait == 0)
+        return replayed ? kStallReadyReplayed : kStallReady;
     const std::array<Tag, kMaxEntrySrcs> &tags = srcTag_[size_t(idx)];
     for (uint8_t m = st.wait; m; m &= uint8_t(m - 1)) {
-        if (tagMissPending(tags[size_t(std::countr_zero(unsigned(m)))])) {
-            cls |= 1u << kPlaneMissWait;
-            break;
-        }
+        if (tagMissPending(tags[size_t(std::countr_zero(unsigned(m)))]))
+            return kStallMissWait;
     }
-    return cls;
+    return replayed ? kStallWaitReplayed : kStallWait;
 }
 
 void
 Scheduler::refreshStall(int idx)
 {
+    const StallClass cls = stallClassOf(idx);
+    uint8_t &cur = stallClass_[size_t(idx)];
+    if (cls == cur)
+        return;
+    --stallCount_[cur];
+    ++stallCount_[cls];
+    cur = cls;
     ++stallEpoch_;
-    const uint8_t cls = stallClassOf(idx);
-    const size_t w = size_t(idx) >> 6;
-    const uint64_t bit = uint64_t(1) << (unsigned(idx) & 63);
-    for (unsigned p = 0; p < kNumStallPlanes; ++p) {
-        uint64_t &word = stallBits_[p][w];
-        word = (cls >> p) & 1 ? word | bit : word & ~bit;
-    }
 }
 
 void
@@ -294,11 +290,14 @@ void
 Scheduler::setStallProbe(bool on)
 {
     stallProbe_ = on;
+    // A cached snapshot never outlives a switch: off, the next one
+    // throws; on, it is recomputed from the rebuilt classes.
+    ++stallEpoch_;
     if (!on)
         return;
-    ++stallEpoch_;
-    for (auto &plane : stallBits_)
-        plane.assign(validBits_.size(), 0);
+    stallClass_.assign(state_.size(), kStallNone);
+    stallCount_ = {};
+    stallCount_[kStallNone] = int(state_.size());
     forEachSetBit(validBits_, [&](size_t i) { refreshStall(int(i)); });
 }
 
@@ -947,75 +946,60 @@ Scheduler::doSelect(Cycle now, std::vector<MopIssue> *mop_issues)
 void
 Scheduler::collectStallSnapshot(Cycle now, StallSnapshot &snap) const
 {
-    if (!stallProbe_)
-        throw std::logic_error(
-            "collectStallSnapshot needs the stall probe switched on");
-    StallCache &sc = stallCache_;
-    if (!stallSnapshotReusable(now)) {
-        sc.until = computeStallSnapshot(now, sc.snap);
-        sc.epoch = stallEpoch_;
-        sc.issueSlots = lastIssueSlots_;
-        sc.issueSlotsWp = lastIssueSlotsWp_;
-        sc.from = now;
-    }
-    sc.last = now;
-    snap = sc.snap;
+    snap = stallSnapshot(now);
 }
 
-bool
-Scheduler::stallSnapshotReusable(Cycle now) const
+void
+Scheduler::refillStallSnapshot(Cycle now) const
 {
-    const StallCache &sc = stallCache_;
-    return sc.epoch == stallEpoch_ && sc.issueSlots == lastIssueSlots_ &&
-           sc.issueSlotsWp == lastIssueSlotsWp_ && now >= sc.from &&
-           now < sc.until;
+    if (!stallProbe_)
+        throw std::logic_error(
+            "the stall snapshot needs the stall probe switched on");
+    StallCache &sc = stallCache_;
+    sc.until = computeStallSnapshot(now, sc.snap);
+    sc.epoch = stallEpoch_;
+    sc.issueSlots = lastIssueSlots_;
+    sc.issueSlotsWp = lastIssueSlotsWp_;
+    sc.from = now;
 }
 
 Cycle
 Scheduler::computeStallSnapshot(Cycle now, StallSnapshot &snap) const
 {
+    // Ready entries (all sources ready, not pending, not issued) that
+    // requested selection this cycle and were not granted (width
+    // exhausted, FU conflict, or a dropped grant) lost select; the
+    // rest of them are before their select-request cycle
+    // (insert-to-select latency, or a replay penalty). That split is
+    // the only part that depends on the cycle, so only ready entries
+    // are visited; wrong-path ones are charged as such.
     Cycle until = kNoCycle;
-    snap = StallSnapshot{};
-    snap.issuedSlots = lastIssueSlots_ - lastIssueSlotsWp_;
-    snap.wrongPath = lastIssueSlotsWp_;
-    const auto &pl = stallBits_;
-    for (size_t w = 0; w < validBits_.size(); ++w) {
-        // Issued entries are in flight; their slot was charged at issue
-        // time. Each remaining entry goes to the first bucket it fits:
-        // wrong-path occupancy (doomed, whatever it waits on), then MOP
-        // heads pending their tail.
-        uint64_t live = validBits_[w] & ~pl[kPlaneIssued][w];
-        const uint64_t wrong = live & pl[kPlaneWrongPath][w];
-        live &= ~wrong;
-        const uint64_t pending = live & pl[kPlanePending][w];
-        live &= ~pending;
-        // Entries with all sources ready that requested selection this
-        // cycle and were not granted (width exhausted, FU conflict, or
-        // a dropped grant) lost select.
-        const uint64_t ready = live & readyBits_[w];
-        uint64_t losers = 0;
-        for (uint64_t b = ready; b; b &= b - 1) {
-            unsigned i = unsigned(std::countr_zero(b));
-            const Cycle at = minIssue_[w * 64 + i];
-            if (at <= now)
-                losers |= uint64_t(1) << i;
-            else
-                until = std::min(until, at);
+    int losers = 0;
+    int losersReplayed = 0;
+    forEachSetBit(readyBits_, [&](size_t i) {
+        const uint8_t cls = stallClass_[i];
+        if (cls != kStallReady && cls != kStallReadyReplayed)
+            return;
+        const Cycle at = minIssue_[i];
+        if (at <= now) {
+            ++losers;
+            losersReplayed += cls == kStallReadyReplayed;
+        } else {
+            until = std::min(until, at);
         }
-        const uint64_t waiting = live & watchBits_[w];
-        const uint64_t miss = waiting & pl[kPlaneMissWait][w];
-        // The rest are ready entries before their select-request cycle
-        // (insert-to-select latency, or a replay penalty) and entries
-        // waiting on a plain wakeup.
-        const uint64_t rest = (ready & ~losers) | (waiting & ~miss);
-        const uint64_t replayed = rest & pl[kPlaneReplayed][w];
-        snap.wrongPath += std::popcount(wrong);
-        snap.pendingHeads += std::popcount(pending);
-        snap.readyLosers += std::popcount(losers);
-        snap.missWait += std::popcount(miss);
-        snap.replayWait += std::popcount(replayed);
-        snap.wakeupWait += std::popcount(rest & ~replayed);
-    }
+    });
+    // Issued entries are in flight; their slot was charged at issue
+    // time. Every other entry is counted in its class.
+    const std::array<int, kNumStallClasses> &n = stallCount_;
+    snap.issuedSlots = lastIssueSlots_ - lastIssueSlotsWp_;
+    snap.wrongPath = lastIssueSlotsWp_ + n[kStallWrongPath];
+    snap.pendingHeads = n[kStallPending];
+    snap.readyLosers = losers;
+    snap.missWait = n[kStallMissWait];
+    snap.replayWait =
+        n[kStallReadyReplayed] - losersReplayed + n[kStallWaitReplayed];
+    snap.wakeupWait =
+        n[kStallReady] - (losers - losersReplayed) + n[kStallWait];
     return until;
 }
 
@@ -1023,6 +1007,7 @@ void
 Scheduler::tick(Cycle now, std::vector<ExecEvent> &completed,
                 std::vector<MopIssue> *mop_issues)
 {
+    foldOccupancyLedger();
     occAvg_.sample(double(occupied_));
 
     // Corrective recalls for injected spurious wakeups run before this
@@ -1259,18 +1244,12 @@ Scheduler::auditStructures()
                        " wakeup watch bitmap stale";
             });
         if (stallProbe_) {
-            const uint8_t want_cls = stallClassOf(int(i));
-            for (unsigned p = 0; p < kNumStallPlanes; ++p) {
-                integrity_.require(
-                    testBit(stallBits_[p], i) == bool((want_cls >> p) & 1),
-                    Check::IqAccounting, [i, p] {
-                        static const char *const names[kNumStallPlanes] = {
-                            "issued", "pending", "wrong-path", "replayed",
-                            "miss-wait"};
-                        return "entry " + std::to_string(i) + " " +
-                               names[p] + " stall-class bitmap stale";
-                    });
-            }
+            integrity_.require(
+                stallClass_[i] == stallClassOf(int(i)), Check::IqAccounting,
+                [i] {
+                    return "entry " + std::to_string(i) +
+                           " stall class stale";
+                });
         }
         if (!valid)
             continue;
@@ -1391,8 +1370,22 @@ Scheduler::auditStructures()
                                       "valid";
                            });
     }
-    // A snapshot collectStallSnapshot would hand out again must equal
-    // a fresh walk of the queue as it stands.
+    if (stallProbe_) {
+        std::array<int, kNumStallClasses> recount{};
+        for (uint8_t cls : stallClass_)
+            ++recount[cls];
+        integrity_.require(
+            recount == stallCount_, Check::IqAccounting,
+            "stall class counts disagree with the entries' classes");
+    }
+    // Every occupancy sample counted the live entries: Little's law
+    // on the sample clock (verify::OccupancyLedger).
+    integrity_.requireOccupancyLaw(
+        Check::IqAccounting, "issue queue", uint64_t(occAvg_.sum()),
+        occAvg_.count(), occupancyLedger(), uint64_t(occupied_),
+        occAvg_.count());
+    // A snapshot stallSnapshot would hand out again must equal a fresh
+    // walk of the queue as it stands.
     if (stallProbe_ && stallSnapshotReusable(stallCache_.last)) {
         StallSnapshot fresh;
         computeStallSnapshot(stallCache_.last, fresh);

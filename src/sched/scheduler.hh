@@ -221,7 +221,12 @@ class Scheduler
 
     /** Account @p n externally skipped idle cycles; bit-identical to
      *  the per-cycle occupancy samples the skipped ticks would take. */
-    void noteIdleCycles(uint64_t n) { occAvg_.sample(double(occupied_), n); }
+    void
+    noteIdleCycles(uint64_t n)
+    {
+        foldOccupancyLedger();
+        occAvg_.sample(double(occupied_), n);
+    }
 
     uint64_t issuedOps() const { return issuedOps_; }
     uint64_t issuedEntries() const { return issuedEntries_; }
@@ -266,31 +271,52 @@ class Scheduler
 
     // --- stall attribution probe (observability layer) -----------------
 
-    /** Enable bookkeeping for collectStallSnapshot (miss-pending tag
-     *  bits, the stall-class planes and the per-cycle issue-slot
-     *  count). Off by default; the hot path then carries only dead
-     *  branches. Switching it on rebuilds the planes from the queue. */
+    /** Enable bookkeeping for the stall snapshot (miss-pending tag
+     *  bits, the per-entry stall classes and their counts, and the
+     *  per-cycle issue-slot count). Off by default; the hot path then
+     *  carries only dead branches. Switching it on rebuilds the
+     *  classes from the queue. */
     void setStallProbe(bool on);
     bool stallProbe() const { return stallProbe_; }
 
     /**
-     * Classify every occupied entry for cycle @p now, after tick(now)
-     * has run. issuedSlots counts select slots spent on useful work
-     * this cycle (including MOP slot debt); every non-issued entry is
-     * charged to exactly one waiting cause. Reads the stall-class
-     * planes word by word, so it costs O(bitmap words) plus one
-     * minIssue test per fully ready entry. Requires setStallProbe
-     * (throws std::logic_error otherwise).
+     * The stall snapshot of cycle @p now, after tick(now) has run.
+     * issuedSlots counts select slots spent on useful work this cycle
+     * (including MOP slot debt); every non-issued entry is charged to
+     * exactly one waiting cause. Built from the live count of each
+     * stall class plus one minIssue test per fully ready entry.
+     * Requires setStallProbe (throws std::logic_error otherwise).
      *
      * Returns the previous snapshot unrecomputed while nothing it
-     * reads has moved: the stall epoch (bumped by refreshStall and
-     * setStallProbe, which follow every change of a bitmap, plane or
-     * minIssue the walk reads), both issue-slot counts, and no ready
-     * entry's minIssue reached since (the walk records the earliest).
-     * auditStructures checks that a reusable snapshot equals a fresh
-     * walk.
+     * reads has moved: the stall epoch (bumped when an entry's class
+     * changes and by setStallProbe), both issue-slot counts, and no
+     * ready entry's minIssue reached since (the walk records the
+     * earliest). That test is inline, so a quiet cycle costs a
+     * compare. auditStructures checks that a reusable snapshot equals
+     * a fresh walk.
      */
+    const StallSnapshot &
+    stallSnapshot(Cycle now) const
+    {
+        if (!stallSnapshotReusable(now))
+            refillStallSnapshot(now);
+        stallCache_.last = now;
+        return stallCache_.snap;
+    }
+
+    /** stallSnapshot(now), copied into @p snap. */
     void collectStallSnapshot(Cycle now, StallSnapshot &snap) const;
+
+    /** Arrivals and departures of issue-queue entries, stamped on the
+     *  occupancy-sample clock: the number of per-cycle samples taken
+     *  (tick and noteIdleCycles) when the entry was inserted or freed.
+     *  auditStructures checks occupancyAvg() against it. */
+    const verify::OccupancyLedger &
+    occupancyLedger() const
+    {
+        foldOccupancyLedger();
+        return occLedger_;
+    }
 
   private:
     struct Broadcast
@@ -487,45 +513,61 @@ class Scheduler
      *  the only ones deliverTag compares tags against. */
     std::vector<uint64_t> watchBits_;
     /** Recompute entry @p idx's readyBits_/watchBits_ bits, and its
-     *  stall-class bits under the stall probe. */
+     *  stall class under the stall probe. */
     void refreshReady(int idx);
 
     /**
-     * Stall-class planes, one bitmap over the entries each, kept only
-     * under the stall probe (empty otherwise). Bit i of the first four
-     * mirrors valid entry i's kFIssued / kFPending / kFWrongPath /
-     * kFReplayed flag; kPlaneMissWait has bit i set iff entry i waits
-     * on a source whose tagMissPending_ bit is set. An entry's bits
-     * are rewritten by refreshStall wherever its flags or wait mask
-     * change: from refreshReady (insert, appendTail, clearPending,
-     * wakeup, recall, invalidate, squash), issueEntry and freeEntry.
-     * Setting a tag's miss bit refreshes its waiting consumers
-     * (markMissPending); the bit is cleared only by the delivery that
-     * wakes, and so refreshes, every consumer of the tag.
+     * Stall classes, kept only under the stall probe. Each entry holds
+     * the one class the snapshot charges it to, in ladder order:
+     * issued (or free) entries are none; then wrong-path, whatever the
+     * entry waits on; then MOP heads pending their tail; then fully
+     * ready entries, replayed or not; then entries waiting on a source
+     * whose tagMissPending_ bit is set; then the other waiting
+     * entries, replayed or not. stallCount_ holds the live count of
+     * each class. An entry's class is re-derived by refreshStall
+     * wherever its flags or wait mask change: from refreshReady
+     * (insert, appendTail, clearPending, wakeup, recall, invalidate,
+     * squash), issueEntry and freeEntry. Setting a tag's miss bit
+     * refreshes its waiting consumers (markMissPending); the bit is
+     * cleared only by the delivery that wakes, and so refreshes, every
+     * consumer of the tag.
      */
-    enum StallPlane : unsigned
+    enum StallClass : uint8_t
     {
-        kPlaneIssued,
-        kPlanePending,
-        kPlaneWrongPath,
-        kPlaneReplayed,
-        kPlaneMissWait,
-        kNumStallPlanes,
+        kStallNone,
+        kStallWrongPath,
+        kStallPending,
+        kStallReady,
+        kStallReadyReplayed,
+        kStallMissWait,
+        kStallWaitReplayed,
+        kStallWait,
+        kNumStallClasses,
     };
-    std::array<std::vector<uint64_t>, kNumStallPlanes> stallBits_;
-    /** Entry @p idx's plane bits as its state dictates: bit p set iff
-     *  plane p should hold the entry (0 for a free entry). */
-    uint8_t stallClassOf(int idx) const;
-    /** Rewrite entry @p idx's bit in every stall-class plane and bump
-     *  the stall epoch. Kept out of line so the probe-off refreshReady
-     *  stays a leaf. */
+    std::vector<uint8_t> stallClass_;  ///< StallClass per entry
+    std::array<int, kNumStallClasses> stallCount_{};
+    /** Entry @p idx's class as its state dictates. */
+    StallClass stallClassOf(int idx) const;
+    /** Re-derive entry @p idx's class; on a change, move one count and
+     *  bump the stall epoch. Kept out of line so the probe-off
+     *  refreshReady stays a leaf. */
     [[gnu::noinline]] void refreshStall(int idx);
-    /** collectStallSnapshot's walk, without the cache. Returns the
-     *  earliest minIssue after @p now of a ready entry that has not
-     *  requested selection yet (kNoCycle if none). */
+    /** The snapshot's walk, without the cache. Returns the earliest
+     *  minIssue after @p now of a ready entry that has not requested
+     *  selection yet (kNoCycle if none). */
     Cycle computeStallSnapshot(Cycle now, StallSnapshot &snap) const;
+    /** Recompute the cached snapshot for cycle @p now (throws
+     *  std::logic_error without the probe). */
+    void refillStallSnapshot(Cycle now) const;
     /** The cached snapshot may stand for cycle @p now. */
-    bool stallSnapshotReusable(Cycle now) const;
+    bool
+    stallSnapshotReusable(Cycle now) const
+    {
+        const StallCache &sc = stallCache_;
+        return sc.epoch == stallEpoch_ && sc.issueSlots == lastIssueSlots_ &&
+               sc.issueSlotsWp == lastIssueSlotsWp_ && now >= sc.from &&
+               now < sc.until;
+    }
     /** True if tag @p t has an uncorrected DL1-miss wakeup pending. */
     bool tagMissPending(Tag t) const;
     /** Set tag @p t's miss-pending bit and refresh the entries waiting
@@ -594,6 +636,24 @@ class Scheduler
     uint64_t insertedOps_ = 0;
     uint64_t insertedEntries_ = 0;
     stats::Average occAvg_;
+    /** Every insert and free since the last sample carries the same
+     *  stamp, so the ledger is brought up to date at each sample (and
+     *  when read) from insertedEntries_ and occupied_: a few
+     *  operations per sample instead of a read-modify-write at every
+     *  insert and free. Folding early changes no sum, hence mutable. */
+    mutable verify::OccupancyLedger occLedger_;
+    mutable uint64_t ledgerInserted_ = 0;  ///< inserts stamped so far
+    mutable uint64_t ledgerFreed_ = 0;     ///< frees stamped so far
+    void
+    foldOccupancyLedger() const
+    {
+        const uint64_t clock = occAvg_.count();
+        const uint64_t freed = insertedEntries_ - uint64_t(occupied_);
+        occLedger_.arrive(clock, insertedEntries_ - ledgerInserted_);
+        occLedger_.depart(clock, freed - ledgerFreed_);
+        ledgerInserted_ = insertedEntries_;
+        ledgerFreed_ = freed;
+    }
 
     // Scratch (avoid per-tick allocation).
     std::vector<int> readyScratch_;
@@ -610,7 +670,11 @@ class Scheduler
     bool stallProbe_ = false;
     int lastIssueSlots_ = 0;  ///< useful select slots last doSelect
     int lastIssueSlotsWp_ = 0; ///< of those, wrong-path entry issues
-    /** Bumped wherever a stall plane is rewritten (see refreshStall). */
+    /** Bumped when an entry's stall class changes (see refreshStall)
+     *  and by setStallProbe. Every minIssue_ write either changes its
+     *  entry's class (insert, invalidateEntry, appendTail ending the
+     *  pending state) or hits a pending or wrong-path entry, which the
+     *  ready walk does not read, so no other bump is needed. */
     uint64_t stallEpoch_ = 0;
     /** The last computed snapshot and the inputs it was computed from. */
     struct StallCache

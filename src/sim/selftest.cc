@@ -14,13 +14,8 @@
 namespace mop::sim
 {
 
-namespace
-{
-
-/** Injection rate per kind, tuned so a few-thousand-cycle run sees
- *  multiple fires without drowning the machine. */
 double
-rateFor(verify::FaultKind k)
+selftestRate(verify::FaultKind k)
 {
     switch (k) {
       case verify::FaultKind::SpuriousWakeup: return 0.02;
@@ -35,6 +30,9 @@ rateFor(verify::FaultKind k)
     }
     return 0;
 }
+
+namespace
+{
 
 struct CellOutcome
 {
@@ -83,7 +81,7 @@ classify(const prog::Program &prog, Machine m, verify::FaultKind k,
          uint64_t seed, uint64_t ref_insts)
 {
     RunConfig cfg = cellConfig(m, seed);
-    cfg.faults[k] = rateFor(k);
+    cfg.faults[k] = selftestRate(k);
     uint64_t fires = 0;
     try {
         uint64_t insts = runCell(prog, cfg, &fires);

@@ -27,8 +27,15 @@
 #include <ostream>
 #include <string>
 
+#include "verify/fault_injector.hh"
+
 namespace mop::sim
 {
+
+/** Injection rate of fault kind @p k in every cell, tuned so a
+ *  few-thousand-cycle run sees multiple fires without drowning the
+ *  machine. */
+double selftestRate(verify::FaultKind k);
 
 struct SelftestResult
 {

@@ -77,6 +77,8 @@ class Average
     double min() const { return min_; }
     double max() const { return max_; }
     uint64_t count() const { return count_; }
+    /** Sum of the samples; exact for integral samples below 2^53. */
+    double sum() const { return sum_; }
 
   private:
     double sum_ = 0;
@@ -110,6 +112,9 @@ class Histogram
     uint64_t countInRange(int64_t a, int64_t b) const;
 
     double mean() const { return total_ ? sum_ / double(total_) : 0.0; }
+    /** Sum of the sampled values (each times its weight); exact for
+     *  integral sums below 2^53. */
+    double sum() const { return sum_; }
 
     /**
      * Smallest bucket lower bound whose cumulative count reaches

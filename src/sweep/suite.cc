@@ -791,7 +791,8 @@ usage(std::ostream &os)
           "  --max-attempts N  tries per run before quarantine "
           "(default 3)\n"
           "  --cache-verify  CRC-check every cache record (quarantine\n"
-          "                  damage, upgrade v1) and exit\n"
+          "                  damage and pre-CRC records, which the\n"
+          "                  next sweep recomputes) and exit\n"
           "  --cache-max-bytes N\n"
           "                  evict least-recently-used cache records\n"
           "                  beyond N bytes after the sweep\n"

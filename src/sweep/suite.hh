@@ -148,8 +148,9 @@ struct SuiteOptions
     double jobTimeout = 0;
     /** Attempt budget per job before quarantine (--isolate). */
     int maxAttempts = 3;
-    /** Verify every cache record (CRC check, quarantine damage,
-     *  upgrade v1) and exit instead of sweeping. */
+    /** Verify every cache record (CRC check; damaged and pre-CRC
+     *  records are quarantined, and the next sweep recomputes them)
+     *  and exit instead of sweeping. */
     bool cacheVerify = false;
     /** Evict least-recently-used cache records beyond this many bytes
      *  after the sweep (0 = no budget). */

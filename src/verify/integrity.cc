@@ -25,6 +25,23 @@ IntegrityChecker::fail(Check c, const std::string &msg)
     throw IntegrityError(checkName(c), msg);
 }
 
+void
+IntegrityChecker::requireOccupancyLaw(Check c, const char *what,
+                                      uint64_t sum, uint64_t samples,
+                                      const OccupancyLedger &ledger,
+                                      uint64_t live, uint64_t horizon)
+{
+    const uint64_t want = ledger.expectedSum(live, horizon);
+    if (sum != want) {
+        fail(c, std::string(what) + ": " + std::to_string(samples) +
+                    " occupancy samples sum to " + std::to_string(sum) +
+                    ", arrivals and departures give " +
+                    std::to_string(want) + " (" + std::to_string(live) +
+                    " live at sample clock " + std::to_string(horizon) +
+                    ")");
+    }
+}
+
 uint64_t
 IntegrityChecker::totalViolations() const
 {

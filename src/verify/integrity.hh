@@ -41,6 +41,42 @@ class IntegrityError : public std::runtime_error
     std::string check_;
 };
 
+/**
+ * Little's law, exactly and in integers, for one structure whose
+ * occupancy is sampled once per cycle (Carroll & Lin's queuing view:
+ * occupancy is time spent at each value). Each arrival and departure
+ * is stamped with the index of the first sample that counts the entry
+ * or no longer counts it, so an entry contributes D - A samples and,
+ * after n samples,
+ *
+ *     sum of the samples == sum D - sum A + live * n.
+ *
+ * Entries that arrive or leave between the same two samples share a
+ * stamp, so a structure can add them up once per sample. A sampler
+ * that drops or repeats a cycle, or samples anything but the live
+ * count, breaks the identity. The sums wrap modulo 2^64 and the
+ * differences come out exact.
+ */
+class OccupancyLedger
+{
+  public:
+    /** @p n entries arrive at @p at. */
+    void arrive(uint64_t at, uint64_t n = 1) { arrivals_ += at * n; }
+    /** @p n entries leave at @p at. */
+    void depart(uint64_t at, uint64_t n = 1) { departures_ += at * n; }
+
+    /** What n samples must sum to while @p live entries remain. */
+    uint64_t
+    expectedSum(uint64_t live, uint64_t n) const
+    {
+        return departures_ - arrivals_ + live * n;
+    }
+
+  private:
+    uint64_t arrivals_ = 0;
+    uint64_t departures_ = 0;
+};
+
 class IntegrityChecker
 {
   public:
@@ -93,6 +129,14 @@ class IntegrityChecker
         if (!ok) [[unlikely]]
             fail(c, std::string(msg_fn()));
     }
+
+    /** Require @p samples occupancy samples of @p what, summing to
+     *  @p sum, to satisfy @p ledger's identity with @p live entries
+     *  (OccupancyLedger), with the ledger's clock standing at
+     *  @p horizon. A cold path: audits and end of run. */
+    void requireOccupancyLaw(Check c, const char *what, uint64_t sum,
+                             uint64_t samples, const OccupancyLedger &ledger,
+                             uint64_t live, uint64_t horizon);
 
     uint64_t violations(Check c) const { return violations_[size_t(c)]; }
     uint64_t totalViolations() const;

@@ -355,6 +355,72 @@ TEST(ObserverFold, FoldedRunsMatchPerCycleCharging)
     std::remove(path.c_str());
 }
 
+TEST(ObserverOccupancy, TalliesKeepLittlesLawAndAMissedCycleBreaksIt)
+{
+    // A random issue queue and ROB fed to an Observer once per cycle,
+    // with their arrivals and departures in ledgers stamped with the
+    // cycle. The histograms finish() samples from the per-value
+    // tallies hold Little's law; an observer that misses one busy
+    // cycle breaks it.
+    using Check = verify::IntegrityChecker::Check;
+    constexpr uint64_t kCycles = 3000;
+    struct Queue
+    {
+        explicit Queue(uint64_t c) : cap(c) {}
+
+        uint64_t cap;
+        uint64_t live = 0;
+        verify::OccupancyLedger ledger;
+
+        void
+        step(std::mt19937 &rng, uint64_t c)
+        {
+            const uint64_t in = std::min<uint64_t>(rng() % 4, cap - live);
+            for (uint64_t i = 0; i < in; ++i)
+                ledger.arrive(c);
+            live += in;
+            const uint64_t out = std::min<uint64_t>(rng() % 4, live);
+            ledger.depart(c, out);
+            live -= out;
+        }
+    };
+    for (bool missOne : {false, true}) {
+        std::mt19937 rng(11);
+        obs::ObsConfig cfg;
+        cfg.enabled = true;
+        obs::Observer ob(cfg, 4, 32, 128);
+        Queue iq(32), rob(128);
+        bool missed = false;
+        for (uint64_t c = 0; c < kCycles; ++c) {
+            iq.step(rng, c);
+            rob.step(rng, c);
+            if (missOne && !missed && c >= kCycles / 2 && iq.live > 0 &&
+                rob.live > 0) {
+                missed = true;
+                continue;
+            }
+            ob.onCycle(c, sched::StallSnapshot{}, obs::StallCause::Frontend,
+                       int(iq.live), int(rob.live), 0, 0);
+        }
+        ob.finish();
+        verify::IntegrityChecker ic;
+        auto law = [&](const stats::Histogram &h, const Queue &q) {
+            ic.requireOccupancyLaw(Check::IqAccounting, "obs.occ",
+                                   uint64_t(h.sum()), h.total(), q.ledger,
+                                   q.live, kCycles);
+        };
+        EXPECT_EQ(ob.iqOccupancy().total(), kCycles - missOne);
+        EXPECT_EQ(ob.robOccupancy().total(), kCycles - missOne);
+        if (missOne) {
+            EXPECT_THROW(law(ob.iqOccupancy(), iq), verify::IntegrityError);
+            EXPECT_THROW(law(ob.robOccupancy(), rob), verify::IntegrityError);
+        } else {
+            EXPECT_NO_THROW(law(ob.iqOccupancy(), iq));
+            EXPECT_NO_THROW(law(ob.robOccupancy(), rob));
+        }
+    }
+}
+
 TEST(StallAccounting, InvariantHoldsOnEveryProfile)
 {
     // The acceptance criterion of the observability PR: on every

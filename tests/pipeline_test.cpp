@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "prog/kernels.hh"
 #include "sched/policy.hh"
 #include "sim/config.hh"
+#include "sim/selftest.hh"
 #include "stats/stats.hh"
 #include "sweep/result_cache.hh"
 #include "trace/profiles.hh"
@@ -356,6 +358,57 @@ TEST(Termination, TinyQueuesCompleteOrAreRejected)
     // iq 1 on the two MOP machines (2 x 3 policies x 3 sizes x 2 x 2)
     // and load-delay on the two select-free machines (2 x 4 x 3 x 2 x 2).
     EXPECT_EQ(rejected, 168);
+}
+
+TEST(Termination, TinyQueuesUnderEveryFaultKindWithObsOn)
+{
+    // Every machine x iq {2, 4} x each fault kind at the selftest's
+    // rate, with stall attribution on: a cell either runs its budget
+    // with every issue slot charged once, or ends in a checked error.
+    // A broken stall invariant is neither; the watchdogs bound the
+    // rest, so no cell can hang.
+    int completed = 0, checked = 0;
+    for (Machine m : sim::allMachines())
+        for (int iq : {2, 4})
+            for (size_t k = 0; k < verify::kNumFaultKinds; ++k) {
+                const auto kind = verify::FaultKind(k);
+                RunConfig cfg;
+                cfg.machine = m;
+                cfg.iqEntries = iq;
+                cfg.obs.enabled = true;
+                cfg.faults[kind] = sim::selftestRate(kind);
+                cfg.faults.seed = 42;
+                const std::string cell =
+                    std::string(sim::machineName(m)) + " iq " +
+                    std::to_string(iq) + " " + verify::faultKindName(kind);
+                pipeline::SimResult r;
+                try {
+                    r = sim::runBenchmark("gzip", cfg, 2000);
+                } catch (const verify::IntegrityError &e) {
+                    EXPECT_NE(e.check(), "stall-accounting")
+                        << cell << ": " << e.what();
+                    ++checked;
+                    continue;
+                } catch (const sched::DeadlockError &) {
+                    ++checked;
+                    continue;
+                } catch (const std::invalid_argument &) {
+                    ++checked;
+                    continue;
+                }
+                ++completed;
+                EXPECT_EQ(r.insts, 2000u) << cell;
+                ASSERT_GT(r.stallWidth, 0u) << cell;
+                EXPECT_EQ(std::accumulate(r.stallSlots.begin(),
+                                          r.stallSlots.end(), uint64_t(0)),
+                          uint64_t(r.stallWidth) * r.cycles)
+                    << cell;
+            }
+    // Corrupt-wakeup deadlocks every machine at both sizes, and
+    // corrupt-mop the two MOP machines at iq 2; the other 82 finish.
+    EXPECT_EQ(completed + checked,
+              int(sim::allMachines().size() * 2 * verify::kNumFaultKinds));
+    EXPECT_EQ(checked, 14);
 }
 
 } // namespace

@@ -16,9 +16,9 @@
  *     every cycle is charged to exactly one cause
  *     (sum(causes) == issueWidth * cycles), including under fault
  *     injection and across wrong-path squashes, and the structural
- *     audit (which checks the stall-class bitmaps, and that a stall
- *     snapshot the scheduler would reuse equals a fresh walk) passes
- *     every cycle.
+ *     audit (which checks every entry's stall class and the class
+ *     counts, and that a stall snapshot the scheduler would reuse
+ *     equals a fresh walk) passes every cycle.
  */
 
 #include <gtest/gtest.h>
@@ -335,8 +335,8 @@ TEST_P(SchedStallWrongPath, SquashedEpisodesKeepPlanesExact)
     // branch anchor is wrong-path, queued and issued alongside the
     // right path, then squashed at the anchor while some are still
     // waiting (splitting a MOP when the anchor is its head). The
-    // stall-class bitmaps must follow every free and flag change of
-    // the squash, and wrong-path occupancy must be charged.
+    // stall classes and their counts must follow every free and flag
+    // change of the squash, and wrong-path occupancy must be charged.
     const LoopPolicy policies[] = {
         LoopPolicy::Atomic,
         LoopPolicy::TwoCycle,
@@ -375,10 +375,10 @@ TEST_P(SchedStallWrongPath, SquashedEpisodesKeepPlanesExact)
 
 TEST(SchedStallProbe, SwitchingOnMidRunRebuildsThePlanes)
 {
-    // The stall-class bitmaps exist only under the probe. Switching it
+    // The stall classes are kept only under the probe. Switching it
     // on over a busy queue (issued, waiting, ready and pending entries,
-    // loads in a miss shadow) must rebuild them from the entries, so
-    // the audit passes at once and keeps passing.
+    // loads in a miss shadow) must rebuild them and their counts from
+    // the entries, so the audit passes at once and keeps passing.
     std::mt19937 rng(7);
     std::vector<GenOp> dag = makeDag(rng, false, 24);
     Harness h(Harness::params(LoopPolicy::TwoCycle));

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -173,6 +176,56 @@ TEST(Integrity, LiteralMessageIsBuiltOnlyOnFailure)
             << e.what();
     }
     EXPECT_EQ(c.violations(Check::StallAccounting), 1u);
+}
+
+TEST(Integrity, OccupancyLawFiresOnAOneCycleDiscrepancy)
+{
+    // A queue sampled at the end of every cycle, with random arrivals
+    // and departures stamped with their cycle. The identity holds over
+    // the true samples; a sampler that drops or repeats any one busy
+    // cycle breaks it.
+    using Check = verify::IntegrityChecker::Check;
+    std::mt19937 rng(3);
+    verify::OccupancyLedger ledger;
+    std::vector<uint64_t> samples;
+    uint64_t live = 0;
+    for (uint64_t c = 0; c < 400; ++c) {
+        for (unsigned a = rng() % 3; a > 0; --a) {
+            ledger.arrive(c);
+            ++live;
+        }
+        const uint64_t leave = std::min<uint64_t>(live, rng() % 3);
+        ledger.depart(c, leave);
+        live -= leave;
+        samples.push_back(live);
+    }
+    const uint64_t n = samples.size();
+    const uint64_t sum =
+        std::accumulate(samples.begin(), samples.end(), uint64_t(0));
+    verify::IntegrityChecker ic;
+    auto law = [&](uint64_t s) {
+        ic.requireOccupancyLaw(Check::IqAccounting, "queue", s, n, ledger,
+                               live, n);
+    };
+    EXPECT_NO_THROW(law(sum));
+    int busy = 0;
+    for (uint64_t t = 0; t < n; ++t) {
+        if (samples[t] == 0)
+            continue;
+        ++busy;
+        EXPECT_THROW(law(sum - samples[t]), verify::IntegrityError) << t;
+        EXPECT_THROW(law(sum + samples[t]), verify::IntegrityError) << t;
+    }
+    EXPECT_GT(busy, 300);
+    try {
+        law(sum + 1);
+        FAIL() << "an off-by-one sum must throw";
+    } catch (const verify::IntegrityError &e) {
+        EXPECT_EQ(e.check(), "iq-accounting");
+        EXPECT_NE(std::string(e.what()).find("queue: 400 occupancy samples"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Integrity, ViolationCountersAppearInStats)
