@@ -1,7 +1,8 @@
 #include "analysis/characterize.hh"
 
+#include <algorithm>
 #include <array>
-#include <vector>
+#include <deque>
 
 namespace mop::analysis
 {
@@ -30,40 +31,76 @@ struct InsnRec
     }
 };
 
-/** Read up to @p max_insts merged instruction records. */
-std::vector<InsnRec>
-collect(trace::TraceSource &src, uint64_t max_insts)
+/**
+ * Up to @p max_insts merged instruction records from @p src, one at a
+ * time. A store's StoreData half folds its source into the store's
+ * record, so a record is handed out only once the next one starts (or
+ * the budget or the stream ends): memory is one record at any budget.
+ * Once the budget's last record has started, no further µop is read,
+ * so that record's StoreData half is not folded in.
+ */
+class InsnStream
 {
-    std::vector<InsnRec> out;
-    out.reserve(size_t(max_insts));
-    isa::MicroOp u;
-    while (out.size() < max_insts && src.next(u)) {
-        if (u.op == isa::OpClass::Nop)
-            continue;
-        if (!u.firstUop) {
-            // StoreData half: fold its source into the store record.
-            if (!out.empty())
-                out.back().allSrc[2] = u.src[0];
-            continue;
-        }
-        InsnRec r;
-        r.op = u.op;
-        r.dst = u.dst;
-        r.candSrc = u.src;
-        r.allSrc = {u.src[0], u.src[1], isa::kNoReg};
-        out.push_back(r);
+  public:
+    InsnStream(trace::TraceSource &src, uint64_t max_insts)
+        : src_(src), left_(max_insts)
+    {
     }
-    return out;
-}
+
+    /** The next record into @p out; false when none is left. */
+    bool
+    next(InsnRec &out)
+    {
+        isa::MicroOp u;
+        while (left_ > 0 && !ended_) {
+            if (!src_.next(u)) {
+                ended_ = true;
+                break;
+            }
+            if (u.op == isa::OpClass::Nop)
+                continue;
+            if (!u.firstUop) {
+                // StoreData half: fold its source into the store record.
+                if (holding_)
+                    held_.allSrc[2] = u.src[0];
+                continue;
+            }
+            InsnRec r;
+            r.op = u.op;
+            r.dst = u.dst;
+            r.candSrc = u.src;
+            r.allSrc = {u.src[0], u.src[1], isa::kNoReg};
+            --left_;
+            if (holding_) {
+                out = held_;
+                held_ = r;
+                return true;
+            }
+            held_ = r;
+            holding_ = true;
+        }
+        if (!holding_)
+            return false;
+        out = held_;
+        holding_ = false;
+        return true;
+    }
+
+  private:
+    trace::TraceSource &src_;
+    uint64_t left_;         ///< records that may still start
+    InsnRec held_;          ///< started, not yet handed out
+    bool holding_ = false;
+    bool ended_ = false;    ///< the source is exhausted
+};
 
 } // namespace
 
 DistanceResult
 characterizeDistance(trace::TraceSource &src, uint64_t max_insts)
 {
-    std::vector<InsnRec> insns = collect(src, max_insts);
+    InsnStream insns(src, max_insts);
     DistanceResult res;
-    res.totalInsts = insns.size();
 
     struct Pending
     {
@@ -85,8 +122,8 @@ characterizeDistance(trace::TraceSource &src, uint64_t max_insts)
         p = Pending{};
     };
 
-    for (size_t i = 0; i < insns.size(); ++i) {
-        const InsnRec &r = insns[i];
+    int64_t i = 0;
+    for (InsnRec r; insns.next(r); ++i) {
         // Consumer side: any read keeps the producer "live"; a read by
         // a candidate through a groupable operand resolves the bucket.
         for (int16_t reg : r.allSrc) {
@@ -102,7 +139,7 @@ characterizeDistance(trace::TraceSource &src, uint64_t max_insts)
                                   r.candSrc[1] == reg;
             if (!groupable_edge)
                 continue;
-            int64_t dist = int64_t(i) - p.idx;
+            int64_t dist = i - p.idx;
             if (dist <= 3)
                 ++res.dist1to3;
             else if (dist <= 7)
@@ -117,10 +154,11 @@ characterizeDistance(trace::TraceSource &src, uint64_t max_insts)
             finalize(p);
             if (r.isValueGenCandidate()) {
                 ++res.valueGenCands;
-                p.idx = int64_t(i);
+                p.idx = i;
             }
         }
     }
+    res.totalInsts = uint64_t(i);
     for (auto &p : pend)
         finalize(p);
     return res;
@@ -130,80 +168,95 @@ GroupingResult
 characterizeGrouping(trace::TraceSource &src, uint64_t max_insts,
                      int max_mop_size, int scope)
 {
-    std::vector<InsnRec> insns = collect(src, max_insts);
-    const size_t n = insns.size();
     GroupingResult res;
-    res.totalInsts = n;
 
-    // Producer index of each groupable source (rename semantics).
-    std::vector<std::array<int64_t, 2>> prod(n, {-1, -1});
+    // A chain headed at instruction i reaches at most i + scope - 1,
+    // and no later head can claim i, so the records of one scope are
+    // all the state the greedy pass needs: win holds instructions
+    // base .. base + win.size() - 1.
+    struct Slot
     {
-        std::array<int64_t, isa::kNumLogicalRegs> last_writer;
-        last_writer.fill(-1);
-        for (size_t i = 0; i < n; ++i) {
-            for (int s = 0; s < 2; ++s) {
-                int16_t reg = insns[i].candSrc[size_t(s)];
-                if (reg != isa::kNoReg)
-                    prod[i][size_t(s)] = last_writer[size_t(reg)];
-            }
-            if (insns[i].dst != isa::kNoReg)
-                last_writer[size_t(insns[i].dst)] = int64_t(i);
-        }
-    }
+        InsnRec r;
+        /** Producer index of each groupable source (rename semantics). */
+        std::array<int64_t, 2> prod = {-1, -1};
+        bool claimed = false;
+    };
+    const size_t window = size_t(std::max(scope, 1));
+    std::deque<Slot> win;
+    int64_t base = 0;
+    std::array<int64_t, isa::kNumLogicalRegs> last_writer;
+    last_writer.fill(-1);
 
-    std::vector<bool> claimed(n, false);
-    auto grouped_count = [&](size_t i) {
-        if (insns[i].isValueGenCandidate())
+    auto grouped_count = [&](const Slot &s) {
+        if (s.r.isValueGenCandidate())
             ++res.groupedValueGen;
         else
             ++res.groupedNonValueGen;
     };
 
-    for (size_t i = 0; i < n; ++i) {
-        if (claimed[i] || !insns[i].isValueGenCandidate())
-            continue;
-        // Greedy chain: repeatedly attach the nearest unclaimed
-        // dependent candidate within the scope of the chain head.
-        size_t cur = i;
-        int chain = 1;
-        while (chain < max_mop_size) {
-            size_t limit = std::min(n, i + size_t(scope));
-            size_t next = 0;
-            bool found = false;
-            for (size_t j = cur + 1; j < limit; ++j) {
-                if (claimed[j] || !insns[j].isCandidate())
-                    continue;
-                if (prod[j][0] == int64_t(cur) ||
-                    prod[j][1] == int64_t(cur)) {
-                    next = j;
-                    found = true;
-                    break;
+    // Greedy chain from the oldest record: repeatedly attach the
+    // nearest unclaimed dependent candidate within the scope of the
+    // chain head; then its own classification is final.
+    auto retire_head = [&] {
+        Slot &head = win.front();
+        if (!head.claimed && head.r.isValueGenCandidate()) {
+            int64_t cur = base;
+            int chain = 1;
+            while (chain < max_mop_size) {
+                Slot *next = nullptr;
+                int64_t next_idx = 0;
+                for (int64_t j = cur + 1; j < base + int64_t(win.size());
+                     ++j) {
+                    Slot &s = win[size_t(j - base)];
+                    if (s.claimed || !s.r.isCandidate())
+                        continue;
+                    if (s.prod[0] == cur || s.prod[1] == cur) {
+                        next = &s;
+                        next_idx = j;
+                        break;
+                    }
                 }
+                if (!next)
+                    break;
+                if (chain == 1) {
+                    head.claimed = true;
+                    grouped_count(head);
+                    ++res.groups;
+                }
+                next->claimed = true;
+                grouped_count(*next);
+                ++chain;
+                cur = next_idx;
+                if (!next->r.isValueGenCandidate())
+                    break;  // a tail with no destination ends the chain
             }
-            if (!found)
-                break;
-            if (chain == 1) {
-                claimed[i] = true;
-                grouped_count(i);
-                ++res.groups;
-            }
-            claimed[next] = true;
-            grouped_count(next);
-            ++chain;
-            cur = next;
-            if (!insns[cur].isValueGenCandidate())
-                break;  // a tail with no destination ends the chain
         }
-    }
+        if (!head.claimed) {
+            if (head.r.isCandidate())
+                ++res.candNotGrouped;
+            else
+                ++res.notCandidate;
+        }
+        win.pop_front();
+        ++base;
+    };
 
-    for (size_t i = 0; i < n; ++i) {
-        if (claimed[i])
-            continue;
-        if (insns[i].isCandidate())
-            ++res.candNotGrouped;
-        else
-            ++res.notCandidate;
+    InsnStream insns(src, max_insts);
+    for (InsnRec r; insns.next(r);) {
+        Slot s;
+        s.r = r;
+        for (size_t k = 0; k < 2; ++k)
+            if (r.candSrc[k] != isa::kNoReg)
+                s.prod[k] = last_writer[size_t(r.candSrc[k])];
+        if (r.dst != isa::kNoReg)
+            last_writer[size_t(r.dst)] = base + int64_t(win.size());
+        win.push_back(s);
+        ++res.totalInsts;
+        if (win.size() == window)
+            retire_head();
     }
+    while (!win.empty())
+        retire_head();
     return res;
 }
 

@@ -17,6 +17,10 @@
  * MOPs of maximum size 2 ("2x") or 8 ("8x") within an 8-instruction
  * scope, classified as value-generating / non-value-generating
  * grouped, candidate-but-not-grouped, and non-candidate.
+ *
+ * Both stream the source: Figure 6 keeps one pending producer per
+ * register and Figure 7 one scope of instructions, so memory does not
+ * grow with the instruction budget.
  */
 
 #ifndef MOP_ANALYSIS_CHARACTERIZE_HH

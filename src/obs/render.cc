@@ -396,7 +396,6 @@ renderDashJson(const DashModel &m)
     os << "\"uniqueRuns\": " << m.uniqueRuns << ",\n";
     os << "\"cacheHits\": " << m.cacheHits << ",\n";
     os << "\"computedRuns\": " << m.computedRuns << ",\n";
-    os << "\"quarantined\": " << m.quarantined << ",\n";
     os << "\"simulatedInsts\": " << m.simulatedInsts << ",\n";
     os << "\"wallSeconds\": " << jsonNum(m.wallSeconds) << ",\n";
     os << "\"figures\": [\n";
@@ -433,9 +432,6 @@ renderDashJson(const DashModel &m)
            << ", \"cacheHits\": " << t.cacheHits
            << ", \"queuedRuns\": " << t.queuedRuns
            << ", \"simulatedInsts\": " << t.simulatedInsts
-           << ", \"retries\": " << t.retries
-           << ", \"crashes\": " << t.crashes
-           << ", \"quarantinedJobs\": " << t.quarantinedJobs
            << ", \"cacheCorrupt\": " << t.cacheCorrupt
            << ", \"cacheEvictions\": " << t.cacheEvictions
            << ", \"workers\": " << t.workers

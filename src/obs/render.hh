@@ -177,7 +177,6 @@ struct DashModel
     uint64_t uniqueRuns = 0;
     uint64_t cacheHits = 0;
     uint64_t computedRuns = 0;
-    uint64_t quarantined = 0;
     uint64_t simulatedInsts = 0;
     double wallSeconds = 0;
     std::vector<DashFigure> figures;

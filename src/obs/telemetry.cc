@@ -60,9 +60,6 @@ TelemetrySink::beginBatch(uint64_t total_runs, uint64_t cache_hits)
     completedRuns_ = 0;
     simulatedInsts_ = 0;
     busySeconds_ = 0;
-    retries_ = 0;
-    crashes_ = 0;
-    quarantinedJobs_ = 0;
     cacheCorrupt_ = 0;
     cacheEvictions_ = 0;
     start_ = Clock::now();
@@ -74,27 +71,6 @@ TelemetrySink::setBatchLabel(std::string label)
 {
     std::lock_guard<std::mutex> lk(mu_);
     batch_ = std::move(label);
-}
-
-void
-TelemetrySink::onRetry()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++retries_;
-}
-
-void
-TelemetrySink::onCrash()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++crashes_;
-}
-
-void
-TelemetrySink::onQuarantine()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++quarantinedJobs_;
 }
 
 void
@@ -122,14 +98,9 @@ TelemetrySink::snapshotLocked() const
     s.totalRuns = totalRuns_;
     s.completedRuns = completedRuns_;
     s.cacheHits = cacheHits_;
-    // Quarantined jobs will never complete: they are resolved holes,
-    // not queued work, so the queue drains to zero around them.
-    uint64_t done = completedRuns_ + cacheHits_ + quarantinedJobs_;
+    uint64_t done = completedRuns_ + cacheHits_;
     s.queuedRuns = totalRuns_ > done ? totalRuns_ - done : 0;
     s.simulatedInsts = simulatedInsts_;
-    s.retries = retries_;
-    s.crashes = crashes_;
-    s.quarantinedJobs = quarantinedJobs_;
     s.cacheCorrupt = cacheCorrupt_;
     s.cacheEvictions = cacheEvictions_;
     s.workers = workers_;
@@ -192,13 +163,6 @@ renderPrometheus(const TelemetrySink::Snapshot &s)
            "Estimated seconds until the batch drains.", s.etaSeconds);
     series("mop_sweep_simulated_insts_total", "gauge",
            "Instructions simulated so far.", s.simulatedInsts);
-    series("mop_sweep_retries_total", "counter",
-           "Failed job attempts that were retried.", s.retries);
-    series("mop_sweep_crashes_total", "counter",
-           "Sandboxed workers that died on a signal.", s.crashes);
-    series("mop_sweep_quarantined_jobs", "counter",
-           "Jobs abandoned after exhausting their attempt budget.",
-           s.quarantinedJobs);
     series("mop_sweep_cache_corrupt_total", "counter",
            "Damaged cache records detected and quarantined.",
            s.cacheCorrupt);
@@ -231,19 +195,7 @@ renderProgressLine(const TelemetrySink::Snapshot &s)
                       (unsigned long long)s.queuedRuns, s.workers,
                       100.0 * s.utilization);
     }
-    std::string line = buf;
-    // Failure segment only when something actually failed: clean
-    // sweeps keep the exact line they always had.
-    if (s.retries || s.crashes || s.quarantinedJobs) {
-        char fbuf[96];
-        std::snprintf(fbuf, sizeof fbuf,
-                      " | %llu retried, %llu crashed, %llu quarantined",
-                      (unsigned long long)s.retries,
-                      (unsigned long long)s.crashes,
-                      (unsigned long long)s.quarantinedJobs);
-        line += fbuf;
-    }
-    return line;
+    return buf;
 }
 
 std::string

@@ -39,10 +39,7 @@ class TelemetrySink
         uint64_t cacheHits = 0;      ///< satisfied from the result cache
         uint64_t queuedRuns = 0;     ///< not yet started or in flight
         uint64_t simulatedInsts = 0;
-        // Fault-tolerance counters (sweep supervisor + result cache).
-        uint64_t retries = 0;          ///< re-attempts after failures
-        uint64_t crashes = 0;          ///< workers that died on a signal
-        uint64_t quarantinedJobs = 0;  ///< jobs given up on (holes)
+        // Result-cache health.
         uint64_t cacheCorrupt = 0;     ///< damaged records quarantined
         uint64_t cacheEvictions = 0;   ///< records evicted by budget
         int workers = 0;
@@ -67,11 +64,6 @@ class TelemetrySink
     /** One run finished; @p seconds of worker time, @p insts simulated.
      *  Thread-safe. */
     void onRunCompleted(double seconds, uint64_t insts);
-
-    // Fault-tolerance events (all thread-safe).
-    void onRetry();       ///< a failed attempt is being retried
-    void onCrash();       ///< a worker died on a signal
-    void onQuarantine();  ///< a job exhausted its attempts (hole)
 
     /** Cache-health counters, set from ResultCache totals. */
     void setCacheHealth(uint64_t corrupt, uint64_t evictions);
@@ -109,9 +101,6 @@ class TelemetrySink
     uint64_t cacheHits_ = 0;
     uint64_t simulatedInsts_ = 0;
     double busySeconds_ = 0;
-    uint64_t retries_ = 0;
-    uint64_t crashes_ = 0;
-    uint64_t quarantinedJobs_ = 0;
     uint64_t cacheCorrupt_ = 0;
     uint64_t cacheEvictions_ = 0;
     std::string batch_;

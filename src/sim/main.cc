@@ -81,6 +81,8 @@ usage(std::ostream &os)
         "                     kinds: spurious-wakeup drop-grant\n"
         "                     delay-bcast replay-storm miss-burst\n"
         "                     corrupt-mop corrupt-wakeup corrupt-commit\n"
+        "                     (corrupt-commit needs the golden model:\n"
+        "                     --kernel without --no-golden)\n"
         "  --seed <n>         fault-injection RNG seed (default 1);\n"
         "                     same seed + same run = identical stats\n"
         "  --no-golden        disable the golden-model cross-check that\n"
@@ -274,6 +276,15 @@ main(int argc, char **argv)
         std::string why = pipeline::configError(sim::makeCoreParams(cfg));
         if (!why.empty())
             throw std::invalid_argument(why);
+        // corrupt-commit alters only the golden model's copy of a
+        // committed µop: a run without one would count fires that
+        // corrupt nothing.
+        if (cfg.faults[verify::FaultKind::CorruptCommit] > 0 &&
+            (kernel.empty() || !golden_enabled))
+            throw std::invalid_argument(
+                "--inject corrupt-commit corrupts only what the golden "
+                "model checks: it needs a --kernel run without "
+                "--no-golden");
         if (!bench.empty())
             profile = trace::profileFor(bench);
         else

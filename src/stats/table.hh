@@ -7,7 +7,6 @@
 #ifndef MOP_STATS_TABLE_HH
 #define MOP_STATS_TABLE_HH
 
-#include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -38,14 +37,9 @@ class Table
 
     void setFootnote(std::string s) { footnote_ = std::move(s); }
 
-    /** NaN renders as FAILED: a quarantined sweep job poisons its
-     *  record with NaN so holes are explicit cells, never silently
-     *  wrong numbers. */
     static std::string
     fmt(double v, int prec = 3)
     {
-        if (std::isnan(v))
-            return "FAILED";
         std::ostringstream ss;
         ss << std::fixed << std::setprecision(prec) << v;
         return ss.str();
@@ -54,8 +48,6 @@ class Table
     static std::string
     pct(double v, int prec = 1)
     {
-        if (std::isnan(v))
-            return "FAILED";
         std::ostringstream ss;
         ss << std::fixed << std::setprecision(prec) << (v * 100.0) << "%";
         return ss.str();

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -15,6 +16,10 @@
 namespace mop::sweep
 {
 
+namespace
+{
+
+/** One-line human description of a job ("gzip machine=base iq=32"). */
 std::string
 describeJob(const SweepJob &job)
 {
@@ -35,6 +40,8 @@ describeJob(const SweepJob &job)
     }
     return os.str();
 }
+
+} // namespace
 
 SweepOutcome
 computeJob(const SweepJob &job)
@@ -69,18 +76,6 @@ computeJob(const SweepJob &job)
     return out;
 }
 
-const char *
-failureKindName(FailureKind k)
-{
-    switch (k) {
-      case FailureKind::Crash: return "crash";
-      case FailureKind::Timeout: return "timeout";
-      case FailureKind::CorruptResult: return "corrupt-result";
-      case FailureKind::Error: return "error";
-    }
-    return "?";
-}
-
 SweepExecutor::SweepExecutor(int jobs)
 {
     if (jobs <= 0)
@@ -88,82 +83,75 @@ SweepExecutor::SweepExecutor(int jobs)
     jobs_ = std::min(std::max(jobs, 1), 256);
 }
 
-std::vector<JobReport>
-SweepExecutor::run(size_t n, const JobBody &body,
-                   const ProgressFn &progress) const
+std::vector<SweepOutcome>
+SweepExecutor::runAll(const std::vector<SweepJob> &batch,
+                      const ProgressFn &progress) const
 {
-    std::vector<JobReport> reports(n);
+    const size_t n = batch.size();
+    std::vector<SweepOutcome> results(n);
+    std::vector<std::optional<std::string>> errors(n);  // set = job failed
     std::atomic<size_t> next{0};
-    std::mutex mu;  // serializes onComplete_ + progress
+    std::mutex mu;  // serializes onComplete_, progress and hookError
     size_t done = 0;
+    // First exception from telemetry or a hook. It must not escape a
+    // worker thread (that would terminate the process): it stops the
+    // cursor and is rethrown once the pool has drained.
+    std::exception_ptr hookError;
 
     auto worker = [&] {
         for (;;) {
             size_t i = next.fetch_add(1);
             if (i >= n)
                 return;
-            JobReport &r = reports[i];
             try {
-                r = body(i);
+                results[i] = computeJob(batch[i]);
             } catch (const std::exception &e) {
-                r.failure = {FailureKind::Error, 0, 1, e.what()};
+                errors[i] = e.what();
             } catch (...) {
-                r.failure = {FailureKind::Error, 0, 1, "unknown exception"};
+                errors[i] = "unknown exception";
             }
-            if (telemetry_) {
-                if (r.ok)
-                    telemetry_->onRunCompleted(r.outcome.seconds,
-                                               r.outcome.simulatedInsts);
-                telemetry_->maybeFlush();
+            try {
+                if (telemetry_) {
+                    if (!errors[i])
+                        telemetry_->onRunCompleted(
+                            results[i].seconds, results[i].simulatedInsts);
+                    telemetry_->maybeFlush();
+                }
+                std::lock_guard<std::mutex> lock(mu);
+                if (!errors[i] && onComplete_)
+                    onComplete_(i, results[i]);
+                if (progress)
+                    progress(++done, n);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mu);
+                if (!hookError)
+                    hookError = std::current_exception();
+                next.store(n);
             }
-            std::lock_guard<std::mutex> lock(mu);
-            if (r.ok && onComplete_)
-                onComplete_(i, r.outcome);
-            if (progress)
-                progress(++done, n);
         }
     };
 
     int workers = int(std::min(size_t(jobs_), n));
     if (workers <= 1) {
         worker();  // inline on the caller's thread: the serial baseline
-        return reports;
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(size_t(workers));
+        for (int w = 0; w < workers; ++w)
+            pool.emplace_back(worker);
+        for (auto &t : pool)
+            t.join();
     }
-    std::vector<std::thread> pool;
-    pool.reserve(size_t(workers));
-    for (int w = 0; w < workers; ++w)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-    return reports;
-}
+    if (hookError)
+        std::rethrow_exception(hookError);
 
-std::vector<SweepOutcome>
-SweepExecutor::runAll(const std::vector<SweepJob> &batch,
-                      const ProgressFn &progress) const
-{
-    std::vector<JobReport> reports = run(
-        batch.size(),
-        [&](size_t i) {
-            JobReport r;
-            r.outcome = computeJob(batch[i]);
-            r.ok = true;
-            return r;
-        },
-        progress);
-
-    std::vector<SweepOutcome> results;
     std::vector<SweepBatchError::Failure> failures;
-    for (size_t i = 0; i < reports.size(); ++i) {
-        if (reports[i].ok)
-            results.push_back(std::move(reports[i].outcome));
-        else
-            failures.push_back({i, describeJob(batch[i]),
-                                reports[i].failure.message});
-    }
+    for (size_t i = 0; i < n; ++i)
+        if (errors[i])
+            failures.push_back({i, describeJob(batch[i]), *errors[i]});
     if (!failures.empty()) {
         std::ostringstream what;
-        what << "sweep: " << failures.size() << " of " << batch.size()
+        what << "sweep: " << failures.size() << " of " << n
              << " job(s) failed:";
         for (const auto &f : failures)
             what << "\n  job " << f.index << " (" << f.job

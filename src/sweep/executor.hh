@@ -15,12 +15,9 @@
  * one. With jobs() == 1 the batch runs inline on the caller's thread
  * (the serial baseline spawns nothing).
  *
- * This is the sweep's only worker pool. What a worker does with a job
- * is the per-job body passed to run(): runAll() computes in-process
- * (computeJob on the worker thread), and --isolate passes
- * superviseJob (supervisor.hh), which computes in a sandboxed child
- * under retry and quarantine. Cursor, threads, telemetry, completion
- * hook and progress are the same for both.
+ * Every job is computed in-process (computeJob on the worker thread).
+ * A job that throws does not stop the others; once the pool drains,
+ * one SweepBatchError names every failed job.
  */
 
 #ifndef MOP_SWEEP_EXECUTOR_HH
@@ -61,36 +58,6 @@ struct SweepOutcome
 /** Compute one job on the calling thread. */
 SweepOutcome computeJob(const SweepJob &job);
 
-/** Terminal failure classes a job can end with. */
-enum class FailureKind : uint8_t
-{
-    Crash,          ///< worker died on a signal
-    Timeout,        ///< watchdog deadline expired
-    CorruptResult,  ///< result frame truncated / CRC-damaged
-    Error,          ///< deterministic C++ exception (never retried)
-};
-
-const char *failureKindName(FailureKind k);
-
-/** Why a sweep hole exists: recorded per failed job. */
-struct FailedJob
-{
-    FailureKind kind = FailureKind::Error;
-    int signal = 0;       ///< terminating signal for Crash
-    int attempts = 0;     ///< attempts consumed before quarantine
-    std::string message;  ///< exception text / frame diagnosis
-};
-
-/** One job's final outcome, as the per-job body reports it. */
-struct JobReport
-{
-    bool ok = false;
-    SweepOutcome outcome;  ///< valid when ok
-    FailedJob failure;     ///< valid when !ok
-    int attempts = 0;      ///< total attempts made
-    int retries = 0;       ///< attempts - 1 (telemetry convenience)
-};
-
 /**
  * Thrown by SweepExecutor::runAll when jobs failed: carries *every*
  * failing job (index + description + cause), not just the first, so a
@@ -118,9 +85,6 @@ class SweepBatchError : public std::runtime_error
     std::vector<Failure> failures_;
 };
 
-/** One-line human description of a job ("gzip machine=base iq=32"). */
-std::string describeJob(const SweepJob &job);
-
 class SweepExecutor
 {
   public:
@@ -146,23 +110,13 @@ class SweepExecutor
     /** Invoked under the same lock with the count of finished jobs. */
     using ProgressFn = std::function<void(size_t done, size_t total)>;
 
-    /** The per-job body: job @p index's final report. An exception it
-     *  throws becomes that job's Error report. */
-    using JobBody = std::function<JobReport(size_t index)>;
-
-    /**
-     * Run jobs 0..n-1 through @p body on the pool; report i is job
-     * i's. Never throws on job failure: every job runs, and a failed
-     * one comes back as a !ok report.
-     */
-    std::vector<JobReport> run(size_t n, const JobBody &body,
-                               const ProgressFn &progress = {}) const;
-
     /**
      * Compute every job in-process; result i corresponds to job i.
      * After all workers drain, a SweepBatchError naming *every* failed
      * job is thrown if any job threw (successful jobs still ran, and
-     * their completion hooks fired).
+     * their completion hooks fired). An exception from the telemetry
+     * sink, the completion hook or @p progress stops handing out jobs
+     * and is rethrown once the jobs in flight finish.
      */
     std::vector<SweepOutcome>
     runAll(const std::vector<SweepJob> &batch,

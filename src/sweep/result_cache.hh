@@ -51,7 +51,7 @@ namespace mop::sweep
 /**
  * CRC-32C (Castagnoli) over @p n bytes, continuing from @p crc.
  * Standard reflected polynomial 0x82F63B78; crc32c("123456789") ==
- * 0xE3069283. Used by cache records and the sandbox pipe protocol.
+ * 0xE3069283. Every cache record carries one over its bytes.
  */
 uint32_t crc32c(const void *data, size_t n, uint32_t crc = 0);
 

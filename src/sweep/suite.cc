@@ -15,7 +15,6 @@
 #include "obs/render.hh"
 #include "sim/cli_opts.hh"
 #include "sweep/perf_track.hh"
-#include "sweep/supervisor.hh"
 
 namespace mop::sweep
 {
@@ -75,31 +74,6 @@ jsonNum(double v)
     return ss.str();
 }
 
-/**
- * Stand-in record for a quarantined job: every double is NaN (which
- * stats::Table renders as FAILED) and every counter zero, with the
- * full field set present so unpack*() still succeeds and the figure
- * renders with explicit holes instead of aborting.
- */
-CacheRecord
-poisonRecordFor(JobKind kind)
-{
-    const double nan = std::nan("");
-    switch (kind) {
-      case JobKind::Sim: {
-        pipeline::SimResult r;
-        r.ipc = nan;
-        r.avgIqOccupancy = nan;
-        return packSimResult(r);
-      }
-      case JobKind::Distance:
-        return packDistance({});
-      case JobKind::Grouping:
-        return packGrouping({});
-    }
-    return {};
-}
-
 } // namespace
 
 // --- Context -----------------------------------------------------------
@@ -118,21 +92,10 @@ Context::resolve(const SweepJob &job, const Fingerprint &fp)
         return kEmpty;
     }
     auto it = results_->find(fp);
-    if (it == results_->end()) {
-        if (failed_ && failed_->count(fp)) {
-            // Quarantined hole: hand back a poisoned record so the
-            // cell prints FAILED (per-kind, cached across calls).
-            static std::map<int, CacheRecord> poisons;
-            auto [pit, fresh] =
-                poisons.try_emplace(int(job.kind), CacheRecord{});
-            if (fresh)
-                pit->second = poisonRecordFor(job.kind);
-            return pit->second;
-        }
+    if (it == results_->end())
         throw std::logic_error(
             "sweep: render requested a run the plan pass did not "
             "enumerate (figure body depends on result values?)");
-    }
     return it->second;
 }
 
@@ -239,26 +202,13 @@ now()
         .count();
 }
 
-/** Reject option combinations that cannot run (a malformed chaos
- *  plan, chaos without --isolate, --repeat with --isolate, a malformed
- *  $MOP_INSTS) before any work; returns the parsed chaos plan. */
-SweepFaultPlan
+/** Reject a malformed $MOP_INSTS before any work (throws
+ *  std::invalid_argument). */
+void
 checkOptions(const SuiteOptions &opts)
 {
     if (!opts.insts)
-        sim::benchInsts(kDefaultInsts);  // throws on a bad $MOP_INSTS
-    SweepFaultPlan plan;
-    if (!opts.sweepInject.empty()) {
-        plan = SweepFaultPlan::parse(opts.sweepInject, opts.sweepSeed);
-        if (plan.any() && !opts.isolate)
-            throw std::invalid_argument(
-                "--sweep-inject requires --isolate (faults fire inside "
-                "sandboxed workers)");
-    }
-    if (opts.repeat > 1 && opts.isolate)
-        throw std::invalid_argument(
-            "--repeat measures the in-process executor; drop --isolate");
-    return plan;
+        sim::benchInsts(kDefaultInsts);
 }
 
 } // namespace
@@ -288,8 +238,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         return st.corrupt ? 1 : 0;
     }
 
-    // Chaos plan: enacted inside sandboxed children only.
-    const SweepFaultPlan plan = checkOptions(opts);
+    checkOptions(opts);
 
     // Figure selection, preserving registration order.
     std::vector<const Figure *> selected;
@@ -393,13 +342,11 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         };
     }
 
-    // One pool for both compute paths; --isolate swaps only the
-    // per-job body. The completion hook (invoked serialized, under the
-    // pool lock) persists each successful job as it finishes: a killed
-    // sweep keeps every finished job in the cache, and a rerun with the
-    // same cache computes only what is missing.
+    // The completion hook (invoked serialized, under the pool lock)
+    // persists each successful job as it finishes: a killed or failed
+    // sweep keeps every finished job in the cache, and a rerun with
+    // the same cache computes only what is missing.
     uint64_t simulatedInsts = 0;
-    std::map<Fingerprint, FailedJob> failed;
 
     // Per-pass compute-phase throughput samples (simulated insts per
     // wall second). With --repeat N the first N-1 passes only time the
@@ -431,27 +378,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         simulatedInsts += o.simulatedInsts;
         results.emplace(missFps[k], o.record);
     });
-    if (!opts.isolate) {
-        exec.runAll(misses, progress);
-    } else {
-        SupervisorOptions sopts;
-        sopts.jobTimeoutSeconds =
-            opts.jobTimeout > 0 ? opts.jobTimeout
-                                : 10.0 + double(insts) / 10000.0;
-        sopts.retry.maxAttempts = opts.maxAttempts;
-        if (plan.any())
-            sopts.plan = &plan;
-        std::vector<JobReport> reports = exec.run(
-            misses.size(),
-            [&](size_t k) {
-                return superviseJob(misses[k], missFps[k], sopts,
-                                    telemetry.get());
-            },
-            progress);
-        for (size_t k = 0; k < reports.size(); ++k)
-            if (!reports[k].ok)
-                failed.emplace(missFps[k], reports[k].failure);
-    }
+    exec.runAll(misses, progress);
     {
         double w = now() - computeT0;
         if (w > 0 && simulatedInsts)
@@ -479,31 +406,11 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         ctx.wrongPath_ = opts.wrongPath;
         ctx.wrongPathDepth_ = opts.wrongPathDepth;
         ctx.results_ = &results;
-        ctx.failed_ = &failed;
         double t0 = now();
         std::ostringstream body;
         selected[i]->render(ctx, body);
         rendered[i] = body.str();
         out << rendered[i];
-
-        // Explicit per-figure note for every quarantined run the body
-        // touched: holes are never silent.
-        std::set<Fingerprint> noted;
-        for (const Fingerprint &fp : touched[i]) {
-            auto fit = failed.find(fp);
-            if (fit == failed.end() || !noted.insert(fp).second)
-                continue;
-            const FailedJob &f = fit->second;
-            out << "[FAILED] " << selected[i]->name << ": "
-                << describeJob(jobs[jobIndex.at(fp)]) << ": "
-                << failureKindName(f.kind);
-            if (f.signal)
-                out << " (signal " << f.signal << ")";
-            out << " after " << f.attempts << " attempt(s)";
-            if (!f.message.empty())
-                out << ": " << f.message;
-            out << "\n";
-        }
 
         FigurePerf &p = perf[i];
         p.name = selected[i]->name;
@@ -526,9 +433,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     for (size_t i = 0; i < jobs.size(); ++i) {
         if (jobs[i].kind != JobKind::Sim)
             continue;
-        auto rit = results.find(jobFps[i]);  // absent for quarantined
         pipeline::SimResult r;
-        if (rit == results.end() || !unpackSimResult(rit->second, r))
+        if (!unpackSimResult(results.at(jobFps[i]), r))
             continue;
         auto &[sum, n] = machineIpc[sim::machineName(jobs[i].cfg.machine)];
         sum += r.ipc;
@@ -539,7 +445,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     if (!opts.perfJsonPath.empty()) {
         std::ofstream jf(opts.perfJsonPath, std::ios::trunc);
         jf << "{\n"
-           << "  \"schema\": \"mop-sweep-perf-3\",\n"
+           << "  \"schema\": \"mop-sweep-perf-4\",\n"
            << "  \"sim_version\": \"" << jsonEscape(kSimVersion)
            << "\",\n"
            << "  \"jobs\": " << exec.jobs() << ",\n"
@@ -547,7 +453,6 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
            << "  \"wall_seconds\": " << jsonNum(wallSeconds) << ",\n"
            << "  \"unique_runs\": " << jobs.size() << ",\n"
            << "  \"cache_hits\": " << cacheHits << ",\n"
-           << "  \"quarantined\": " << failed.size() << ",\n"
            << "  \"computed_runs\": " << misses.size() << ",\n"
            << "  \"simulated_insts\": " << simulatedInsts << ",\n"
            << "  \"simulated_insts_per_second\": "
@@ -617,10 +522,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
             if (job.kind != JobKind::Sim)
                 continue;
             pipeline::SimResult r;
-            bool hole = failed.count(jobFps[i]) != 0;
-            if (auto rit = results.find(jobFps[i]);
-                rit != results.end())
-                unpackSimResult(rit->second, r);
+            unpackSimResult(results.at(jobFps[i]), r);
             const sim::RunConfig &c = job.cfg;
             jf << "    {\"fingerprint\": \"" << jobFps[i].hex()
                << "\", \"bench\": \"" << jsonEscape(job.bench)
@@ -630,12 +532,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
                << ", \"extra_stages\": " << c.extraStages
                << ", \"mop_size\": " << c.mopSize
                << ", \"sched_depth\": " << c.schedDepth
-               << ", \"cached\": " << (cachedFps.count(jobFps[i]) != 0);
-            // Quarantined holes are marked instead of faking numbers;
-            // clean runs keep the exact field set (and bytes) of old.
-            if (hole)
-                jf << ", \"failed\": true";
-            jf << ", \"ipc\": " << jsonNum(r.ipc)
+               << ", \"cached\": " << (cachedFps.count(jobFps[i]) != 0)
+               << ", \"ipc\": " << jsonNum(r.ipc)
                << ", \"cycles\": " << r.cycles
                << ", \"insts\": " << r.insts << "}"
                << (++emitted < simJobs ? "," : "") << "\n";
@@ -699,7 +597,6 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         dm.uniqueRuns = jobs.size();
         dm.cacheHits = cacheHits;
         dm.computedRuns = misses.size();
-        dm.quarantined = failed.size();
         dm.simulatedInsts = simulatedInsts;
         dm.wallSeconds = wallSeconds;
         for (size_t i = 0; i < perf.size(); ++i)
@@ -731,12 +628,6 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
                   << " bytes) -> " << opts.renderDashPath << "\n";
     }
 
-    if (!failed.empty()) {
-        std::cerr << "mopsuite: " << failed.size()
-                  << " run(s) quarantined; tables contain FAILED "
-                     "cells\n";
-        return 3;  // partial results rendered, holes explicit
-    }
     return gateFailed ? 4 : 0;
 }
 
@@ -782,26 +673,12 @@ usage(std::ostream &os)
           "                  HTML to F after the render pass (stat\n"
           "                  tiles, perf trajectory, per-machine IPC,\n"
           "                  per-figure cost, telemetry counters)\n"
-          "  --isolate       compute each uncached run in a forked,\n"
-          "                  watchdogged child: a crash/hang/OOM is a\n"
-          "                  retried-then-quarantined FAILED cell, not\n"
-          "                  a dead sweep (exit 3 marks partial tables)\n"
-          "  --job-timeout S per-run wall-clock deadline with --isolate\n"
-          "                  (default: derived from --insts)\n"
-          "  --max-attempts N  tries per run before quarantine "
-          "(default 3)\n"
           "  --cache-verify  CRC-check every cache record (quarantine\n"
           "                  damage and pre-CRC records, which the\n"
           "                  next sweep recomputes) and exit\n"
           "  --cache-max-bytes N\n"
           "                  evict least-recently-used cache records\n"
           "                  beyond N bytes after the sweep\n"
-          "  --sweep-inject KIND[:RATE[:ATTEMPTS]][,...]\n"
-          "                  chaos testing (requires --isolate): inject\n"
-          "                  crash|hang|corrupt-record|short-write\n"
-          "                  faults into workers, deterministically by\n"
-          "                  (--sweep-seed, run fingerprint)\n"
-          "  --sweep-seed N  chaos victim-selection seed (default 1)\n"
           "  --wrong-path[=N]\n"
           "                  run every figure with true wrong-path\n"
           "                  execution (N µops per mispredict episode,\n"
@@ -861,26 +738,12 @@ parseArgs(int argc, char **argv, SuiteOptions &opts)
             opts.telemetryPath = value("--telemetry");
         } else if (a == "--render-dash") {
             opts.renderDashPath = value("--render-dash");
-        } else if (a == "--isolate") {
-            opts.isolate = true;
-        } else if (a == "--job-timeout") {
-            opts.jobTimeout = double(sim::parseUintOption(
-                "--job-timeout", value("--job-timeout"), 1, 86400));
-        } else if (a == "--max-attempts") {
-            opts.maxAttempts = int(sim::parseIntOption(
-                "--max-attempts", value("--max-attempts"), 1, 100));
         } else if (a == "--cache-verify") {
             opts.cacheVerify = true;
         } else if (a == "--cache-max-bytes") {
             opts.cacheMaxBytes = sim::parseUintOption(
                 "--cache-max-bytes", value("--cache-max-bytes"), 1,
                 uint64_t(1) << 50);
-        } else if (a == "--sweep-inject") {
-            opts.sweepInject = value("--sweep-inject");
-        } else if (a == "--sweep-seed") {
-            opts.sweepSeed = sim::parseUintOption(
-                "--sweep-seed", value("--sweep-seed"), 0,
-                ~uint64_t(0) >> 1);
         } else if (a == "--wrong-path") {
             opts.wrongPath = true;
         } else if (a.rfind("--wrong-path=", 0) == 0) {

@@ -78,10 +78,6 @@ class Context
     std::vector<SweepJob> *jobs_ = nullptr;
     const std::map<Fingerprint, CacheRecord> *results_ = nullptr;
     std::vector<Fingerprint> *touched_ = nullptr;  // per-figure uses
-    /** Quarantined holes (render pass): resolve() substitutes a
-     *  poisoned record whose doubles are NaN, so derived table cells
-     *  print as explicit FAILED instead of silently-wrong numbers. */
-    const std::map<Fingerprint, FailedJob> *failed_ = nullptr;
 };
 
 struct Figure
@@ -112,8 +108,7 @@ struct SuiteOptions
     std::string perfJsonPath;       ///< perf JSON ("" = none)
     /** Time the compute phase this many times (--repeat): passes
      *  1..N-1 discard results, the final pass persists; the perf JSON
-     *  reports the per-pass insts/s samples with median and spread.
-     *  Only the in-process executor path supports repeats. */
+     *  reports the per-pass insts/s samples with median and spread. */
     int repeat = 1;
     /** Perf trajectory file for --perf-gate / --perf-pin. */
     std::string perfBaselinePath = "BENCH_core.json";
@@ -138,16 +133,6 @@ struct SuiteOptions
      *  perfBaselinePath and telemetry counters from the live sink. */
     std::string renderDashPath;
 
-    // --- Fault tolerance (see supervisor.hh / sandbox.hh) ---
-    /** Compute each uncached job in a forked, watchdogged child with
-     *  retry + quarantine (--isolate). Off by default: the in-process
-     *  executor path is bit-identical to the pre-supervisor suite. */
-    bool isolate = false;
-    /** Per-job wall-clock deadline in seconds for --isolate; 0 derives
-     *  one from the instruction budget (10s + insts/10k). */
-    double jobTimeout = 0;
-    /** Attempt budget per job before quarantine (--isolate). */
-    int maxAttempts = 3;
     /** Verify every cache record (CRC check; damaged and pre-CRC
      *  records are quarantined, and the next sweep recomputes them)
      *  and exit instead of sweeping. */
@@ -155,10 +140,6 @@ struct SuiteOptions
     /** Evict least-recently-used cache records beyond this many bytes
      *  after the sweep (0 = no budget). */
     uint64_t cacheMaxBytes = 0;
-    /** Chaos plan spec for --sweep-inject ("" = off; requires
-     *  isolate). */
-    std::string sweepInject;
-    uint64_t sweepSeed = 1;
     /** Run every figure with true wrong-path execution
      *  (--wrong-path[=depth]). Folded into each run's fingerprint
      *  only when enabled, so default sweeps keep their cache keys and
@@ -169,8 +150,9 @@ struct SuiteOptions
 
 /**
  * CLI driver behind the mopsuite binary. Exit codes: 0 clean, 1
- * runtime failure (or corruption found by --cache-verify), 2 usage
- * error (rejected before any work), 3 quarantined holes, 4 perf gate.
+ * runtime failure (a failed job, or corruption found by
+ * --cache-verify), 2 usage error (rejected before any work), 4 perf
+ * gate. 3 is retired.
  */
 int suiteMain(int argc, char **argv);
 

@@ -180,6 +180,44 @@ TEST(GroupingAnalysis, RenameSemanticsBreakStaleEdges)
     EXPECT_EQ(r.grouped(), 2u);
 }
 
+TEST(CharacterizeStream, BudgetSizesNoBuffer)
+{
+    // Both analyses stream their source: a budget far beyond memory
+    // costs nothing when the source ends first. (Buffering the stream
+    // used to reserve 16 bytes per budgeted instruction up front.)
+    const uint64_t huge = uint64_t(1) << 40;
+    VectorSource a({alu(1), alu(2, 1), alu(9)});
+    DistanceResult d = characterizeDistance(a, huge);
+    EXPECT_EQ(d.totalInsts, 3u);
+    EXPECT_EQ(d.dist1to3, 1u);
+    VectorSource b({alu(1), alu(2, 1), alu(9)});
+    GroupingResult g = characterizeGrouping(b, huge, 2);
+    EXPECT_EQ(g.totalInsts, 3u);
+    EXPECT_EQ(g.groups, 1u);
+}
+
+TEST(CharacterizeStream, StoreDataFoldStopsAtTheBudget)
+{
+    // r1 is read only by the store's data half, which folds into the
+    // store's record: a consumer, but not a groupable one. When the
+    // store is the budget's last instruction, its data half is never
+    // read, so r1 counts as dead instead.
+    MicroOp data = mk(OpClass::StoreData, -1, 1);
+    data.firstUop = false;
+    const std::vector<MicroOp> ops = {alu(1), mk(OpClass::StoreAddr, -1, 5),
+                                      data, alu(9)};
+    VectorSource whole(ops);
+    DistanceResult r = characterizeDistance(whole, 100);
+    EXPECT_EQ(r.totalInsts, 3u);
+    EXPECT_EQ(r.notCandidate, 1u);
+    EXPECT_EQ(r.dead, 1u);  // r9
+    VectorSource cut(ops);
+    r = characterizeDistance(cut, 2);
+    EXPECT_EQ(r.totalInsts, 2u);
+    EXPECT_EQ(r.notCandidate, 0u);
+    EXPECT_EQ(r.dead, 1u);  // r1
+}
+
 class CalibrationTest : public ::testing::TestWithParam<std::string>
 {
 };

@@ -127,10 +127,12 @@ TEST(SuiteMain, UsageErrorsExit2BeforeAnyWork)
         {{"--insts", "5x"}, "--insts", true},
         {{"--wrong-path=0"}, "--wrong-path", true},
         {{"--perf-gate", "101"}, "--perf-gate", true},
-        {{"--sweep-inject", "bogus", "--isolate"}, "unknown fault kind",
-         true},
-        {{"--sweep-inject", "crash"}, "requires --isolate", true},
-        {{"--repeat", "3", "--isolate"}, "--repeat", true},
+        {{"--isolate"}, "unknown option '--isolate'", false},
+        {{"--job-timeout", "5"}, "unknown option '--job-timeout'", false},
+        {{"--max-attempts", "2"}, "unknown option '--max-attempts'", false},
+        {{"--sweep-inject", "crash"}, "unknown option '--sweep-inject'",
+         false},
+        {{"--sweep-seed", "1"}, "unknown option '--sweep-seed'", false},
         {{"--only", ","}, "--only names no figure", true},
         {{"--only", "table2", "--only", ""}, "--only names no figure",
          true},

@@ -432,7 +432,7 @@ TEST(Telemetry, PrometheusRenderIsStable)
               std::string::npos);
     EXPECT_NE(text.find("# TYPE mop_sweep_eta_seconds gauge"),
               std::string::npos);
-    EXPECT_NE(text.find("# TYPE mop_sweep_retries_total counter"),
+    EXPECT_NE(text.find("# TYPE mop_sweep_cache_corrupt_total counter"),
               std::string::npos);
     // Counts are exact integers at any size, never rounded to six
     // significant digits (2.963e+06).
@@ -532,7 +532,7 @@ TEST(Telemetry, BatchLabelIsEscapedPerTextFormat)
         }
 
     // And the label rides on every series, counters included.
-    EXPECT_NE(text.find("mop_sweep_retries_total{batch="),
+    EXPECT_NE(text.find("mop_sweep_cache_corrupt_total{batch="),
               std::string::npos);
 
     // Empty label: the exact label-less lines of old.

@@ -362,53 +362,86 @@ TEST(Termination, TinyQueuesCompleteOrAreRejected)
 
 TEST(Termination, TinyQueuesUnderEveryFaultKindWithObsOn)
 {
-    // Every machine x iq {2, 4} x each fault kind at the selftest's
-    // rate, with stall attribution on: a cell either runs its budget
-    // with every issue slot charged once, or ends in a checked error.
-    // A broken stall invariant is neither; the watchdogs bound the
-    // rest, so no cell can hang.
-    int completed = 0, checked = 0;
-    for (Machine m : sim::allMachines())
-        for (int iq : {2, 4})
-            for (size_t k = 0; k < verify::kNumFaultKinds; ++k) {
-                const auto kind = verify::FaultKind(k);
-                RunConfig cfg;
-                cfg.machine = m;
-                cfg.iqEntries = iq;
-                cfg.obs.enabled = true;
-                cfg.faults[kind] = sim::selftestRate(kind);
-                cfg.faults.seed = 42;
-                const std::string cell =
-                    std::string(sim::machineName(m)) + " iq " +
-                    std::to_string(iq) + " " + verify::faultKindName(kind);
-                pipeline::SimResult r;
-                try {
-                    r = sim::runBenchmark("gzip", cfg, 2000);
-                } catch (const verify::IntegrityError &e) {
-                    EXPECT_NE(e.check(), "stall-accounting")
-                        << cell << ": " << e.what();
-                    ++checked;
-                    continue;
-                } catch (const sched::DeadlockError &) {
-                    ++checked;
-                    continue;
-                } catch (const std::invalid_argument &) {
-                    ++checked;
-                    continue;
-                }
-                ++completed;
-                EXPECT_EQ(r.insts, 2000u) << cell;
-                ASSERT_GT(r.stallWidth, 0u) << cell;
-                EXPECT_EQ(std::accumulate(r.stallSlots.begin(),
-                                          r.stallSlots.end(), uint64_t(0)),
-                          uint64_t(r.stallWidth) * r.cycles)
-                    << cell;
-            }
-    // Corrupt-wakeup deadlocks every machine at both sizes, and
-    // corrupt-mop the two MOP machines at iq 2; the other 82 finish.
-    EXPECT_EQ(completed + checked,
-              int(sim::allMachines().size() * 2 * verify::kNumFaultKinds));
-    EXPECT_EQ(checked, 14);
+    // Every machine x policy x iq {2, 4} x wrong-path {off, on} x each
+    // fault kind at the selftest's rate, with stall attribution on,
+    // and mop-size {2, 4} on the two MOP machines (size changes nothing
+    // elsewhere): a cell either runs its budget with every issue slot
+    // charged once, or ends in a checked error. A broken stall
+    // invariant is neither; the watchdogs bound the rest, so no cell
+    // can hang.
+    std::vector<RunConfig> grid;
+    for (Machine m : sim::allMachines()) {
+        RunConfig machine;
+        machine.machine = m;
+        const bool mops = sim::makeCoreParams(machine).sched.mopEnabled;
+        for (sched::PolicyId pol : sched::registeredPolicies())
+            for (int iq : {2, 4})
+                for (int size : mops ? std::vector<int>{2, 4}
+                                     : std::vector<int>{2})
+                    for (bool wp : {false, true})
+                        for (size_t k = 0; k < verify::kNumFaultKinds;
+                             ++k) {
+                            const auto kind = verify::FaultKind(k);
+                            RunConfig cfg = machine;
+                            cfg.policy = pol;
+                            cfg.iqEntries = iq;
+                            cfg.mopSize = size;
+                            cfg.wrongPath = wp;
+                            cfg.obs.enabled = true;
+                            cfg.faults[kind] = sim::selftestRate(kind);
+                            cfg.faults.seed = 42;
+                            grid.push_back(cfg);
+                        }
+    }
+    ASSERT_EQ(grid.size(), 768u);
+
+    int completed = 0, checked = 0, refused = 0, overshot = 0;
+    for (const RunConfig &cfg : grid) {
+        const std::string cell =
+            std::string(sim::machineName(cfg.machine)) + " " +
+            sched::policyIdToken(cfg.policy) + " iq " +
+            std::to_string(cfg.iqEntries) + " mop-size " +
+            std::to_string(cfg.mopSize) +
+            (cfg.wrongPath ? " wrong-path " : " ") +
+            cfg.faults.toString();
+        pipeline::SimResult r;
+        try {
+            r = sim::runBenchmark("gzip", cfg, 2000);
+        } catch (const verify::IntegrityError &e) {
+            EXPECT_NE(e.check(), "stall-accounting")
+                << cell << ": " << e.what();
+            ++checked;
+            continue;
+        } catch (const sched::DeadlockError &) {
+            ++checked;
+            continue;
+        } catch (const std::invalid_argument &) {
+            ++checked;
+            ++refused;
+            continue;
+        }
+        ++completed;
+        // The budget is checked once per cycle, so the last cycle may
+        // commit up to commitWidth - 1 past it.
+        const int commitWidth = sim::makeCoreParams(cfg).commitWidth;
+        EXPECT_GE(r.insts, 2000u) << cell;
+        EXPECT_LT(r.insts, 2000u + uint64_t(commitWidth)) << cell;
+        overshot += r.insts > 2000;
+        ASSERT_GT(r.stallWidth, 0u) << cell;
+        EXPECT_EQ(std::accumulate(r.stallSlots.begin(),
+                                  r.stallSlots.end(), uint64_t(0)),
+                  uint64_t(r.stallWidth) * r.cycles)
+            << cell;
+    }
+    // Checked endings: load-delay refused on the two select-free
+    // machines (64), corrupt-wakeup deadlocks (64) and corrupt-mop
+    // deadlocks (16); the other 624 finish. One of those commits past
+    // its budget: MOP-wiredOR, paper, iq 4, mop-size 2, wrong-path,
+    // delay-bcast.
+    EXPECT_EQ(completed + checked, int(grid.size()));
+    EXPECT_EQ(checked, 144);
+    EXPECT_EQ(refused, 64);
+    EXPECT_EQ(overshot, 1);
 }
 
 } // namespace

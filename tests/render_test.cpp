@@ -491,7 +491,6 @@ sampleDash()
     d.uniqueRuns = 12;
     d.cacheHits = 7;
     d.computedRuns = 4;
-    d.quarantined = 1;
     d.simulatedInsts = 80000;
     d.wallSeconds = 1.5;
     d.figures.push_back({"fig14", "Fig 14 <speedups>", 6, 3, 0.8, 0.01});

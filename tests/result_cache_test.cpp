@@ -1,13 +1,12 @@
 /**
  * @file
- * Unit tests for the sweep fault-tolerance layer that need no
- * end-to-end simulation and no fork(): CRC-32C, v2 cache record
- * integrity (truncation / bit-flip properties), retry/backoff policy
- * with a fake clock, chaos-plan parsing and determinism, and atime-LRU
- * eviction.
+ * Unit tests for the result cache's integrity layer that need no
+ * end-to-end simulation: CRC-32C, v2 cache record integrity
+ * (truncation / bit-flip properties), quarantine of corrupt and
+ * pre-CRC records, the --cache-verify pass, and atime-LRU eviction.
  *
- * Everything fork- or simulation-shaped lives in sweep_fault_test.cpp
- * (slow label).
+ * Sweep-shaped cache tests (kill-and-rerun, a failed job, corrupt
+ * records met mid-sweep) live in sweep_fault_test.cpp (slow label).
  */
 
 #include <gtest/gtest.h>
@@ -15,25 +14,19 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sweep/result_cache.hh"
-#include "sweep/supervisor.hh"
 
 namespace
 {
 
 using namespace mop;
 using sweep::CacheRecord;
-using sweep::FailureKind;
 using sweep::Fingerprint;
 using sweep::RecordStatus;
-using sweep::RetryPolicy;
-using sweep::SweepFault;
-using sweep::SweepFaultPlan;
 
 std::string
 freshDir(const std::string &name)
@@ -285,128 +278,6 @@ TEST(CacheIntegrityTest, EvictionKeepsRecentlyUsed)
     // Zero budget = disabled, evicts nothing.
     EXPECT_EQ(cache.evictToBudget(0), 0u);
     EXPECT_EQ(cache.evictToBudget(1), 4u);  // now everything goes
-}
-
-// --- Retry policy -------------------------------------------------------
-
-TEST(RetryPolicyTest, TransientRetriedDeterministicNot)
-{
-    RetryPolicy p;
-    p.maxAttempts = 3;
-    EXPECT_TRUE(p.shouldRetry(FailureKind::Crash, 1));
-    EXPECT_TRUE(p.shouldRetry(FailureKind::Timeout, 1));
-    EXPECT_TRUE(p.shouldRetry(FailureKind::CorruptResult, 2));
-    EXPECT_FALSE(p.shouldRetry(FailureKind::Crash, 3));  // budget spent
-    // A C++ exception is deterministic: retrying cannot help.
-    EXPECT_FALSE(p.shouldRetry(FailureKind::Error, 1));
-}
-
-TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps)
-{
-    RetryPolicy p;
-    p.backoffBase = 0.05;
-    p.backoffMax = 0.3;
-    EXPECT_DOUBLE_EQ(p.backoffSeconds(1), 0.05);
-    EXPECT_DOUBLE_EQ(p.backoffSeconds(2), 0.10);
-    EXPECT_DOUBLE_EQ(p.backoffSeconds(3), 0.20);
-    EXPECT_DOUBLE_EQ(p.backoffSeconds(4), 0.30);  // capped
-    EXPECT_DOUBLE_EQ(p.backoffSeconds(10), 0.30);
-}
-
-// --- Chaos plan ---------------------------------------------------------
-
-TEST(SweepFaultPlanTest, ParseFullAndDefaults)
-{
-    SweepFaultPlan p =
-        SweepFaultPlan::parse("crash:0.5:2,hang,corrupt-record:0.25", 9);
-    EXPECT_TRUE(p.any());
-    EXPECT_EQ(p.seed, 9u);
-    EXPECT_DOUBLE_EQ(p.rules[size_t(SweepFault::Crash)].rate, 0.5);
-    EXPECT_EQ(p.rules[size_t(SweepFault::Crash)].failAttempts, 2);
-    EXPECT_DOUBLE_EQ(p.rules[size_t(SweepFault::Hang)].rate, 1.0);
-    EXPECT_EQ(p.rules[size_t(SweepFault::Hang)].failAttempts, 1);
-    EXPECT_DOUBLE_EQ(
-        p.rules[size_t(SweepFault::CorruptRecord)].rate, 0.25);
-    EXPECT_DOUBLE_EQ(p.rules[size_t(SweepFault::ShortWrite)].rate, 0.0);
-    EXPECT_EQ(p.toString(),
-              "crash:0.5:2,hang:1:1,corrupt-record:0.25:1");
-}
-
-TEST(SweepFaultPlanTest, ParseRejectsGarbage)
-{
-    EXPECT_THROW(SweepFaultPlan::parse("segfault"),
-                 std::invalid_argument);
-    EXPECT_THROW(SweepFaultPlan::parse("crash:0"),
-                 std::invalid_argument);
-    EXPECT_THROW(SweepFaultPlan::parse("crash:1.5"),
-                 std::invalid_argument);
-    EXPECT_THROW(SweepFaultPlan::parse("crash:0.5:0"),
-                 std::invalid_argument);
-    EXPECT_THROW(SweepFaultPlan::parse(""), std::invalid_argument);
-}
-
-TEST(SweepFaultPlanTest, VictimSelectionIsDeterministic)
-{
-    SweepFaultPlan a = SweepFaultPlan::parse("crash:0.5", 42);
-    SweepFaultPlan b = SweepFaultPlan::parse("crash:0.5", 42);
-    SweepFaultPlan other = SweepFaultPlan::parse("crash:0.5", 43);
-
-    int victims = 0, differs = 0;
-    for (uint64_t i = 0; i < 200; ++i) {
-        Fingerprint f = fp(i * 7919, i * 104729 + 1);
-        bool hit = a.fires(SweepFault::Crash, f, 1);
-        EXPECT_EQ(hit, b.fires(SweepFault::Crash, f, 1));
-        victims += hit;
-        differs += hit != other.fires(SweepFault::Crash, f, 1);
-    }
-    // rate 0.5 over 200 draws: comfortably away from 0 and 200, and
-    // a different seed picks a different victim set.
-    EXPECT_GT(victims, 50);
-    EXPECT_LT(victims, 150);
-    EXPECT_GT(differs, 0);
-}
-
-TEST(SweepFaultPlanTest, FailAttemptsGatesRecovery)
-{
-    // failAttempts=2 with rate 1: attempts 1 and 2 fail, attempt 3
-    // succeeds — a retry budget of 3 always recovers.
-    SweepFaultPlan p = SweepFaultPlan::parse("crash:1.0:2", 7);
-    Fingerprint f = fp(11, 13);
-    EXPECT_TRUE(p.fires(SweepFault::Crash, f, 1));
-    EXPECT_TRUE(p.fires(SweepFault::Crash, f, 2));
-    EXPECT_FALSE(p.fires(SweepFault::Crash, f, 3));
-}
-
-// --- Supervisor with a fake clock (no forking: policy-only paths) -------
-
-TEST(SupervisorPolicyTest, SleeperReceivesBackoffSequence)
-{
-    // Drive superviseJob through retries with an always-failing chaos
-    // plan and record what the injected sleeper was asked to sleep:
-    // the unit proof that backoff wiring (not just the pure policy)
-    // is correct. Uses the real sandbox, so keep it to one tiny job.
-    sweep::SupervisorOptions o;
-    o.jobTimeoutSeconds = 30;
-    o.retry.maxAttempts = 3;
-    o.retry.backoffBase = 0.125;
-    o.retry.backoffMax = 10.0;
-    std::vector<double> slept;
-    o.sleeper = [&](double s) { slept.push_back(s); };
-    SweepFaultPlan plan = SweepFaultPlan::parse("crash:1.0:99", 5);
-    o.plan = &plan;
-
-    sweep::SweepJob job;
-    job.bench = "gzip";
-    job.insts = 200;
-    sweep::JobReport r = sweep::superviseJob(job, fp(6, 6), o);
-
-    EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.attempts, 3);
-    EXPECT_EQ(r.failure.kind, FailureKind::Crash);
-    EXPECT_EQ(r.failure.attempts, 3);
-    ASSERT_EQ(slept.size(), 2u);  // between 1->2 and 2->3
-    EXPECT_DOUBLE_EQ(slept[0], 0.125);
-    EXPECT_DOUBLE_EQ(slept[1], 0.25);
 }
 
 } // namespace

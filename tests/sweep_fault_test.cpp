@@ -1,11 +1,10 @@
 /**
  * @file
- * End-to-end tests for crash-isolated, resumable sweeps: sandbox
- * classification of every worker ending (fork-based), the supervisor's
- * retry/quarantine loop over real children, and the suite driver under
- * chaos — byte-identical recovery when the retry budget covers the
- * injected faults, explicit FAILED holes and exit code 3 when it does
- * not, cache-driven resume after a simulated mid-sweep kill, the
+ * End-to-end tests for the result cache as the sweep's fault
+ * tolerance: telemetry and the perf JSON count the same work, a job
+ * that fails mid-sweep ends it with exit 1 while the finished jobs
+ * stay cached for the rerun, cache-driven resume after a simulated
+ * mid-sweep kill, corrupt records met by a sweep and by the
  * --cache-verify maintenance mode, and a cache store that fails at
  * close.
  */
@@ -27,15 +26,12 @@
 #include "stats/table.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/suite.hh"
-#include "sweep/supervisor.hh"
 
 namespace
 {
 
 using namespace mop;
 using sweep::Fingerprint;
-using sweep::SweepFaultPlan;
-using sweep::WorkerStatus;
 
 std::string
 freshDir(const std::string &name)
@@ -79,181 +75,7 @@ perfValue(const std::string &json, const std::string &key)
     return std::stoull(json.substr(at + field.size()));
 }
 
-sweep::SweepJob
-simJob(const std::string &bench = "gzip", uint64_t insts = 2000)
-{
-    sweep::SweepJob job;
-    job.kind = sweep::JobKind::Sim;
-    job.bench = bench;
-    job.insts = insts;
-    return job;
-}
-
-Fingerprint
-fpOf(const sweep::SweepJob &job)
-{
-    // fingerprintSim hashes the workload profile, so it throws for an
-    // unknown benchmark before the sandbox ever runs; those jobs get a
-    // fixed dummy key (the fingerprint only drives chaos selection).
-    try {
-        return sweep::fingerprintSim(job.bench, job.cfg, job.insts);
-    } catch (const std::exception &) {
-        return Fingerprint{0xdead, 0xbeef};
-    }
-}
-
-// --- Sandbox: classification of every worker ending ---------------------
-
-TEST(SandboxTest, OkResultIsBitIdenticalToInProcess)
-{
-    sweep::SweepJob job = simJob();
-    sweep::WorkerResult r = sweep::runIsolated(job, fpOf(job), 30.0);
-    ASSERT_EQ(r.status, WorkerStatus::Ok);
-
-    sweep::SweepOutcome ref = sweep::computeJob(job);
-    EXPECT_EQ(r.outcome.record.fields, ref.record.fields);
-    EXPECT_EQ(r.outcome.simulatedInsts, ref.simulatedInsts);
-    EXPECT_GT(r.outcome.seconds, 0.0);
-}
-
-TEST(SandboxTest, CrashIsClassifiedWithSignal)
-{
-    sweep::SweepJob job = simJob();
-    SweepFaultPlan plan = SweepFaultPlan::parse("crash:1.0:99", 1);
-    sweep::WorkerResult r =
-        sweep::runIsolated(job, fpOf(job), 30.0, &plan, 1);
-    EXPECT_EQ(r.status, WorkerStatus::Crash);
-    EXPECT_EQ(r.signal, SIGSEGV);
-}
-
-TEST(SandboxTest, HangIsKilledByWatchdog)
-{
-    sweep::SweepJob job = simJob();
-    SweepFaultPlan plan = SweepFaultPlan::parse("hang:1.0:99", 1);
-    sweep::WorkerResult r =
-        sweep::runIsolated(job, fpOf(job), 0.2, &plan, 1);
-    EXPECT_EQ(r.status, WorkerStatus::Timeout);
-}
-
-TEST(SandboxTest, CorruptedFrameIsNeverConsumed)
-{
-    sweep::SweepJob job = simJob();
-    SweepFaultPlan plan =
-        SweepFaultPlan::parse("corrupt-record:1.0:99", 1);
-    sweep::WorkerResult r =
-        sweep::runIsolated(job, fpOf(job), 30.0, &plan, 1);
-    EXPECT_EQ(r.status, WorkerStatus::CorruptResult);
-    EXPECT_TRUE(r.outcome.record.fields.empty());
-}
-
-TEST(SandboxTest, ShortWriteIsDetected)
-{
-    sweep::SweepJob job = simJob();
-    SweepFaultPlan plan = SweepFaultPlan::parse("short-write:1.0:99", 1);
-    sweep::WorkerResult r =
-        sweep::runIsolated(job, fpOf(job), 30.0, &plan, 1);
-    EXPECT_EQ(r.status, WorkerStatus::CorruptResult);
-}
-
-TEST(SandboxTest, ChildExceptionCrossesThePipe)
-{
-    sweep::SweepJob job = simJob("no-such-benchmark");
-    sweep::WorkerResult r = sweep::runIsolated(job, fpOf(job), 30.0);
-    EXPECT_EQ(r.status, WorkerStatus::Error);
-    EXPECT_FALSE(r.error.empty());
-}
-
-TEST(SandboxTest, FaultsStopAfterFailAttempts)
-{
-    // failAttempts=2: attempts 1..2 crash, attempt 3 computes cleanly.
-    sweep::SweepJob job = simJob();
-    SweepFaultPlan plan = SweepFaultPlan::parse("crash:1.0:2", 1);
-    EXPECT_EQ(sweep::runIsolated(job, fpOf(job), 30.0, &plan, 1).status,
-              WorkerStatus::Crash);
-    EXPECT_EQ(sweep::runIsolated(job, fpOf(job), 30.0, &plan, 2).status,
-              WorkerStatus::Crash);
-    EXPECT_EQ(sweep::runIsolated(job, fpOf(job), 30.0, &plan, 3).status,
-              WorkerStatus::Ok);
-}
-
-// --- Supervisor: retry / quarantine over real children ------------------
-
-TEST(SupervisorTest, TransientCrashRecoversWithinBudget)
-{
-    sweep::SupervisorOptions o;
-    o.jobTimeoutSeconds = 30;
-    o.retry.maxAttempts = 3;
-    o.sleeper = [](double) {};  // no real backoff in tests
-    SweepFaultPlan plan = SweepFaultPlan::parse("crash:1.0:2", 1);
-    o.plan = &plan;
-
-    sweep::SweepJob job = simJob();
-    sweep::JobReport r = sweep::superviseJob(job, fpOf(job), o);
-    ASSERT_TRUE(r.ok);
-    EXPECT_EQ(r.attempts, 3);
-    EXPECT_EQ(r.retries, 2);
-    EXPECT_EQ(r.outcome.record.fields,
-              sweep::computeJob(job).record.fields);
-}
-
-TEST(SupervisorTest, PersistentCrashIsQuarantined)
-{
-    sweep::SupervisorOptions o;
-    o.jobTimeoutSeconds = 30;
-    o.retry.maxAttempts = 2;
-    o.sleeper = [](double) {};
-    SweepFaultPlan plan = SweepFaultPlan::parse("crash:1.0:99", 1);
-    o.plan = &plan;
-
-    sweep::SweepJob job = simJob();
-    sweep::JobReport r = sweep::superviseJob(job, fpOf(job), o);
-    ASSERT_FALSE(r.ok);
-    EXPECT_EQ(r.failure.kind, sweep::FailureKind::Crash);
-    EXPECT_EQ(r.failure.signal, SIGSEGV);
-    EXPECT_EQ(r.failure.attempts, 2);
-}
-
-TEST(SupervisorTest, DeterministicErrorIsNeverRetried)
-{
-    sweep::SupervisorOptions o;
-    o.jobTimeoutSeconds = 30;
-    o.retry.maxAttempts = 5;
-    int sleeps = 0;
-    o.sleeper = [&](double) { ++sleeps; };
-
-    sweep::SweepJob job = simJob("no-such-benchmark");
-    sweep::JobReport r = sweep::superviseJob(job, fpOf(job), o);
-    ASSERT_FALSE(r.ok);
-    EXPECT_EQ(r.failure.kind, sweep::FailureKind::Error);
-    EXPECT_EQ(r.failure.attempts, 1);
-    EXPECT_EQ(sleeps, 0);
-    EXPECT_FALSE(r.failure.message.empty());
-}
-
-TEST(SupervisorTest, RunAllKeepsGoodWorkAroundHoles)
-{
-    std::vector<sweep::SweepJob> batch = {simJob("gzip"),
-                                          simJob("no-such-benchmark"),
-                                          simJob("gcc")};
-    std::vector<Fingerprint> fps;
-    for (const auto &j : batch)
-        fps.push_back(fpOf(j));
-
-    sweep::SupervisorOptions o;
-    o.jobTimeoutSeconds = 30;
-    o.sleeper = [](double) {};
-    std::vector<sweep::JobReport> reports = sweep::SweepExecutor(2).run(
-        batch.size(),
-        [&](size_t i) { return sweep::superviseJob(batch[i], fps[i], o); });
-    ASSERT_EQ(reports.size(), 3u);
-    EXPECT_TRUE(reports[0].ok);
-    EXPECT_FALSE(reports[1].ok);
-    EXPECT_TRUE(reports[2].ok);
-    EXPECT_EQ(reports[0].outcome.record.fields,
-              sweep::computeJob(batch[0]).record.fields);
-}
-
-// --- Suite driver under chaos -------------------------------------------
+// --- Suite driver -------------------------------------------------------
 
 void
 registerFaultFigure()
@@ -282,42 +104,10 @@ faultSuiteOpts()
     return opts;
 }
 
-TEST(SuiteFaultTest, IsolationOffAndOnAreByteIdentical)
+TEST(SuiteFaultTest, TelemetryAndPerfJsonReportTheSameCounters)
 {
-    registerFaultFigure();
-    sweep::SuiteOptions opts = faultSuiteOpts();
-
-    std::ostringstream inProcess, isolated;
-    ASSERT_EQ(sweep::runSuite(opts, inProcess), 0);
-    opts.isolate = true;
-    ASSERT_EQ(sweep::runSuite(opts, isolated), 0);
-    EXPECT_FALSE(inProcess.str().empty());
-    EXPECT_EQ(inProcess.str(), isolated.str());
-}
-
-TEST(SuiteFaultTest, ChaosWithinRetryBudgetRecoversByteIdentically)
-{
-    registerFaultFigure();
-    sweep::SuiteOptions opts = faultSuiteOpts();
-
-    std::ostringstream clean;
-    ASSERT_EQ(sweep::runSuite(opts, clean), 0);
-
-    // Every job crashes on its first attempt; the budget of 3 covers
-    // it, so the sweep must recover to the exact same bytes.
-    opts.isolate = true;
-    opts.sweepInject = "crash:1.0:1";
-    opts.sweepSeed = 42;
-    std::ostringstream chaotic;
-    ASSERT_EQ(sweep::runSuite(opts, chaotic), 0);
-    EXPECT_EQ(clean.str(), chaotic.str());
-}
-
-TEST(SuiteFaultTest, IsolatedAndInProcessReportTheSameCounters)
-{
-    // Both per-job bodies finish through the same pool, so they must
-    // count the same runs and instructions; the isolated body adds its
-    // retry and crash counters on top.
+    // Both count through the executor's one completion path, so the
+    // live series must agree with the perf JSON written at the end.
     registerFaultFigure();
     sweep::SuiteOptions opts = faultSuiteOpts();
     opts.telemetryPath = testing::TempDir() + "mop-fault-counters.prom";
@@ -325,55 +115,105 @@ TEST(SuiteFaultTest, IsolatedAndInProcessReportTheSameCounters)
 
     std::ostringstream out;
     ASSERT_EQ(sweep::runSuite(opts, out), 0);
-    const std::string promIn = slurp(opts.telemetryPath);
-    const std::string perfIn = slurp(opts.perfJsonPath);
+    const std::string prom = slurp(opts.telemetryPath);
+    const std::string perf = slurp(opts.perfJsonPath);
 
-    // Every job crashes on its first attempt and recovers on its second.
-    opts.isolate = true;
-    opts.sweepInject = "crash:1.0:1";
-    ASSERT_EQ(sweep::runSuite(opts, out), 0);
-    const std::string promIso = slurp(opts.telemetryPath);
-    const std::string perfIso = slurp(opts.perfJsonPath);
-
-    for (const char *series :
-         {"mop_sweep_runs_completed", "mop_sweep_simulated_insts_total"})
-        EXPECT_EQ(promValue(promIn, series), promValue(promIso, series))
-            << series;
-    for (const char *key : {"computed_runs", "simulated_insts"})
-        EXPECT_EQ(perfValue(perfIn, key), perfValue(perfIso, key)) << key;
-    const double computed = double(perfValue(perfIso, "computed_runs"));
-    EXPECT_GT(computed, 0);
-    EXPECT_EQ(promValue(promIn, "mop_sweep_retries_total"), 0);
-    EXPECT_EQ(promValue(promIso, "mop_sweep_retries_total"), computed);
-    EXPECT_EQ(promValue(promIso, "mop_sweep_crashes_total"), computed);
+    const uint64_t computed = perfValue(perf, "computed_runs");
+    EXPECT_GT(computed, 0u);
+    EXPECT_EQ(promValue(prom, "mop_sweep_runs_completed"), double(computed));
+    EXPECT_EQ(promValue(prom, "mop_sweep_simulated_insts_total"),
+              double(perfValue(perf, "simulated_insts")));
     std::remove(opts.telemetryPath.c_str());
     std::remove(opts.perfJsonPath.c_str());
 }
 
-TEST(SuiteFaultTest, ExhaustedBudgetRendersFailedCellsAndExits3)
-{
-    registerFaultFigure();
-    sweep::SuiteOptions opts = faultSuiteOpts();
-    opts.isolate = true;
-    opts.sweepInject = "crash:1.0:99";  // outlasts any retry budget
-    opts.maxAttempts = 2;
+/** Turns the failing figure's refused run into a runnable one. */
+bool gFailingRunFixed = false;
 
-    std::ostringstream out;
-    EXPECT_EQ(sweep::runSuite(opts, out), 3);
-    // The quarantined runs appear as explicit FAILED cells plus a
-    // per-figure note naming the job and failure class.
-    EXPECT_NE(out.str().find("FAILED"), std::string::npos);
-    EXPECT_NE(out.str().find("[FAILED] _test-fault"), std::string::npos);
-    EXPECT_NE(out.str().find("crash"), std::string::npos);
+/**
+ * Three runs: gzip on base at iq 32, gzip on MOP-wiredOR at iq 1 and
+ * gcc on base at iq 32. The core refuses a MOP machine with a 1-entry
+ * queue when it is built, so that run throws inside computeJob, after
+ * planning; gFailingRunFixed turns it into iq 2.
+ */
+void
+registerFailingFigure()
+{
+    sweep::Suite::instance().add(
+        {"_test-failing-job", "a figure with one run the core refuses",
+         [](sweep::Context &ctx, std::ostream &out) {
+             double base = ctx.baseIpc("gzip", 32);
+             sim::RunConfig cfg;
+             cfg.machine = sim::Machine::MopWiredOr;
+             cfg.iqEntries = gFailingRunFixed ? 2 : 1;
+             pipeline::SimResult r = ctx.run("gzip", cfg);
+             out << "failing-fig norm " << stats::Table::fmt(r.ipc / base)
+                 << " gcc " << stats::Table::fmt(ctx.baseIpc("gcc", 32))
+                 << "\n";
+         }});
 }
 
-TEST(SuiteFaultTest, InjectWithoutIsolateIsRejected)
+TEST(SuiteFaultTest, ThrowingJobEndsTheSweepAndKeepsTheRestCached)
 {
-    registerFaultFigure();
+    registerFailingFigure();
+    gFailingRunFixed = false;
     sweep::SuiteOptions opts = faultSuiteOpts();
-    opts.sweepInject = "crash";
+    opts.only = {"_test-failing-job"};
+    opts.useCache = true;
+    opts.cacheDir = freshDir("mop-fault-failed-job");
+    opts.perfJsonPath = testing::TempDir() + "mop-fault-failed-job.json";
+
+    // The failed job ends the sweep, named alone; nothing renders, and
+    // the two jobs that finished are already in the cache.
     std::ostringstream out;
-    EXPECT_THROW(sweep::runSuite(opts, out), std::invalid_argument);
+    try {
+        sweep::runSuite(opts, out);
+        ADD_FAILURE() << "a refused run must fail the sweep";
+    } catch (const sweep::SweepBatchError &e) {
+        ASSERT_EQ(e.failures().size(), 1u) << e.what();
+        EXPECT_NE(e.failures()[0].job.find("gzip machine=MOP-wiredOR iq=1 "),
+                  std::string::npos)
+            << e.failures()[0].job;
+    }
+    EXPECT_EQ(out.str(), "");
+    size_t records = 0;
+    for (const auto &e : std::filesystem::directory_iterator(opts.cacheDir))
+        records += e.path().extension() == ".res";
+    EXPECT_EQ(records, 2u);
+
+    // Through the CLI: exit 1, empty stdout, one stderr line naming
+    // the job.
+    std::vector<std::string> args = {
+        "mopsuite", "--only", "_test-failing-job", "--insts", "2000",
+        "--jobs",   "2",      "--no-cache",        "--perf",  "",
+        "--quiet"};
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    int rc = sweep::suiteMain(int(argv.size()), argv.data());
+    const std::string cliOut = testing::internal::GetCapturedStdout();
+    const std::string cliErr = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 1) << cliErr;
+    EXPECT_EQ(cliOut, "");
+    size_t naming = 0;
+    std::istringstream lines(cliErr);
+    for (std::string line; std::getline(lines, line);)
+        naming += line.find("machine=MOP-wiredOR iq=1 ") != std::string::npos;
+    EXPECT_EQ(naming, 1u) << cliErr;
+
+    // The rerun computes only the repaired run; the other two come
+    // from the cache the failed sweep filled.
+    gFailingRunFixed = true;
+    std::ostringstream rerun;
+    ASSERT_EQ(sweep::runSuite(opts, rerun), 0);
+    gFailingRunFixed = false;
+    EXPECT_EQ(rerun.str().rfind("failing-fig norm ", 0), 0u) << rerun.str();
+    const std::string perf = slurp(opts.perfJsonPath);
+    EXPECT_EQ(perfValue(perf, "cache_hits"), 2u) << perf;
+    EXPECT_EQ(perfValue(perf, "computed_runs"), 1u) << perf;
+    std::remove(opts.perfJsonPath.c_str());
 }
 
 /**
@@ -384,13 +224,12 @@ TEST(SuiteFaultTest, InjectWithoutIsolateIsRejected)
  * must compute nothing.
  */
 void
-expectRerunResumesFromCache(bool isolate, const std::string &name)
+expectRerunResumesFromCache(const std::string &name)
 {
     registerFaultFigure();
     sweep::SuiteOptions opts = faultSuiteOpts();
     opts.useCache = true;
     opts.cacheDir = freshDir(name);
-    opts.isolate = isolate;
     opts.perfJsonPath = testing::TempDir() + name + "-perf.json";
 
     std::ostringstream first;
@@ -430,12 +269,7 @@ expectRerunResumesFromCache(bool isolate, const std::string &name)
 
 TEST(SuiteFaultTest, KilledSweepResumesFromTheCache)
 {
-    expectRerunResumesFromCache(false, "mop-fault-resume");
-}
-
-TEST(SuiteFaultTest, KilledIsolatedSweepResumesFromTheCache)
-{
-    expectRerunResumesFromCache(true, "mop-fault-resume-isolated");
+    expectRerunResumesFromCache("mop-fault-resume");
 }
 
 TEST(SuiteFaultTest, CacheVerifyModeRepairsAndReports)

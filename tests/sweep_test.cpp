@@ -268,6 +268,35 @@ TEST(SweepExecutorTest, CompletionHookFiresForSuccessesOnly)
     EXPECT_EQ(completed[1], 2u);
 }
 
+TEST(SweepExecutorTest, HookExceptionEndsTheBatchNotTheProcess)
+{
+    // A completion hook (or telemetry flush) that throws on a worker
+    // thread used to escape it and terminate the process; it must
+    // come back out of runAll instead, after the jobs in flight.
+    std::vector<sweep::SweepJob> batch(4);
+    for (auto &j : batch) {
+        j.bench = "gzip";
+        j.insts = 1000;
+    }
+    for (int workers : {1, 2}) {
+        sweep::SweepExecutor exec(workers);
+        size_t calls = 0;
+        exec.setCompletion([&](size_t, const sweep::SweepOutcome &) {
+            ++calls;
+            throw std::runtime_error("cache disk full");
+        });
+        try {
+            exec.runAll(batch);
+            ADD_FAILURE() << workers << " worker(s): must throw";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "cache disk full");
+        }
+        // Only jobs already taken finish; none is handed out after.
+        EXPECT_GE(calls, 1u);
+        EXPECT_LE(calls, size_t(workers));
+    }
+}
+
 // --- Suite driver -------------------------------------------------------
 
 void
