@@ -30,11 +30,13 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/critpath.hh"
 #include "obs/telemetry.hh"
+#include "sim/cli_opts.hh"
 #include "trace/trace_file.hh"
 
 namespace mop::obs
@@ -192,6 +194,25 @@ std::string renderDashJson(const DashModel &m);
 
 /** The full self-contained dashboard HTML page. */
 std::string renderDashHtml(const DashModel &m);
+
+/** Everything moptrace's options set. */
+struct MoptraceArgs
+{
+    uint64_t interval = 0;  ///< timeline (0 = about 64 intervals)
+    double failOn = 0;      ///< diff (0 = never fail)
+    std::string out;        ///< render -o ("" = from the trace's path)
+    RenderOptions render;
+    bool help = false;
+};
+
+/** The option rows of moptrace @p command (all rows when empty) and
+ *  --help; they store into @p a. */
+std::vector<sim::Opt> moptraceOptions(MoptraceArgs &a,
+                                      std::string_view command = {});
+
+/** The moptrace CLI. Exit codes: 0 success, 1 runtime failure (a bad
+ *  trace, or a diff regression), 2 usage error (before any work). */
+int moptraceMain(int argc, char **argv);
 
 } // namespace mop::obs
 

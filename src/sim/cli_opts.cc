@@ -1,8 +1,10 @@
 #include "sim/cli_opts.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <iomanip>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -95,6 +97,69 @@ parseDecimalOption(const std::string &opt, const std::string &value,
     if (v < lo || v > hi)
         bad(opt, value, text(lo), text(hi), "a decimal");
     return v;
+}
+
+Opt
+switchOpt(std::string flag, std::string help, bool &field, bool value)
+{
+    return {flag, "", help, {}, [&field, value] { field = value; }};
+}
+
+Opt
+tokenOpt(std::string flag, std::string metavar, std::string help,
+         const std::vector<std::string> &tokens,
+         std::function<bool(const std::string &)> parse)
+{
+    std::string list;
+    for (const std::string &t : tokens)
+        list += (list.empty() ? "" : ", ") + t;
+    return {flag, metavar, help + " (" + list + ")",
+            [=](const std::string &v) {
+                if (!parse(v))
+                    throw std::invalid_argument("bad value '" + v + "' for " +
+                                                flag + ": expected one of " +
+                                                list);
+            }};
+}
+
+void
+parseArgs(const std::vector<Opt> &table, int argc, const char *const *argv)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.size() < 2 || arg[0] != '-')
+            throw std::invalid_argument("stray argument '" + arg + "'");
+        const size_t eq = arg.find('=');
+        std::string name = arg.substr(0, eq);
+        if (name == "-h")
+            name = "--help";
+        auto row = std::find_if(table.begin(), table.end(),
+                                [&](const Opt &o) { return o.flag == name; });
+        if (row == table.end())
+            throw std::invalid_argument("unknown option '" + name + "'");
+        if (eq != std::string::npos && !row->apply)
+            throw std::invalid_argument(name + " takes no value");
+        if (eq == std::string::npos && !row->bare && i + 1 == argc)
+            throw std::invalid_argument("missing value for " + name);
+        if (row->bare)
+            row->bare();
+        if (eq != std::string::npos)
+            row->apply(arg.substr(eq + 1));
+        else if (!row->bare)
+            row->apply(argv[++i]);
+    }
+}
+
+void
+printUsage(std::ostream &os, const std::vector<Opt> &table)
+{
+    for (const Opt &o : table) {
+        std::string flag = o.flag;
+        if (o.apply)
+            flag += o.bare ? "[=" + o.metavar + "]" : " " + o.metavar;
+        flag.resize(std::max<size_t>(flag.size(), 20), ' ');
+        os << "  " << flag << " " << o.help << "\n";
+    }
 }
 
 } // namespace mop::sim

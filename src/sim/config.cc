@@ -147,7 +147,7 @@ benchInsts(uint64_t fallback)
     const char *env = std::getenv("MOP_INSTS");
     if (!env || !*env)
         return fallback;
-    return parseUintOption("MOP_INSTS", env, 1, uint64_t(1) << 40);
+    return parseUintOption("MOP_INSTS", env, 1, kMaxInsts);
 }
 
 PaperRef

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "pipeline/ooo_core.hh"
+#include "sim/cli_opts.hh"
 
 namespace mop::sim
 {
@@ -115,6 +116,25 @@ struct PaperRef
 };
 
 PaperRef paperRef(const std::string &bench);
+
+/** Everything mopsim's command line sets. */
+struct MopsimArgs
+{
+    std::string bench, kernel, inject, difftestRepro;
+    RunConfig cfg;
+    uint64_t insts = 300000, seed = 1, difftestSeed = 1;
+    int difftest = 0;
+    bool stats = false, golden = true, selftest = false, report = false,
+         dumpOnError = false, difftestSkipIdle = false, list = false,
+         help = false;
+};
+
+/** mopsim's option table; its rows store into @p a. */
+std::vector<Opt> mopsimOptions(MopsimArgs &a);
+
+/** The mopsim CLI. Exit codes: 0 success, 1 runtime failure (a check,
+ *  deadlock, difftest or selftest failed), 2 usage error (no work). */
+int mopsimMain(int argc, char **argv);
 
 } // namespace mop::sim
 

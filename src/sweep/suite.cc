@@ -202,11 +202,20 @@ now()
         .count();
 }
 
-/** Reject a malformed $MOP_INSTS before any work (throws
- *  std::invalid_argument). */
+/** The rules that link mopsuite's options, checked before any work
+ *  (throws std::invalid_argument). */
 void
 checkOptions(const SuiteOptions &opts)
 {
+    if (opts.cacheVerify && !opts.useCache)
+        throw std::invalid_argument(
+            "--cache-verify needs the cache enabled (drop --no-cache)");
+    // Cached runs are not timed: a warm cache leaves the gate or pin
+    // nothing to measure, a partly warm one only the missing runs.
+    if (opts.useCache && (opts.perfGatePct >= 0 || !opts.perfPinLabel.empty()))
+        throw std::invalid_argument(
+            std::string(opts.perfGatePct >= 0 ? "--perf-gate" : "--perf-pin") +
+            " measures computed runs: it needs --no-cache");
     if (!opts.insts)
         sim::benchInsts(kDefaultInsts);
 }
@@ -217,14 +226,15 @@ int
 runSuite(const SuiteOptions &opts, std::ostream &out)
 {
     double wall0 = now();
+    try {
+        checkOptions(opts);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "mopsuite: " << e.what() << "\n";
+        return 2;
+    }
 
     // --cache-verify: integrity maintenance pass instead of a sweep.
     if (opts.cacheVerify) {
-        if (!opts.useCache) {
-            std::cerr << "mopsuite: --cache-verify needs the cache "
-                         "enabled (drop --no-cache)\n";
-            return 2;
-        }
         ResultCache cache(opts.cacheDir.empty()
                               ? ResultCache::defaultDir()
                               : opts.cacheDir);
@@ -237,8 +247,6 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
             << evicted << " evicted, " << st.bytes << " bytes\n";
         return st.corrupt ? 1 : 0;
     }
-
-    checkOptions(opts);
 
     // Figure selection, preserving registration order.
     std::vector<const Figure *> selected;
@@ -277,6 +285,18 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         ctx.jobs_ = &jobs;
         ctx.touched_ = &touched[i];
         selected[i]->render(ctx, nullout);
+    }
+    // Only simulation runs are timed: table1 plans no run, and fig6 and
+    // fig7 plan characterization runs only.
+    if ((opts.perfGatePct >= 0 || !opts.perfPinLabel.empty()) &&
+        std::none_of(jobs.begin(), jobs.end(), [](const SweepJob &j) {
+            return j.kind == JobKind::Sim;
+        })) {
+        std::cerr << "mopsuite: "
+                  << (opts.perfGatePct >= 0 ? "--perf-gate" : "--perf-pin")
+                  << " needs simulation runs to measure; the selected "
+                     "figures plan none\n";
+        return 2;
     }
 
     // Resolve: persistent cache first, then compute.
@@ -551,22 +571,12 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     // (optionally) pin this measurement as the new trajectory point.
     bool gateFailed = false;
     if (opts.perfGatePct >= 0) {
-        if (ipsSamples.empty()) {
-            std::cerr << "mopsuite: --perf-gate needs computed runs to "
-                         "measure; rerun with --no-cache\n";
-            return 2;
-        }
         std::string msg;
         gateFailed = !gatePerf(opts.perfBaselinePath, ipsMedian,
                                opts.perfGatePct, msg);
         std::cerr << "mopsuite: " << msg << "\n";
     }
     if (!opts.perfPinLabel.empty()) {
-        if (ipsSamples.empty()) {
-            std::cerr << "mopsuite: --perf-pin needs computed runs to "
-                         "measure; rerun with --no-cache\n";
-            return 2;
-        }
         PerfEntry e;
         e.label = opts.perfPinLabel;
         e.simVersion = kSimVersion;
@@ -631,148 +641,65 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
     return gateFailed ? 4 : 0;
 }
 
-namespace
+std::vector<sim::Opt>
+suiteOptions(SuiteOptions &o, bool &list, bool &help)
 {
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: mopsuite [options]\n"
-          "  --jobs N        worker threads (default: all cores)\n"
-          "  --only A[,B]    run only the named figures (repeatable)\n"
-          "  --list          list registered figures and exit\n"
-          "  --insts N       per-run instruction budget "
-          "(default: $MOP_INSTS or 200000)\n"
-          "  --json PATH     write figure outputs + per-run results\n"
-          "  --perf PATH     write sweep perf metrics "
-          "(default: BENCH_sweep.json)\n"
-          "  --repeat N      time the compute phase N times (median +\n"
-          "                  spread land in the perf JSON; the final\n"
-          "                  pass is the one that persists results)\n"
-          "  --perf-baseline PATH\n"
-          "                  perf trajectory file for --perf-gate /\n"
-          "                  --perf-pin (default: BENCH_core.json)\n"
-          "  --perf-gate PCT fail (exit 4) when this run's insts/s\n"
-          "                  median is more than PCT% below the last\n"
-          "                  pinned trajectory entry\n"
-          "  --perf-pin LABEL\n"
-          "                  append this run's median to the perf\n"
-          "                  trajectory under LABEL\n"
-          "  --cache-dir D   persistent result cache directory\n"
-          "                  (default: $MOP_CACHE_DIR or "
-          "~/.cache/mopsim)\n"
-          "  --no-cache      disable the persistent result cache\n"
-          "  --quiet         suppress progress lines on stderr\n"
-          "  --progress      single updating progress line on stderr\n"
-          "                  (runs done/queued, cache hits, worker\n"
-          "                  utilization, ETA)\n"
-          "  --telemetry F   write live batch telemetry to F as a\n"
-          "                  Prometheus-style text file (rewritten\n"
-          "                  atomically as runs complete)\n"
-          "  --render-dash F write a self-contained sweep-dashboard\n"
-          "                  HTML to F after the render pass (stat\n"
-          "                  tiles, perf trajectory, per-machine IPC,\n"
-          "                  per-figure cost, telemetry counters)\n"
-          "  --cache-verify  CRC-check every cache record (quarantine\n"
-          "                  damage and pre-CRC records, which the\n"
-          "                  next sweep recomputes) and exit\n"
-          "  --cache-max-bytes N\n"
-          "                  evict least-recently-used cache records\n"
-          "                  beyond N bytes after the sweep\n"
-          "  --wrong-path[=N]\n"
-          "                  run every figure with true wrong-path\n"
-          "                  execution (N µops per mispredict episode,\n"
-          "                  default 64); enabled sweeps get their own\n"
-          "                  cache keys, default sweeps are untouched\n";
+    using namespace sim;
+    return {
+        numOpt("--jobs", "N", parseIntOption, 1, 256,
+               "worker threads (default: all cores)", into(o.jobs)),
+        {"--only", "A[,B]", "run only these figures (repeatable)",
+         [&o](const std::string &v) {
+             std::stringstream ss(v);
+             const size_t named = o.only.size();
+             for (std::string tok; std::getline(ss, tok, ',');)
+                 if (!tok.empty())
+                     o.only.push_back(tok);
+             if (o.only.size() == named)
+                 throw std::invalid_argument(
+                     "--only names no figure (see --list)");
+         }},
+        switchOpt("--list", "list registered figures and exit", list),
+        numOpt("--insts", "N", parseUintOption, 1, kMaxInsts,
+               "per-run budget (default: $MOP_INSTS or 200000): a run ends "
+               "in the first cycle whose commits reach N (up to 3 more commit)",
+               into(o.insts)),
+        {"--json", "PATH", "figure outputs and per-run results",
+         into(o.jsonPath)},
+        {"--perf", "PATH", "sweep perf metrics (BENCH_sweep.json)",
+         into(o.perfJsonPath)},
+        numOpt("--repeat", "N", parseIntOption, 1, 100,
+               "time the compute phase N times", into(o.repeat)),
+        {"--perf-baseline", "PATH", "perf trajectory (BENCH_core.json)",
+         into(o.perfBaselinePath)},
+        numOpt("--perf-gate", "PCT", parseUintOption, 0, 100,
+               "exit 4 when insts/s is PCT% under the trajectory; needs "
+               "--no-cache",
+               into(o.perfGatePct)),
+        {"--perf-pin", "LABEL", "pin insts/s as LABEL; needs --no-cache",
+         into(o.perfPinLabel)},
+        {"--cache-dir", "DIR", "result cache ($MOP_CACHE_DIR, ~/.cache/mopsim)",
+         into(o.cacheDir)},
+        switchOpt("--no-cache", "no persistent result cache", o.useCache,
+                  false),
+        switchOpt("--quiet", "no progress lines on stderr", o.verbose, false),
+        switchOpt("--verbose", "progress lines on stderr (default)",
+                  o.verbose),
+        switchOpt("--progress", "one updating progress line", o.progress),
+        {"--telemetry", "FILE", "live batch telemetry", into(o.telemetryPath)},
+        {"--render-dash", "FILE", "sweep dashboard (HTML)",
+         into(o.renderDashPath)},
+        switchOpt("--cache-verify", "CRC-check the cache, then exit",
+                  o.cacheVerify),
+        numOpt("--cache-max-bytes", "N", parseUintOption, 1,
+               uint64_t(1) << 50, "evict LRU records beyond N bytes",
+               into(o.cacheMaxBytes)),
+        numOpt("--wrong-path", "N", parseIntOption, 1, 4096,
+               "wrong-path execution, N µops per mispredict (default 64)",
+               into(o.wrongPathDepth), [&o] { o.wrongPath = true; }),
+        switchOpt("--help", "print this help (also -h)", help),
+    };
 }
-
-/** Flag parsing for suiteMain; throws std::invalid_argument on a
- *  malformed value. Returns an exit code >= 0 when parsing already
- *  finished the program. */
-int
-parseArgs(int argc, char **argv, SuiteOptions &opts)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto value = [&](const char *what) -> std::string {
-            if (i + 1 >= argc)
-                throw std::invalid_argument(std::string(what) +
-                                            " requires a value");
-            return argv[++i];
-        };
-        if (a == "--jobs") {
-            opts.jobs =
-                int(sim::parseIntOption("--jobs", value("--jobs"), 1, 256));
-        } else if (a == "--only") {
-            std::stringstream ss(value("--only"));
-            std::string tok;
-            const size_t named = opts.only.size();
-            while (std::getline(ss, tok, ','))
-                if (!tok.empty())
-                    opts.only.push_back(tok);
-            if (opts.only.size() == named)
-                throw std::invalid_argument(
-                    "--only names no figure (see --list)");
-        } else if (a == "--insts") {
-            opts.insts = sim::parseUintOption("--insts", value("--insts"),
-                                              1, uint64_t(1) << 40);
-        } else if (a == "--json") {
-            opts.jsonPath = value("--json");
-        } else if (a == "--perf") {
-            opts.perfJsonPath = value("--perf");
-        } else if (a == "--repeat") {
-            opts.repeat = int(
-                sim::parseIntOption("--repeat", value("--repeat"), 1, 100));
-        } else if (a == "--perf-baseline") {
-            opts.perfBaselinePath = value("--perf-baseline");
-        } else if (a == "--perf-gate") {
-            opts.perfGatePct = double(sim::parseUintOption(
-                "--perf-gate", value("--perf-gate"), 0, 100));
-        } else if (a == "--perf-pin") {
-            opts.perfPinLabel = value("--perf-pin");
-        } else if (a == "--cache-dir") {
-            opts.cacheDir = value("--cache-dir");
-        } else if (a == "--no-cache") {
-            opts.useCache = false;
-        } else if (a == "--telemetry") {
-            opts.telemetryPath = value("--telemetry");
-        } else if (a == "--render-dash") {
-            opts.renderDashPath = value("--render-dash");
-        } else if (a == "--cache-verify") {
-            opts.cacheVerify = true;
-        } else if (a == "--cache-max-bytes") {
-            opts.cacheMaxBytes = sim::parseUintOption(
-                "--cache-max-bytes", value("--cache-max-bytes"), 1,
-                uint64_t(1) << 50);
-        } else if (a == "--wrong-path") {
-            opts.wrongPath = true;
-        } else if (a.rfind("--wrong-path=", 0) == 0) {
-            opts.wrongPath = true;
-            opts.wrongPathDepth = int(sim::parseIntOption(
-                "--wrong-path", a.substr(13), 1, 4096));
-        } else if (a == "--progress") {
-            opts.progress = true;
-        } else if (a == "--quiet") {
-            opts.verbose = false;
-        } else if (a == "--verbose") {
-            opts.verbose = true;
-        } else if (a == "--list") {
-            for (const auto &f : Suite::instance().figures())
-                std::cout << f.name << "\t" << f.title << "\n";
-            return 0;
-        } else if (a == "--help" || a == "-h") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "mopsuite: unknown option '" << a << "'\n";
-            usage(std::cerr);
-            return 2;
-        }
-    }
-    return -1;
-}
-
-} // namespace
 
 int
 suiteMain(int argc, char **argv)
@@ -780,11 +707,20 @@ suiteMain(int argc, char **argv)
     SuiteOptions opts;
     opts.perfJsonPath = "BENCH_sweep.json";
     opts.verbose = true;
+    bool list = false, help = false;
     try {
-        int done = parseArgs(argc, argv, opts);
-        if (done >= 0)
-            return done;
-        checkOptions(opts);
+        const std::vector<sim::Opt> table = suiteOptions(opts, list, help);
+        sim::parseArgs(table, argc, argv);
+        if (help) {
+            std::cout << "usage: mopsuite [options]\n";
+            sim::printUsage(std::cout, table);
+            return 0;
+        }
+        if (list) {
+            for (const auto &f : Suite::instance().figures())
+                std::cout << f.name << "\t" << f.title << "\n";
+            return 0;
+        }
     } catch (const std::exception &e) {
         std::cerr << "mopsuite: " << e.what() << "\n";
         return 2;

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/cli_opts.hh"
 #include "sweep/executor.hh"
 #include "sweep/result_cache.hh"
 
@@ -147,6 +148,10 @@ struct SuiteOptions
     bool wrongPath = false;
     int wrongPathDepth = 64;
 };
+
+/** mopsuite's option table; its rows store into @p o, @p list and
+ *  @p help. */
+std::vector<sim::Opt> suiteOptions(SuiteOptions &o, bool &list, bool &help);
 
 /**
  * CLI driver behind the mopsuite binary. Exit codes: 0 clean, 1
