@@ -1,20 +1,23 @@
 /**
  * @file
- * moptrace: offline analysis of MOPEVTRC cycle-event traces, one
- * kCommands row per command. Traces come from `mopsim --trace-out`
- * (any MOPEVTRC version; v1 files load with the lifecycle extension
- * defaulted, so report/diff work but critpath attribution degrades).
+ * moptrace: offline analysis and views of MOPEVTRC cycle-event
+ * traces, one kCommands row per command. Traces come from `mopsim
+ * --trace-out` (any MOPEVTRC version; v1 files load with the
+ * lifecycle extension defaulted, so report/diff work but critpath
+ * attribution degrades). `json` is the Chrome trace-event view.
  */
 
 #include "obs/render.hh"
 
+#include <inttypes.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string_view>
 
+#include "isa/uop.hh"
 #include "obs/critpath.hh"
 #include "trace/trace_file.hh"
 
@@ -25,24 +28,6 @@ namespace
 {
 
 using Traces = std::vector<std::string>;
-
-struct LoadedTrace
-{
-    uint32_t version = 0;
-    std::vector<trace::CycleEvent> events;
-};
-
-LoadedTrace
-load(const std::string &path)
-{
-    LoadedTrace t;
-    trace::EventTraceReader rd(path);
-    t.version = rd.version();
-    trace::CycleEvent ev;
-    while (rd.next(ev))
-        t.events.push_back(ev);
-    return t;
-}
 
 /** "A:B" / "A:" / ":B" -> inclusive cycle window (missing side stays
  *  at the RenderOptions default). */
@@ -69,22 +54,19 @@ cmdRender(const Traces &paths, const MoptraceArgs &a)
     const size_t stem = path.size() - (evt ? 4 : 0);
     const std::string outPath =
         a.out.empty() ? path.substr(0, stem) + ".html" : a.out;
-    LoadedTrace t = load(path);
+    // Created before the trace is decoded, so an unwritable page fails
+    // at once; the page appears only once it is whole.
+    sim::OutputFile out(outPath);
     RenderOptions opts = a.render;
-    opts.traceVersion = t.version;
-    if (t.version < 2)
-        std::cerr << "note: v" << t.version
+    const auto events = trace::readEventTrace(path, &opts.traceVersion);
+    if (opts.traceVersion < 2)
+        std::cerr << "note: v" << opts.traceVersion
                   << " trace renders in degraded mode (no frontend "
                      "stages, dep edges or MOP groups; see DESIGN.md)\n";
-    RenderModel model = buildRenderModel(t.events, opts);
+    RenderModel model = buildRenderModel(events, opts);
     std::string html = renderWaterfallHtml(model);
-    std::ofstream out(outPath, std::ios::binary);
-    if (!out)
-        throw std::runtime_error("cannot open " + outPath);
-    out.write(html.data(), std::streamsize(html.size()));
-    out.close();
-    if (!out)
-        throw std::runtime_error("short write to " + outPath);
+    out.stream() << html;
+    out.commit();
     std::cout << "rendered " << model.rows.size() << " row(s) ("
               << model.windowInsts << " inst(s)"
               << (model.truncated ? ", truncated" : "") << ") -> "
@@ -108,11 +90,11 @@ cmdDiff(const Traces &paths, const MoptraceArgs &a)
 {
     const std::string &pa = paths[0], &pb = paths[1];
     const double fail_on = a.failOn;
-    LoadedTrace ta = load(pa), tb = load(pb);
-    TraceSummary sa = summarizeTrace(ta.events);
-    TraceSummary sb = summarizeTrace(tb.events);
-    CritPathReport ca = analyzeCritPath(ta.events);
-    CritPathReport cb = analyzeCritPath(tb.events);
+    const auto ta = trace::readEventTrace(pa), tb = trace::readEventTrace(pb);
+    TraceSummary sa = summarizeTrace(ta);
+    TraceSummary sb = summarizeTrace(tb);
+    CritPathReport ca = analyzeCritPath(ta);
+    CritPathReport cb = analyzeCritPath(tb);
 
     std::vector<DiffRow> rows = {
         {"cycles", double(sa.cycles), double(sb.cycles), -1},
@@ -165,6 +147,47 @@ cmdDiff(const Traces &paths, const MoptraceArgs &a)
     return 0;
 }
 
+/** The Chrome trace-event view of a trace on stdout, streamed record
+ *  by record: an "X" slice per µop from fetch to commit, on one of 16
+ *  lanes by dynamic id so concurrent µops stack, and a "C" sample per
+ *  occupancy counter event. Timestamps are cycles. */
+int
+cmdJson(const Traces &paths, const MoptraceArgs &)
+{
+    trace::EventTraceReader rd(paths[0]);
+    std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", stdout);
+    trace::CycleEvent ev;
+    for (bool first = true; !std::ferror(stdout) && rd.next(ev);
+         first = false) {
+        if (!first)
+            std::fputc(',', stdout);
+        if (ev.kind == trace::CycleEvent::Kind::Counter) {
+            std::printf("\n{\"name\":\"occupancy\",\"ph\":\"C\",\"pid\":0,"
+                        "\"ts\":%" PRIu64 ",\"args\":{\"iq\":%" PRIu64
+                        ",\"rob\":%" PRIu64 ",\"frontend\":%" PRIu64
+                        ",\"mopPending\":%" PRIu64 "}}",
+                        ev.insert, ev.issue, ev.execStart, ev.complete,
+                        ev.commit);
+            continue;
+        }
+        const uint64_t dur = ev.commit >= ev.fetch ? ev.commit - ev.fetch : 0;
+        std::printf("\n{\"name\":\"%s\",\"cat\":\"uop\",\"ph\":\"X\","
+                    "\"pid\":0,\"tid\":%u,\"ts\":%" PRIu64 ",\"dur\":%" PRIu64
+                    ",\"args\":{\"seq\":%" PRIu64 ",\"pc\":%" PRIu64
+                    ",\"insert\":%" PRIu64 ",\"ready\":%" PRIu64
+                    ",\"issue\":%" PRIu64 ",\"execStart\":%" PRIu64
+                    ",\"complete\":%" PRIu64 ",\"flags\":%u}}",
+                    isa::opClassName(isa::OpClass(ev.op)),
+                    unsigned(ev.seq % 16), ev.fetch, dur, ev.seq, ev.pc,
+                    ev.insert, ev.ready, ev.issue, ev.execStart, ev.complete,
+                    unsigned(ev.flags));
+    }
+    std::fputs("\n]}\n", stdout);
+    if (std::fflush(stdout) != 0 || std::ferror(stdout))
+        throw std::runtime_error("json: cannot write stdout");
+    return 0;
+}
+
 /** One moptrace command: its traces and what it runs. */
 struct Command
 {
@@ -177,30 +200,33 @@ struct Command
 constexpr Command kCommands[] = {
     {"report", 1, "<trace.evt>",
      [](const Traces &paths, const MoptraceArgs &) {
-         LoadedTrace t = load(paths[0]);
+         uint32_t version = 0;
+         const auto events = trace::readEventTrace(paths[0], &version);
          std::cout << "trace         " << paths[0] << " (MOPEVTRC v"
-                   << t.version << ")\n";
-         printSummary(std::cout, summarizeTrace(t.events));
+                   << version << ")\n";
+         printSummary(std::cout, summarizeTrace(events));
          return 0;
      }},
     {"timeline", 1, "<trace.evt>",
      [](const Traces &paths, const MoptraceArgs &a) {
-         LoadedTrace t = load(paths[0]);
-         printTimeline(std::cout, analyzeTimeline(t.events, a.interval));
+         const auto events = trace::readEventTrace(paths[0]);
+         printTimeline(std::cout, analyzeTimeline(events, a.interval));
          return 0;
      }},
     {"critpath", 1, "<trace.evt>",
      [](const Traces &paths, const MoptraceArgs &) {
-         LoadedTrace t = load(paths[0]);
-         if (t.version < 2)
-             std::cerr << "note: v" << t.version
+         uint32_t version = 0;
+         const auto events = trace::readEventTrace(paths[0], &version);
+         if (version < 2)
+             std::cerr << "note: v" << version
                        << " trace lacks lifecycle records; attribution is "
                           "coarse\n";
-         printCritPath(std::cout, analyzeCritPath(t.events));
+         printCritPath(std::cout, analyzeCritPath(events));
          return 0;
      }},
     {"diff", 2, "<A.evt> <B.evt>", cmdDiff},
     {"render", 1, "<trace.evt>", cmdRender},
+    {"json", 1, "<trace.evt>", cmdJson},
 };
 
 } // namespace

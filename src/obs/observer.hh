@@ -28,9 +28,9 @@ struct ObsConfig
 {
     /** Master switch; everything below is ignored when false. */
     bool enabled = false;
-    /** Cycle-event trace output path; "" = no trace. `.json` selects
-     *  the Chrome trace-event format, anything else the compact
-     *  binary form (trace_file's EventTraceWriter). */
+    /** Cycle-event trace output path; "" = no trace. The trace is
+     *  binary MOPEVTRC (trace_file's EventTraceWriter) whatever the
+     *  name; `moptrace json` writes its Chrome trace-event view. */
     std::string traceOut;
     /** Cycles between occupancy counter samples in the trace. */
     uint32_t tracePeriod = 128;
@@ -40,8 +40,8 @@ class Observer
 {
   public:
     /** @p iqCapacity / @p robSize bound the occupancy histograms. When
-     *  the run executes wrong-path µops (@p wrongPath), binary traces
-     *  are stamped MOPEVTRC v3 (flag bit 7 = kFlagWrongPath) instead
+     *  the run executes wrong-path µops (@p wrongPath), traces are
+     *  stamped MOPEVTRC v3 (flag bit 7 = kFlagWrongPath) instead
      *  of v2, so wrong-path-off traces stay byte-identical. */
     Observer(const ObsConfig &cfg, int issueWidth, int iqCapacity,
              int robSize, bool wrongPath = false);

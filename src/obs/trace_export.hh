@@ -3,13 +3,9 @@
  * Cycle-event trace export.
  *
  * Buffers trace::CycleEvent records in a fixed ring and flushes them
- * to one of two sinks chosen by the output path's extension:
- *
- *  - `.json`: Chrome trace-event format ("X" duration events for
- *    committed micro-ops, "C" counter events for occupancy samples),
- *    loadable in chrome://tracing or Perfetto. Timestamps are cycles.
- *  - anything else: the compact binary form of trace_file
- *    (EventTraceWriter), round-trippable via readEventTrace().
+ * to the compact binary MOPEVTRC form of trace_file (EventTraceWriter),
+ * whatever the output file is called. `moptrace json` turns such a
+ * file into a Chrome trace-event view offline.
  *
  * The exporter only exists when a trace was requested, so the
  * zero-trace simulation path pays a single null-pointer branch.
@@ -26,7 +22,6 @@
 #define MOP_OBS_TRACE_EXPORT_HH
 
 #include <condition_variable>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,8 +36,7 @@ namespace mop::obs
 class TraceExporter
 {
   public:
-    /** Binary sinks stamp @p version into the MOPEVTRC header (JSON
-     *  output ignores it).
+    /** Stamps @p version into the MOPEVTRC header.
      *  @throws std::runtime_error if @p path cannot be created. */
     explicit TraceExporter(const std::string &path,
                            uint32_t version = 2);
@@ -61,20 +55,19 @@ class TraceExporter
      *  buffered events lost. */
     void push(const trace::CycleEvent &ev);
 
-    /** Write the rest and finalize the sink (JSON footer), after the
-     *  writer thread has finished and been joined. Idempotent, also
-     *  after a failure; further pushes are invalid.
-     *  @throws std::runtime_error naming the path if any event or the
-     *  footer failed to reach the file (reported once). */
+    /** Write the rest and close the file, after the writer thread has
+     *  finished and been joined. Idempotent, also after a failure;
+     *  further pushes are invalid.
+     *  @throws std::runtime_error naming the path if any event failed
+     *  to reach the file (reported once). */
     void close();
 
     /** Events handed to the sink so far. */
     uint64_t emitted() const { return emitted_; }
-    bool isJson() const { return json_; }
 
   private:
     static constexpr size_t kRingCap = 4096;
-    /** Records packed per write of a binary sink. */
+    /** Records packed per write. */
     static constexpr size_t kPackChunk = 256;
 
     /** Give the full ring to the writer thread (starting it on first
@@ -86,26 +79,22 @@ class TraceExporter
     /** Join the writer thread, if any; returns its failure ("" if
      *  none). */
     std::string stopWriter();
-    /** Pack and write @p evs to the sink (either kind); returns the
-     *  failure, "" if none. Runs on the writer thread, and on the
-     *  caller once the writer is joined. */
+    /** Pack and write @p evs to the file; returns the failure, "" if
+     *  none. Runs on the writer thread, and on the caller once the
+     *  writer is joined. */
     std::string writeRing(const std::vector<trace::CycleEvent> &evs);
-    void writeJson(const trace::CycleEvent &ev);
-    /** Join the writer, release the sinks without further error
+    /** Join the writer, release the file without further error
      *  checks, mark the exporter closed and throw @p what. */
     [[noreturn]] void fail(const std::string &what);
 
     std::string path_;
-    bool json_;
     bool closed_ = false;
-    bool firstJsonEvent_ = true;
-    FILE *jsonFile_ = nullptr;
     std::unique_ptr<trace::EventTraceWriter> bin_;
-    std::vector<trace::CycleEvent> pack_;  ///< binary sink: pack buffer
+    std::vector<trace::CycleEvent> pack_;  ///< pack buffer
     std::vector<trace::CycleEvent> ring_;  ///< filled by push()
     uint64_t emitted_ = 0;
 
-    // Writer thread. It owns writing_, pack_ and the sinks while busy_
+    // Writer thread. It owns writing_, pack_ and the file while busy_
     // is set; the flags and error_ are guarded by mu_.
     std::mutex mu_;
     std::condition_variable cv_;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -160,6 +162,36 @@ printUsage(std::ostream &os, const std::vector<Opt> &table)
         flag.resize(std::max<size_t>(flag.size(), 20), ' ');
         os << "  " << flag << " " << o.help << "\n";
     }
+}
+
+OutputFile::OutputFile(const std::string &path) : path_(path), tmp_(path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::file_status st = fs::status(path, ec);
+    if (!fs::exists(st) || fs::is_regular_file(st))
+        tmp_ += ".tmp";
+    out_.open(tmp_, std::ios::binary | std::ios::trunc);
+    if (!out_)
+        throw std::runtime_error("cannot open " + path);
+}
+
+OutputFile::~OutputFile()
+{
+    if (!committed_ && tmp_ != path_) {
+        out_.close();
+        std::remove(tmp_.c_str());
+    }
+}
+
+void
+OutputFile::commit()
+{
+    out_.close();
+    if (!out_ ||
+        (tmp_ != path_ && std::rename(tmp_.c_str(), path_.c_str()) != 0))
+        throw std::runtime_error("cannot write " + path_);
+    committed_ = true;
 }
 
 } // namespace mop::sim

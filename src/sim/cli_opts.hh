@@ -8,13 +8,15 @@
  * the value and the range.
  *
  * Each tool's command line is one table of Opt rows, which parseArgs
- * reads argv against and printUsage prints --help from.
+ * reads argv against and printUsage prints --help from. An
+ * OutputFile writes a file such an option names.
  */
 
 #ifndef MOP_SIM_CLI_OPTS_HH
 #define MOP_SIM_CLI_OPTS_HH
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <iosfwd>
 #include <sstream>
@@ -93,6 +95,36 @@ void parseArgs(const std::vector<Opt> &table, int argc,
 
 /** One line per row: its flag and value, then its help. */
 void printUsage(std::ostream &os, const std::vector<Opt> &table);
+
+/**
+ * A file written whole or not at all: stream() writes a temp file
+ * beside the target, and commit() renames it into place. A target
+ * that exists and is not a regular file (/dev/null, a FIFO) is
+ * written in place, since a rename would replace it.
+ */
+class OutputFile
+{
+  public:
+    /** @throws std::runtime_error "cannot open PATH" when the file
+     *  cannot be created. */
+    explicit OutputFile(const std::string &path);
+    /** Removes the temp file unless commit() succeeded. */
+    ~OutputFile();
+
+    OutputFile(const OutputFile &) = delete;
+    OutputFile &operator=(const OutputFile &) = delete;
+
+    std::ostream &stream() { return out_; }
+    /** Close the stream and rename the bytes into place.
+     *  @throws std::runtime_error "cannot write PATH" when a byte or
+     *  the rename failed. */
+    void commit();
+
+  private:
+    std::string path_, tmp_;
+    std::ofstream out_;
+    bool committed_ = false;
+};
 
 } // namespace mop::sim
 

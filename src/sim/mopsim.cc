@@ -100,8 +100,17 @@ mopsimOptions(MopsimArgs &a)
                "issue N wrong-path µops per mispredict (default 64)",
                into(c.wrongPathDepth), [&c] { c.wrongPath = true; }),
         switchOpt("--stats", "dump the full statistics report", a.stats),
-        {"--trace-out", "FILE", "cycle-event trace (.json: Chrome, or binary)",
+        {"--trace-out", "FILE", "binary MOPEVTRC lifecycle trace (moptrace)",
          [&c](const std::string &v) {
+             if (v.empty())
+                 throw std::invalid_argument("--trace-out needs a file name");
+             // The file is binary whatever its name: a .json name would
+             // promise what only the offline view writes.
+             if (v.ends_with(".json"))
+                 throw std::invalid_argument(
+                     "--trace-out '" + v + "': the trace is binary MOPEVTRC; "
+                     "write it to a .evt file and convert it with `moptrace "
+                     "json TRACE.evt > " + v + "`");
              c.obs.traceOut = v;
              c.obs.enabled = true;
          }},

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "sim/cli_opts.hh"
 
 namespace mop::sweep
 {
@@ -109,7 +110,7 @@ medianOf(std::vector<double> samples)
                  : (samples[n / 2 - 1] + samples[n / 2]) / 2;
 }
 
-bool
+void
 appendPerfEntry(const std::string &path, const PerfEntry &e)
 {
     // Collect existing entry lines (everything between the brackets),
@@ -128,20 +129,13 @@ appendPerfEntry(const std::string &path, const PerfEntry &e)
     }
     entries.push_back(entryLine(e));
 
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return false;
-        out << "{\n  \"schema\": \"mop-core-perf-1\",\n  \"entries\": [\n";
-        for (size_t i = 0; i < entries.size(); ++i)
-            out << entries[i] << (i + 1 < entries.size() ? "," : "")
-                << "\n";
-        out << "  ]\n}\n";
-        if (!out)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
+    sim::OutputFile file(path);
+    std::ostream &out = file.stream();
+    out << "{\n  \"schema\": \"mop-core-perf-1\",\n  \"entries\": [\n";
+    for (size_t i = 0; i < entries.size(); ++i)
+        out << entries[i] << (i + 1 < entries.size() ? "," : "") << "\n";
+    out << "  ]\n}\n";
+    file.commit();
 }
 
 bool

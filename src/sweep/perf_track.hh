@@ -52,8 +52,9 @@ struct PerfEntry
 double medianOf(std::vector<double> samples);
 
 /** Append @p e to the trajectory at @p path, creating the file with
- *  the schema header when absent. Returns false on I/O failure. */
-bool appendPerfEntry(const std::string &path, const PerfEntry &e);
+ *  the schema header when absent.
+ *  @throws std::runtime_error naming @p path on I/O failure. */
+void appendPerfEntry(const std::string &path, const PerfEntry &e);
 
 /** Read the most recent entry from @p path. Returns false when the
  *  file is absent or holds no entries. */

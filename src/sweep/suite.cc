@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -463,7 +462,8 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
 
     double ipsMedian = medianOf(ipsSamples);
     if (!opts.perfJsonPath.empty()) {
-        std::ofstream jf(opts.perfJsonPath, std::ios::trunc);
+        sim::OutputFile file(opts.perfJsonPath);
+        std::ostream &jf = file.stream();
         jf << "{\n"
            << "  \"schema\": \"mop-sweep-perf-4\",\n"
            << "  \"sim_version\": \"" << jsonEscape(kSimVersion)
@@ -517,10 +517,12 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
                << (i + 1 < perf.size() ? "," : "") << "\n";
         }
         jf << "  ]\n}\n";
+        file.commit();
     }
 
     if (!opts.jsonPath.empty()) {
-        std::ofstream jf(opts.jsonPath, std::ios::trunc);
+        sim::OutputFile file(opts.jsonPath);
+        std::ostream &jf = file.stream();
         jf << "{\n"
            << "  \"schema\": \"mop-sweep-results-1\",\n"
            << "  \"sim_version\": \"" << jsonEscape(kSimVersion)
@@ -559,6 +561,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
                << (++emitted < simJobs ? "," : "") << "\n";
         }
         jf << "  ]\n}\n";
+        file.commit();
     }
 
     if (opts.verbose) {
@@ -586,11 +589,7 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
         e.ipsMedian = ipsMedian;
         e.ipsMin = *std::min_element(ipsSamples.begin(), ipsSamples.end());
         e.ipsMax = *std::max_element(ipsSamples.begin(), ipsSamples.end());
-        if (!appendPerfEntry(opts.perfBaselinePath, e)) {
-            std::cerr << "mopsuite: cannot write trajectory to "
-                      << opts.perfBaselinePath << "\n";
-            return 2;
-        }
+        appendPerfEntry(opts.perfBaselinePath, e);
         std::cerr << "mopsuite: pinned \"" << e.label << "\" ("
                   << uint64_t(e.ipsMedian) << " insts/s median of "
                   << ipsSamples.size() << ") to "
@@ -625,15 +624,9 @@ runSuite(const SuiteOptions &opts, std::ostream &out)
             dm.telemetry = telemetry->snapshot();
         }
         std::string html = obs::renderDashHtml(dm);
-        std::ofstream df(opts.renderDashPath,
-                         std::ios::trunc | std::ios::binary);
-        df.write(html.data(), std::streamsize(html.size()));
-        df.close();
-        if (!df) {
-            std::cerr << "mopsuite: cannot write dashboard to "
-                      << opts.renderDashPath << "\n";
-            return 2;
-        }
+        sim::OutputFile df(opts.renderDashPath);
+        df.stream() << html;
+        df.commit();
         std::cerr << "mopsuite: dashboard (" << html.size()
                   << " bytes) -> " << opts.renderDashPath << "\n";
     }

@@ -251,9 +251,11 @@ EventTraceReader::next(CycleEvent &out)
 }
 
 std::vector<CycleEvent>
-readEventTrace(const std::string &path)
+readEventTrace(const std::string &path, uint32_t *version)
 {
     EventTraceReader rd(path);
+    if (version)
+        *version = rd.version();
     std::vector<CycleEvent> events;
     CycleEvent ev;
     while (rd.next(ev))

@@ -151,8 +151,10 @@ class EventTraceReader
     uint32_t version_ = 0;
 };
 
-/** Convenience: read a whole binary cycle-event trace into memory. */
-std::vector<CycleEvent> readEventTrace(const std::string &path);
+/** Read a whole binary cycle-event trace into memory; @p version,
+ *  when given, receives the header's format version. */
+std::vector<CycleEvent> readEventTrace(const std::string &path,
+                                       uint32_t *version = nullptr);
 
 } // namespace mop::trace
 

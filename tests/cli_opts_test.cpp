@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,12 +18,15 @@
 #include "sim/cli_opts.hh"
 #include "sim/config.hh"
 #include "sweep/suite.hh"
+#include "tool_test.hh"
 
 namespace
 {
 
 using mop::sim::parseIntOption;
 using mop::sim::parseUintOption;
+using mop::test::Outcome;
+using mop::test::runEntry;
 
 TEST(CliOpts, AcceptsPlainIntegers)
 {
@@ -123,27 +127,6 @@ struct UsageCase
     /** Run on a scratch --cache-dir instead of --no-cache. */
     bool cached = false;
 };
-
-/** What a tool's entry did with one command line. */
-struct Outcome
-{
-    int rc;
-    std::string out, err;
-};
-
-Outcome
-runEntry(int (*entry)(int, char **), std::vector<std::string> args)
-{
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    testing::internal::CaptureStdout();
-    testing::internal::CaptureStderr();
-    int rc = entry(int(argv.size()), argv.data());
-    Outcome o{rc, testing::internal::GetCapturedStdout(),
-              testing::internal::GetCapturedStderr()};
-    return o;
-}
 
 /** A usage error: exit 2, nothing on stdout, and one stderr line that
  *  starts with @p prefix and names @p what. */
@@ -259,7 +242,7 @@ const Tool kTools[] = {
      },
      mop::sim::mopsimMain,
      [](const std::string &) { return std::vector<std::string>{"mopsim"}; },
-     29, 11, 3},
+     29, 11, 4},
     {"mopsuite", "mopsuite: ",
      [] {
          static mop::sweep::SuiteOptions o;
@@ -414,6 +397,13 @@ TEST(OptionTables, WalkEveryRow)
     expectUsageError(
         runEntry(mop::sweep::suiteMain, {"mopsuite", "--no-cache", "stray"}),
         "mopsuite: ", "stray argument 'stray'", "mopsuite stray");
+    // The trace is binary whatever its name; Chrome JSON is moptrace's
+    // view of it.
+    expectUsageError(runEntry(mop::sim::mopsimMain,
+                              {"mopsim", "--bench", "gzip", "--trace-out",
+                               "cli-trace.json"}),
+                     "error: ", "moptrace json", "--trace-out cli-trace.json");
+    EXPECT_FALSE(std::filesystem::exists("cli-trace.json"));
     // --help and --list act once the whole line has parsed.
     expectUsageError(runEntry(mop::sim::mopsimMain,
                               {"mopsim", "--list", "--iq", "abc"}),
@@ -431,6 +421,7 @@ TEST(OptionTables, WalkEveryRow)
         {{"critpath", "a.evt"}, "--interval"},
         {{"diff", "a.evt", "b.evt"}, "--critpath"},
         {{"render", "a.evt"}, "--fail-on"},
+        {{"json", "a.evt"}, "--interval"},
     };
     for (const Cmd &c : cmds) {
         std::vector<std::string> args = {"moptrace"};

@@ -3,22 +3,19 @@
  * Tests for the observability subsystem (src/obs): stall-attribution
  * accounting and its slots == width * cycles invariant, folding runs of
  * identical cycles into weighted charges, the cycle-event trace
- * exporter (binary round-trip, Chrome-JSON well-formedness, failures
- * on its writer thread), zero-perturbation of simulation results when
- * tracing, and the cache / fingerprint compatibility rules for
- * observability runs.
+ * exporter (binary round-trip, failures on its writer thread),
+ * zero-perturbation of simulation results when tracing, and the cache
+ * / fingerprint compatibility rules for observability runs. The shared
+ * JSON checker (tool_test.hh) is self-tested here.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <random>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +28,7 @@
 #include "sweep/result_cache.hh"
 #include "trace/profiles.hh"
 #include "trace/trace_file.hh"
+#include "tool_test.hh"
 
 namespace
 {
@@ -43,142 +41,7 @@ tmpPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON syntax checker, so the Chrome-trace
-// output can be validated without an external parser dependency.
-// ---------------------------------------------------------------------
-
-struct JsonChecker
-{
-    const char *p;
-    const char *end;
-    int depth = 0;
-
-    explicit JsonChecker(const std::string &s)
-        : p(s.data()), end(s.data() + s.size())
-    {
-    }
-
-    void ws()
-    {
-        while (p < end &&
-               (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
-            ++p;
-    }
-
-    bool lit(const char *s)
-    {
-        size_t n = std::strlen(s);
-        if (size_t(end - p) < n || std::strncmp(p, s, n) != 0)
-            return false;
-        p += n;
-        return true;
-    }
-
-    bool string()
-    {
-        if (p >= end || *p != '"')
-            return false;
-        ++p;
-        while (p < end && *p != '"') {
-            if (*p == '\\') {
-                ++p;
-                if (p >= end)
-                    return false;
-            }
-            ++p;
-        }
-        if (p >= end)
-            return false;
-        ++p;  // closing quote
-        return true;
-    }
-
-    bool number()
-    {
-        const char *start = p;
-        if (p < end && *p == '-')
-            ++p;
-        while (p < end && (std::isdigit(*p) || *p == '.' || *p == 'e' ||
-                           *p == 'E' || *p == '+' || *p == '-'))
-            ++p;
-        return p > start;
-    }
-
-    bool value()
-    {
-        if (++depth > 64)
-            return false;
-        ws();
-        bool ok = false;
-        if (p >= end) {
-            ok = false;
-        } else if (*p == '{') {
-            ++p;
-            ws();
-            if (p < end && *p == '}') {
-                ++p;
-                ok = true;
-            } else {
-                for (;;) {
-                    ws();
-                    if (!string())
-                        break;
-                    ws();
-                    if (p >= end || *p++ != ':')
-                        break;
-                    if (!value())
-                        break;
-                    ws();
-                    if (p < end && *p == ',') {
-                        ++p;
-                        continue;
-                    }
-                    ok = p < end && *p == '}';
-                    if (ok)
-                        ++p;
-                    break;
-                }
-            }
-        } else if (*p == '[') {
-            ++p;
-            ws();
-            if (p < end && *p == ']') {
-                ++p;
-                ok = true;
-            } else {
-                for (;;) {
-                    if (!value())
-                        break;
-                    ws();
-                    if (p < end && *p == ',') {
-                        ++p;
-                        continue;
-                    }
-                    ok = p < end && *p == ']';
-                    if (ok)
-                        ++p;
-                    break;
-                }
-            }
-        } else if (*p == '"') {
-            ok = string();
-        } else if (lit("true") || lit("false") || lit("null")) {
-            ok = true;
-        } else {
-            ok = number();
-        }
-        --depth;
-        return ok;
-    }
-
-    bool document()
-    {
-        bool ok = value();
-        ws();
-        return ok && p == end;
-    }
-};
+using test::JsonChecker;
 
 TEST(JsonChecker, SelfTest)
 {
@@ -188,6 +51,8 @@ TEST(JsonChecker, SelfTest)
     EXPECT_FALSE(JsonChecker(R"({"a":1)").document());
     EXPECT_FALSE(JsonChecker(R"({"a" 1})").document());
     EXPECT_FALSE(JsonChecker("[1,2,]x").document());
+    EXPECT_FALSE(JsonChecker(R"({"a":1,})").document());
+    EXPECT_FALSE(JsonChecker("[1 2]").document());
 }
 
 // ---------------------------------------------------------------------
@@ -469,7 +334,6 @@ TEST(TraceExport, BinaryRoundTripThroughRing)
     constexpr uint64_t kEvents = 10000;
     {
         obs::TraceExporter exp(path);
-        EXPECT_FALSE(exp.isJson());
         for (uint64_t i = 0; i < kEvents; ++i)
             exp.push(makeEvent(i));
         exp.close();
@@ -479,45 +343,6 @@ TEST(TraceExport, BinaryRoundTripThroughRing)
     ASSERT_EQ(events.size(), kEvents);
     for (uint64_t i = 0; i < kEvents; ++i)
         ASSERT_EQ(events[i], makeEvent(i)) << i;
-    std::remove(path.c_str());
-}
-
-TEST(TraceExport, JsonOutputIsWellFormed)
-{
-    std::string path = tmpPath("obs_trace.json");
-    {
-        obs::TraceExporter exp(path);
-        EXPECT_TRUE(exp.isJson());
-        for (uint64_t i = 0; i < 500; ++i)
-            exp.push(makeEvent(i));
-        exp.close();
-    }
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
-    EXPECT_TRUE(JsonChecker(text).document());
-    EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(text.find("\"occupancy\""), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(TraceExport, SimulationJsonTraceParses)
-{
-    std::string path = tmpPath("obs_sim_trace.json");
-    sim::RunConfig cfg;
-    cfg.machine = sim::Machine::MopWiredOr;
-    cfg.iqEntries = 32;
-    cfg.obs.enabled = true;
-    cfg.obs.traceOut = path;
-    auto r = sim::runBenchmark("gzip", cfg, 5000);
-    EXPECT_GT(r.insts, 0u);
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_TRUE(JsonChecker(ss.str()).document());
     std::remove(path.c_str());
 }
 
@@ -552,9 +377,9 @@ TEST(TraceExport, TracingDoesNotPerturbSimulation)
     EXPECT_EQ(sig(plain), sig(traced));
 }
 
-/** A path that fails every write with ENOSPC and whose extension picks
- *  the exporter's sink: a symlink @p name to /dev/full in the test
- *  temp dir. Empty when the platform has no /dev/full. */
+/** A path that fails every write with ENOSPC: a symlink @p name to
+ *  /dev/full in the test temp dir. Empty when the platform has no
+ *  /dev/full. */
 std::string
 fullDevicePath(const char *name)
 {
@@ -572,44 +397,40 @@ constexpr uint64_t kExportRing = 4096;
 
 TEST(TraceExport, FullDeviceFailsOnceWithoutAbort)
 {
-    // Both sinks, every failure point: the final write in close()
-    // (10 events), a ring that failed on the writer thread and is
-    // reported by close() (5000), and one reported by the push that
-    // hands over the next ring (10000). Each reports one error naming
-    // the path; a later close() and the destructor stay silent instead
-    // of re-flushing and throwing.
-    for (const char *name : {"obs_full.evt", "obs_full.json"}) {
-        for (uint64_t events :
-             {uint64_t(10), uint64_t(5000), uint64_t(10000)}) {
-            std::string path = fullDevicePath(name);
-            if (path.empty())
-                GTEST_SKIP() << "no /dev/full";
-            int errors = 0;
-            uint64_t pushed = 0;
-            ::testing::internal::CaptureStderr();
-            {
-                obs::TraceExporter exp(path);
-                try {
-                    for (; pushed < events; ++pushed)
-                        exp.push(makeEvent(pushed));
-                    exp.close();
-                } catch (const std::runtime_error &e) {
-                    ++errors;
-                    EXPECT_NE(std::string(e.what()).find(path),
-                              std::string::npos)
-                        << e.what();
-                }
-                EXPECT_NO_THROW(exp.close());
+    // Every failure point: the final write in close() (10 events), a
+    // ring that failed on the writer thread and is reported by close()
+    // (5000), and one reported by the push that hands over the next
+    // ring (10000). Each reports one error naming the path; a later
+    // close() and the destructor stay silent instead of re-flushing
+    // and throwing.
+    for (uint64_t events : {uint64_t(10), uint64_t(5000), uint64_t(10000)}) {
+        std::string path = fullDevicePath("obs_full.evt");
+        if (path.empty())
+            GTEST_SKIP() << "no /dev/full";
+        int errors = 0;
+        uint64_t pushed = 0;
+        ::testing::internal::CaptureStderr();
+        {
+            obs::TraceExporter exp(path);
+            try {
+                for (; pushed < events; ++pushed)
+                    exp.push(makeEvent(pushed));
+                exp.close();
+            } catch (const std::runtime_error &e) {
+                ++errors;
+                EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                    << e.what();
             }
-            EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-            EXPECT_EQ(errors, 1) << name << " " << events;
-            // The push that fails is the one handing over the second
-            // ring; with fewer events the failure waits for close().
-            const uint64_t failing_push =
-                events >= 2 * kExportRing ? 2 * kExportRing - 1 : events;
-            EXPECT_EQ(pushed, failing_push) << name << " " << events;
-            std::filesystem::remove(path);
+            EXPECT_NO_THROW(exp.close());
         }
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+        EXPECT_EQ(errors, 1) << events;
+        // The push that fails is the one handing over the second
+        // ring; with fewer events the failure waits for close().
+        const uint64_t failing_push =
+            events >= 2 * kExportRing ? 2 * kExportRing - 1 : events;
+        EXPECT_EQ(pushed, failing_push) << events;
+        std::filesystem::remove(path);
     }
 }
 
@@ -619,23 +440,21 @@ TEST(TraceExport, UnclosedFailureIsReportedByTheDestructor)
     // a ring already failed on the writer thread and nothing surfaced
     // it yet (5000). It must join the writer, must not throw (that
     // would terminate) and must report the error exactly once.
-    for (const char *name : {"obs_unclosed.evt", "obs_unclosed.json"}) {
-        for (uint64_t events : {uint64_t(1), uint64_t(5000)}) {
-            std::string path = fullDevicePath(name);
-            if (path.empty())
-                GTEST_SKIP() << "no /dev/full";
-            ::testing::internal::CaptureStderr();
-            {
-                obs::TraceExporter exp(path);
-                for (uint64_t i = 0; i < events; ++i)
-                    exp.push(makeEvent(i));
-            }
-            std::string err = ::testing::internal::GetCapturedStderr();
-            EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1)
-                << name << " " << events << ": " << err;
-            EXPECT_NE(err.find(path), std::string::npos) << err;
-            std::filesystem::remove(path);
+    for (uint64_t events : {uint64_t(1), uint64_t(5000)}) {
+        std::string path = fullDevicePath("obs_unclosed.evt");
+        if (path.empty())
+            GTEST_SKIP() << "no /dev/full";
+        ::testing::internal::CaptureStderr();
+        {
+            obs::TraceExporter exp(path);
+            for (uint64_t i = 0; i < events; ++i)
+                exp.push(makeEvent(i));
         }
+        std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1)
+            << events << ": " << err;
+        EXPECT_NE(err.find(path), std::string::npos) << err;
+        std::filesystem::remove(path);
     }
 }
 
@@ -643,22 +462,18 @@ TEST(TraceExport, SimulationOntoFullDeviceThrowsOnce)
 {
     // The mopsim path: the run throws out of OooCore::run, and
     // unwinding destroys the exporter without a second report.
-    for (const char *name : {"obs_sim_full.evt", "obs_sim_full.json"}) {
-        std::string path = fullDevicePath(name);
-        if (path.empty())
-            GTEST_SKIP() << "no /dev/full";
-        sim::RunConfig cfg;
-        cfg.machine = sim::Machine::Base;
-        cfg.iqEntries = 32;
-        cfg.obs.enabled = true;
-        cfg.obs.traceOut = path;
-        ::testing::internal::CaptureStderr();
-        EXPECT_THROW(sim::runBenchmark("mcf", cfg, 3000),
-                     std::runtime_error)
-            << name;
-        EXPECT_EQ(::testing::internal::GetCapturedStderr(), "") << name;
-        std::filesystem::remove(path);
-    }
+    std::string path = fullDevicePath("obs_sim_full.evt");
+    if (path.empty())
+        GTEST_SKIP() << "no /dev/full";
+    sim::RunConfig cfg;
+    cfg.machine = sim::Machine::Base;
+    cfg.iqEntries = 32;
+    cfg.obs.enabled = true;
+    cfg.obs.traceOut = path;
+    ::testing::internal::CaptureStderr();
+    EXPECT_THROW(sim::runBenchmark("mcf", cfg, 3000), std::runtime_error);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+    std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------

@@ -4,25 +4,31 @@
  * golden-pinned kernel waterfall, JSON data-block validity against the
  * mop-render-1 shape, v1 degraded-mode rendering, byte-determinism of
  * repeated renders, windowing/truncation, per-row critpath blame
- * conservation, and the sweep-dashboard surface.
+ * conservation, and the sweep-dashboard surface. Also moptrace's
+ * page and Chrome-JSON outputs: `render -o` failures and `json`.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <fcntl.h>
 #include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "isa/uop.hh"
 #include "obs/critpath.hh"
 #include "obs/render.hh"
 #include "prog/interpreter.hh"
 #include "prog/kernels.hh"
 #include "sim/config.hh"
 #include "trace/trace_file.hh"
+#include "tool_test.hh"
 
 namespace
 {
@@ -75,142 +81,8 @@ kernelEvents()
     return events;
 }
 
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON syntax checker (same shape as the one
-// guarding the Chrome-trace exporter in obs_test.cpp).
-// ---------------------------------------------------------------------
-
-struct JsonChecker
-{
-    const char *p;
-    const char *end;
-    int depth = 0;
-
-    explicit JsonChecker(const std::string &s)
-        : p(s.data()), end(s.data() + s.size())
-    {
-    }
-
-    void ws()
-    {
-        while (p < end &&
-               (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
-            ++p;
-    }
-
-    bool lit(const char *s)
-    {
-        size_t n = std::strlen(s);
-        if (size_t(end - p) < n || std::strncmp(p, s, n) != 0)
-            return false;
-        p += n;
-        return true;
-    }
-
-    bool string()
-    {
-        if (p >= end || *p != '"')
-            return false;
-        ++p;
-        while (p < end && *p != '"') {
-            if (*p == '\\') {
-                ++p;
-                if (p >= end)
-                    return false;
-            }
-            ++p;
-        }
-        if (p >= end)
-            return false;
-        ++p;
-        return true;
-    }
-
-    bool number()
-    {
-        const char *start = p;
-        if (p < end && *p == '-')
-            ++p;
-        while (p < end && (std::isdigit(*p) || *p == '.' || *p == 'e' ||
-                           *p == 'E' || *p == '+' || *p == '-'))
-            ++p;
-        return p > start;
-    }
-
-    bool value()
-    {
-        if (++depth > 64)
-            return false;
-        ws();
-        bool ok = false;
-        if (p >= end) {
-            ok = false;
-        } else if (*p == '{') {
-            ++p;
-            ws();
-            if (p < end && *p == '}') {
-                ++p;
-                ok = true;
-            } else {
-                for (;;) {
-                    ws();
-                    if (!string())
-                        break;
-                    ws();
-                    if (p >= end || *p++ != ':')
-                        break;
-                    if (!value())
-                        break;
-                    ws();
-                    if (p < end && *p == ',') {
-                        ++p;
-                        continue;
-                    }
-                    ok = p < end && *p == '}';
-                    if (ok)
-                        ++p;
-                    break;
-                }
-            }
-        } else if (*p == '[') {
-            ++p;
-            ws();
-            if (p < end && *p == ']') {
-                ++p;
-                ok = true;
-            } else {
-                for (;;) {
-                    if (!value())
-                        break;
-                    ws();
-                    if (p < end && *p == ',') {
-                        ++p;
-                        continue;
-                    }
-                    ok = p < end && *p == ']';
-                    if (ok)
-                        ++p;
-                    break;
-                }
-            }
-        } else if (*p == '"') {
-            ok = string();
-        } else if (lit("true") || lit("false") || lit("null")) {
-            ok = true;
-        } else {
-            ok = number();
-        }
-        --depth;
-        return ok;
-    }
-
-    bool document()
-    {
-        bool ok = value();
-        ws();
-        return ok && p == end;
-    }
-};
+using test::JsonChecker;
+using test::runEntry;
 
 /** Pull the embedded data block out of a rendered page. */
 std::string
@@ -443,13 +315,10 @@ writeV1Trace(int n)
 TEST(Render, V1TraceRendersDegraded)
 {
     std::string path = writeV1Trace(10);
-    trace::EventTraceReader rd(path);
-    ASSERT_EQ(rd.version(), 1u);
-    std::vector<trace::CycleEvent> events;
-    trace::CycleEvent ev;
-    while (rd.next(ev))
-        events.push_back(ev);
+    uint32_t version = 0;
+    const auto events = trace::readEventTrace(path, &version);
     std::remove(path.c_str());
+    ASSERT_EQ(version, 1u);
     ASSERT_EQ(events.size(), 10u);
 
     obs::RenderOptions opts;
@@ -540,6 +409,143 @@ TEST(Render, WaterfallPageIsSelfContained)
     EXPECT_EQ(html.find("src=\"http"), std::string::npos);
     EXPECT_EQ(html.find("href=\"http"), std::string::npos);
     EXPECT_NE(html.find("<canvas"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// The moptrace CLI: the rendered page and the Chrome-JSON view.
+// ---------------------------------------------------------------------
+
+/** @p events as a MOPEVTRC file of format @p version. */
+std::string
+writeTrace(const char *name, const std::vector<trace::CycleEvent> &events,
+           uint32_t version = 2)
+{
+    std::string path = tmpPath(name);
+    trace::EventTraceWriter w(path, version);
+    for (const auto &ev : events)
+        w.write(ev);
+    w.close();
+    return path;
+}
+
+TEST(MoptraceRender, PageIsCreatedFirstAndAppearsOnlyWhole)
+{
+    namespace fs = std::filesystem;
+    // The trace is missing too, so an error naming the page shows the
+    // page was created before any decode.
+    const std::string lost = tmpPath("no-such-dir/x.html");
+    test::Outcome r = runEntry(obs::moptraceMain, {"moptrace", "render",
+                                                   tmpPath("nosuch.evt"),
+                                                   "-o", lost});
+    EXPECT_EQ(r.rc, 1);
+    EXPECT_EQ(r.out, "");
+    EXPECT_EQ(r.err, "moptrace: cannot open " + lost + "\n");
+
+    // A whole trace renders in place; a truncated one leaves no page.
+    const std::string trace = writeTrace("render_cut.evt", kernelEvents());
+    const std::string page = tmpPath("render_cut.html");
+    for (bool cut : {false, true}) {
+        if (cut)
+            fs::resize_file(trace, fs::file_size(trace) - 50);
+        r = runEntry(obs::moptraceMain,
+                     {"moptrace", "render", trace, "-o", page});
+        EXPECT_EQ(r.rc, cut ? 1 : 0) << r.err;
+        EXPECT_EQ(r.err.find("truncated") != std::string::npos, cut) << r.err;
+        EXPECT_EQ(fs::exists(page), !cut);
+        EXPECT_FALSE(fs::exists(page + ".tmp"));
+        fs::remove(page);
+    }
+    fs::remove(trace);
+}
+
+TEST(MoptraceJson, ViewKeepsTheChromeTraceBytes)
+{
+    // A counter sample, a load and a squashed wrong-path row whose
+    // commit field (its squash cycle) is not after its fetch, so its
+    // slice lasts 0 cycles.
+    using trace::CycleEvent;
+    const CycleEvent counter{.kind = CycleEvent::Kind::Counter, .insert = 128,
+                             .issue = 17, .execStart = 40, .complete = 9,
+                             .commit = 2};
+    const CycleEvent load{
+        .op = uint8_t(isa::OpClass::Load),
+        .flags = CycleEvent::kFlagFirstUop | CycleEvent::kFlagLoad |
+                 CycleEvent::kFlagDl1Miss,
+        .seq = 41, .pc = 0x400120, .insert = 104, .issue = 107,
+        .execStart = 108, .complete = 121, .commit = 125, .fetch = 100,
+        .queueReady = 103, .ready = 106, .dep = {40, CycleEvent::kNone}};
+    const CycleEvent squashed{.op = uint8_t(isa::OpClass::Branch),
+                              .flags = CycleEvent::kFlagWrongPath, .seq = 47,
+                              .pc = 0x400200, .insert = 132, .fetch = 130};
+    const std::string path =
+        writeTrace("json_pin.evt", {counter, load, squashed}, 3);
+    test::Outcome r = runEntry(obs::moptraceMain, {"moptrace", "json", path});
+    std::remove(path.c_str());
+    EXPECT_EQ(r.rc, 0);
+    EXPECT_EQ(r.err, "");
+    EXPECT_EQ(r.out,
+              "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+              "{\"name\":\"occupancy\",\"ph\":\"C\",\"pid\":0,\"ts\":128,"
+              "\"args\":{\"iq\":17,\"rob\":40,\"frontend\":9,"
+              "\"mopPending\":2}},\n"
+              "{\"name\":\"Load\",\"cat\":\"uop\",\"ph\":\"X\",\"pid\":0,"
+              "\"tid\":9,\"ts\":100,\"dur\":25,\"args\":{\"seq\":41,"
+              "\"pc\":4194592,\"insert\":104,\"ready\":106,\"issue\":107,"
+              "\"execStart\":108,\"complete\":121,\"flags\":49}},\n"
+              "{\"name\":\"Branch\",\"cat\":\"uop\",\"ph\":\"X\",\"pid\":0,"
+              "\"tid\":15,\"ts\":130,\"dur\":0,\"args\":{\"seq\":47,"
+              "\"pc\":4194816,\"insert\":132,\"ready\":0,\"issue\":0,"
+              "\"execStart\":0,\"complete\":0,\"flags\":128}}\n"
+              "]}\n");
+    EXPECT_TRUE(JsonChecker(r.out).document());
+}
+
+TEST(MoptraceJson, TracesOfEveryVersionConvert)
+{
+    // One slice or sample per record: the kernel run's trace as v2 and
+    // as v3, and a v1 trace with its lifecycle fields defaulted.
+    const std::string traces[] = {
+        writeTrace("json_v2.evt", kernelEvents()),
+        writeTrace("json_v3.evt", kernelEvents(), 3), writeV1Trace(10)};
+    for (const std::string &path : traces) {
+        const size_t records = trace::readEventTrace(path).size();
+        test::Outcome r =
+            runEntry(obs::moptraceMain, {"moptrace", "json", path});
+        std::remove(path.c_str());
+        EXPECT_EQ(r.rc, 0) << r.err;
+        EXPECT_EQ(r.err, "");
+        EXPECT_TRUE(JsonChecker(r.out).document()) << path;
+        size_t slices = 0;
+        for (size_t at = 0; (at = r.out.find("\n{", at)) != std::string::npos;
+             ++at)
+            ++slices;
+        EXPECT_EQ(slices, records) << path;
+    }
+}
+
+TEST(MoptraceJson, FailedStdoutWriteIsOneErrorLine)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    const std::string path = writeTrace("json_full.evt", kernelEvents());
+    // `moptrace json t.evt > /dev/full`, in this process.
+    std::fflush(stdout);
+    const int saved = ::dup(1);
+    const int full = ::open("/dev/full", O_WRONLY);
+    ASSERT_GE(full, 0);
+    ::dup2(full, 1);
+    ::close(full);
+    ::testing::internal::CaptureStderr();
+    std::string cmd = "moptrace", json = "json", trace = path;
+    char *argv[] = {cmd.data(), json.data(), trace.data()};
+    const int rc = obs::moptraceMain(3, argv);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    std::clearerr(stdout);
+    ::dup2(saved, 1);
+    ::close(saved);
+    std::remove(path.c_str());
+    EXPECT_EQ(rc, 1);
+    EXPECT_EQ(err, "moptrace: json: cannot write stdout\n");
 }
 
 } // namespace

@@ -5,8 +5,8 @@
  * that fails mid-sweep ends it with exit 1 while the finished jobs
  * stay cached for the rerun, cache-driven resume after a simulated
  * mid-sweep kill, corrupt records met by a sweep and by the
- * --cache-verify maintenance mode, and a cache store that fails at
- * close.
+ * --cache-verify maintenance mode, output files that cannot be
+ * written, and a cache store that fails at close.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "stats/table.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/suite.hh"
+#include "tool_test.hh"
 
 namespace
 {
@@ -183,25 +184,17 @@ TEST(SuiteFaultTest, ThrowingJobEndsTheSweepAndKeepsTheRestCached)
 
     // Through the CLI: exit 1, empty stdout, one stderr line naming
     // the job.
-    std::vector<std::string> args = {
-        "mopsuite", "--only", "_test-failing-job", "--insts", "2000",
-        "--jobs",   "2",      "--no-cache",        "--perf",  "",
-        "--quiet"};
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    testing::internal::CaptureStdout();
-    testing::internal::CaptureStderr();
-    int rc = sweep::suiteMain(int(argv.size()), argv.data());
-    const std::string cliOut = testing::internal::GetCapturedStdout();
-    const std::string cliErr = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(rc, 1) << cliErr;
-    EXPECT_EQ(cliOut, "");
+    const test::Outcome cli = test::runEntry(
+        sweep::suiteMain,
+        {"mopsuite", "--only", "_test-failing-job", "--insts", "2000",
+         "--jobs", "2", "--no-cache", "--perf", "", "--quiet"});
+    EXPECT_EQ(cli.rc, 1) << cli.err;
+    EXPECT_EQ(cli.out, "");
     size_t naming = 0;
-    std::istringstream lines(cliErr);
+    std::istringstream lines(cli.err);
     for (std::string line; std::getline(lines, line);)
         naming += line.find("machine=MOP-wiredOR iq=1 ") != std::string::npos;
-    EXPECT_EQ(naming, 1u) << cliErr;
+    EXPECT_EQ(naming, 1u) << cli.err;
 
     // The rerun computes only the repaired run; the other two come
     // from the cache the failed sweep filled.
@@ -337,6 +330,36 @@ TEST(SuiteFaultTest, CorruptCacheRecordIsRecomputedInSweep)
     std::ostringstream warm;
     ASSERT_EQ(sweep::runSuite(opts, warm), 0);
     EXPECT_EQ(cold.str(), warm.str());
+}
+
+// --- Output files that cannot be written --------------------------------
+
+TEST(SuiteFaultTest, UnwritableOutputFileExits1AfterTheFigures)
+{
+    // A missing directory fails at open, /dev/full at the final flush.
+    // Either way the figures are already on stdout, and mopsuite exits
+    // 1 with one stderr line naming the file.
+    registerFaultFigure();
+    const std::string dir = freshDir("mop-fault-no-such-dir");
+    std::vector<std::string> targets = {dir + "/out"};
+    if (std::filesystem::exists("/dev/full"))
+        targets.push_back("/dev/full");
+    for (const char *flag : {"--json", "--perf", "--render-dash"}) {
+        for (const std::string &target : targets) {
+            const test::Outcome o = test::runEntry(
+                sweep::suiteMain,
+                {"mopsuite", "--only", "_test-fault", "--insts", "2000",
+                 "--jobs", "2", "--no-cache", "--quiet", "--perf", "", flag,
+                 target});
+            const std::string what = std::string(flag) + " " + target + ": ";
+            EXPECT_EQ(o.rc, 1) << what;
+            EXPECT_EQ(o.out.rfind("fault-fig norm ", 0), 0u) << what << o.out;
+            EXPECT_EQ(o.err.rfind("mopsuite: ", 0), 0u) << what << o.err;
+            EXPECT_NE(o.err.find(target), std::string::npos) << what << o.err;
+            EXPECT_EQ(o.err.find('\n'), o.err.size() - 1) << what << o.err;
+        }
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 // --- Cache store that cannot reach the disk ----------------------------
