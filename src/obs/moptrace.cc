@@ -183,8 +183,6 @@ cmdJson(const Traces &paths, const MoptraceArgs &)
                     unsigned(ev.flags));
     }
     std::fputs("\n]}\n", stdout);
-    if (std::fflush(stdout) != 0 || std::ferror(stdout))
-        throw std::runtime_error("json: cannot write stdout");
     return 0;
 }
 
@@ -288,11 +286,12 @@ moptraceMain(int argc, char **argv)
                 std::cout << (&c == kCommands ? "usage: " : "       ")
                           << "moptrace " << c.name << " " << c.args << "\n";
             sim::printUsage(std::cout, moptraceOptions(a));
-            return 0;
+            return sim::flushStdout("moptrace", 0);
         }
         if (a.render.windowHi < a.render.windowLo)
             throw std::invalid_argument("--window: HI < LO");
-        return cmd->run({argv + 2, argv + 2 + cmd->traces}, a);
+        const int rc = cmd->run({argv + 2, argv + 2 + cmd->traces}, a);
+        return sim::flushStdout("moptrace: " + name, rc);
     } catch (const std::invalid_argument &e) {
         std::cerr << "moptrace: " << e.what() << "\n";
         return 2;

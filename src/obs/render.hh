@@ -211,7 +211,8 @@ std::vector<sim::Opt> moptraceOptions(MoptraceArgs &a,
                                       std::string_view command = {});
 
 /** The moptrace CLI. Exit codes: 0 success, 1 runtime failure (a bad
- *  trace, or a diff regression), 2 usage error (before any work). */
+ *  trace, a diff regression, or stdout that could not be written), 2
+ *  usage error (before any work). */
 int moptraceMain(int argc, char **argv);
 
 } // namespace mop::obs

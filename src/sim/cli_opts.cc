@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iomanip>
-#include <ostream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -162,6 +162,16 @@ printUsage(std::ostream &os, const std::vector<Opt> &table)
         flag.resize(std::max<size_t>(flag.size(), 20), ' ');
         os << "  " << flag << " " << o.help << "\n";
     }
+}
+
+int
+flushStdout(const std::string &prefix, int rc)
+{
+    std::cout.flush();
+    if (std::cout && std::fflush(stdout) == 0 && !std::ferror(stdout))
+        return rc;
+    std::cerr << prefix << ": cannot write stdout\n";
+    return 1;
 }
 
 OutputFile::OutputFile(const std::string &path) : path_(path), tmp_(path)

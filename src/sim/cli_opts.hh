@@ -9,7 +9,8 @@
  *
  * Each tool's command line is one table of Opt rows, which parseArgs
  * reads argv against and printUsage prints --help from. An
- * OutputFile writes a file such an option names.
+ * OutputFile writes a file such an option names, and flushStdout
+ * checks what went to standard output.
  */
 
 #ifndef MOP_SIM_CLI_OPTS_HH
@@ -95,6 +96,12 @@ void parseArgs(const std::vector<Opt> &table, int argc,
 
 /** One line per row: its flag and value, then its help. */
 void printUsage(std::ostream &os, const std::vector<Opt> &table);
+
+/** @p rc once all a tool wrote to std::cout and stdout has reached
+ *  standard output; otherwise one "@p prefix: cannot write stdout"
+ *  line on stderr and 1. Each tool's entry returns through it, so a
+ *  full disk under a redirected report is never a success. */
+int flushStdout(const std::string &prefix, int rc);
 
 /**
  * A file written whole or not at all: stream() writes a temp file

@@ -133,7 +133,8 @@ struct MopsimArgs
 std::vector<Opt> mopsimOptions(MopsimArgs &a);
 
 /** The mopsim CLI. Exit codes: 0 success, 1 runtime failure (a check,
- *  deadlock, difftest or selftest failed), 2 usage error (no work). */
+ *  deadlock, difftest or selftest failed, or stdout could not be
+ *  written), 2 usage error (no work). */
 int mopsimMain(int argc, char **argv);
 
 } // namespace mop::sim

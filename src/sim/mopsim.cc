@@ -143,8 +143,12 @@ mopsimOptions(MopsimArgs &a)
     };
 }
 
+namespace
+{
+
+/** mopsimMain, before its check of standard output. */
 int
-mopsimMain(int argc, char **argv)
+runMopsim(int argc, char **argv)
 {
     // Everything is parsed and checked before any work: each failure is
     // a usage error.
@@ -271,6 +275,14 @@ mopsimMain(int argc, char **argv)
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+mopsimMain(int argc, char **argv)
+{
+    return flushStdout("error", runMopsim(argc, argv));
 }
 
 } // namespace mop::sim

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/cli_opts.hh"
 
@@ -51,49 +54,108 @@ entryLine(const PerfEntry &e)
     return os.str();
 }
 
-/** Pull `"key": <value>` out of one entry line. */
+/** An entry line: the first non-blank character opens an object (the
+ *  header's lone "{" does not count). */
 bool
-field(const std::string &line, const std::string &key, std::string &out)
+isEntryLine(const std::string &line)
 {
-    std::string needle = "\"" + key + "\": ";
-    size_t p = line.find(needle);
-    if (p == std::string::npos)
-        return false;
-    p += needle.size();
-    size_t end = p;
-    if (line[p] == '"') {
-        end = line.find('"', ++p);
-        if (end == std::string::npos)
-            return false;
-    } else {
-        while (end < line.size() && line[end] != ',' && line[end] != '}')
-            ++end;
-    }
-    out = line.substr(p, end - p);
-    return true;
+    const size_t p = line.find_first_not_of(' ');
+    return p != std::string::npos && line[p] == '{' && p + 1 < line.size();
 }
 
+/**
+ * One entry line as entryLine writes it: an object of "key": value
+ * pairs, then at most a comma. Strings are quoted, numbers plain,
+ * in range and finite, and every field is present; @p where (path and
+ * line) names the fault. Keys this reader does not know are skipped.
+ * @throws std::invalid_argument
+ */
 PerfEntry
-parseEntryLine(const std::string &line)
+parseEntryLine(const std::string &line, const std::string &where)
 {
+    auto fail = [&where](const std::string &why) {
+        throw std::invalid_argument(where + ": " + why);
+    };
+    size_t i = 0;
+    auto eat = [&](char c) {
+        while (i < line.size() && line[i] == ' ')
+            ++i;
+        if (i == line.size() || line[i] != c)
+            return false;
+        ++i;
+        return true;
+    };
+    // A quoted string, unescaped but kept in its quotes so that a
+    // number can tell it is not one; i is past the opening quote.
+    auto quoted = [&] {
+        std::string s = "\"";
+        for (; i < line.size() && line[i] != '"'; ++i) {
+            if (line[i] == '\\' && i + 1 < line.size())
+                ++i;
+            s += line[i];
+        }
+        if (!eat('"'))
+            fail("unterminated string");
+        return s + '"';
+    };
+    std::map<std::string, std::string> raw;  // key -> value as written
+    if (!eat('{'))
+        fail("an entry is one {...} object");
+    do {
+        if (!eat('"'))
+            fail("expected a quoted key");
+        std::string key = quoted();
+        key = key.substr(1, key.size() - 2);
+        if (!eat(':'))
+            fail("expected ':' after \"" + key + "\"");
+        std::string value;
+        if (eat('"')) {
+            value = quoted();
+        } else {
+            const size_t end = std::min(line.find_first_of(",}", i),
+                                        line.size());
+            value = line.substr(i, end - i);
+            while (!value.empty() && value.back() == ' ')
+                value.pop_back();
+            i = end;
+        }
+        if (!raw.emplace(key, value).second)
+            fail("\"" + key + "\" appears twice");
+    } while (eat(','));
+    if (!eat('}'))
+        fail("expected ',' or '}'");
+    eat(',');
+    if (line.find_first_not_of(' ', i) != std::string::npos)
+        fail("trailing text after the entry");
+
+    auto get = [&](const std::string &key) {
+        auto it = raw.find(key);
+        if (it == raw.end())
+            fail("no \"" + key + "\"");
+        return it->second;
+    };
+    auto text = [&](const std::string &key) {
+        const std::string v = get(key);
+        if (v.size() < 2 || v.front() != '"')
+            fail("\"" + key + "\" is not a string");
+        return v.substr(1, v.size() - 2);
+    };
+    auto count = [&](const std::string &key, uint64_t lo, uint64_t hi) {
+        return sim::parseUintOption(where + " " + key, get(key), lo, hi);
+    };
+    auto rate = [&](const std::string &key) {
+        return sim::parseDecimalOption(where + " " + key, get(key), 0, 1e12);
+    };
     PerfEntry e;
-    std::string v;
-    if (field(line, "label", v))
-        e.label = v;
-    if (field(line, "sim_version", v))
-        e.simVersion = v;
-    if (field(line, "jobs", v))
-        e.jobs = std::atoi(v.c_str());
-    if (field(line, "insts_per_run", v))
-        e.instsPerRun = std::strtoull(v.c_str(), nullptr, 10);
-    if (field(line, "repeats", v))
-        e.repeats = std::atoi(v.c_str());
-    if (field(line, "ips_median", v))
-        e.ipsMedian = std::strtod(v.c_str(), nullptr);
-    if (field(line, "ips_min", v))
-        e.ipsMin = std::strtod(v.c_str(), nullptr);
-    if (field(line, "ips_max", v))
-        e.ipsMax = std::strtod(v.c_str(), nullptr);
+    e.label = text("label");
+    e.simVersion = text("sim_version");
+    const int most = std::numeric_limits<int>::max();
+    e.jobs = int(count("jobs", 1, most));
+    e.instsPerRun = count("insts_per_run", 1, sim::kMaxInsts);
+    e.repeats = int(count("repeats", 1, most));
+    e.ipsMedian = rate("ips_median");
+    e.ipsMin = rate("ips_min");
+    e.ipsMax = rate("ips_max");
     return e;
 }
 
@@ -122,7 +184,7 @@ appendPerfEntry(const std::string &path, const PerfEntry &e)
         std::ifstream in(path);
         std::string line;
         while (std::getline(in, line))
-            if (line.find("\"label\"") != std::string::npos)
+            if (isEntryLine(line))
                 entries.push_back(line.back() == ','
                                       ? line.substr(0, line.size() - 1)
                                       : line);
@@ -138,31 +200,15 @@ appendPerfEntry(const std::string &path, const PerfEntry &e)
     file.commit();
 }
 
-bool
-readLastPerfEntry(const std::string &path, PerfEntry &e)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::string line, last;
-    while (std::getline(in, line))
-        if (line.find("\"label\"") != std::string::npos)
-            last = line;
-    if (last.empty())
-        return false;
-    e = parseEntryLine(last);
-    return true;
-}
-
 std::vector<PerfEntry>
 readPerfEntries(const std::string &path)
 {
     std::vector<PerfEntry> out;
     std::ifstream in(path);
     std::string line;
-    while (std::getline(in, line))
-        if (line.find("\"label\"") != std::string::npos)
-            out.push_back(parseEntryLine(line));
+    for (int n = 1; std::getline(in, line); ++n)
+        if (isEntryLine(line))
+            out.push_back(parseEntryLine(line, path + ":" + std::to_string(n)));
     return out;
 }
 
@@ -170,12 +216,13 @@ bool
 gatePerf(const std::string &baseline_path, double measured_median,
          double tolerance_pct, std::string &message)
 {
-    PerfEntry pinned;
-    if (!readLastPerfEntry(baseline_path, pinned)) {
+    const std::vector<PerfEntry> entries = readPerfEntries(baseline_path);
+    if (entries.empty()) {
         message = "perf gate: no baseline at " + baseline_path +
                   " (first run pins it)";
         return true;
     }
+    const PerfEntry &pinned = entries.back();
     double floor = pinned.ipsMedian * (1.0 - tolerance_pct / 100.0);
     std::ostringstream os;
     os.precision(0);

@@ -56,19 +56,19 @@ double medianOf(std::vector<double> samples);
  *  @throws std::runtime_error naming @p path on I/O failure. */
 void appendPerfEntry(const std::string &path, const PerfEntry &e);
 
-/** Read the most recent entry from @p path. Returns false when the
- *  file is absent or holds no entries. */
-bool readLastPerfEntry(const std::string &path, PerfEntry &e);
-
 /** Read the whole trajectory at @p path in file (pin) order; empty
- *  when the file is absent or holds no entries. */
+ *  when the file is absent or holds no entries.
+ *  @throws std::invalid_argument naming the path and line of the
+ *  first malformed entry: a missing or non-numeric field, trailing
+ *  text, or a negative or non-finite number. */
 std::vector<PerfEntry> readPerfEntries(const std::string &path);
 
 /**
  * Compare a fresh measurement against the last pinned entry:
  * passes when @p measured_median >= (1 - tolerance_pct/100) * pinned
  * median. A missing baseline passes (first PR pins it). @p message
- * always receives a one-line human-readable verdict.
+ * always receives a one-line human-readable verdict. Reads the file
+ * through readPerfEntries, and throws as it does.
  */
 bool gatePerf(const std::string &baseline_path, double measured_median,
               double tolerance_pct, std::string &message);

@@ -215,6 +215,11 @@ checkOptions(const SuiteOptions &opts)
         throw std::invalid_argument(
             std::string(opts.perfGatePct >= 0 ? "--perf-gate" : "--perf-pin") +
             " measures computed runs: it needs --no-cache");
+    // The trajectory is read before any run: a malformed entry is a
+    // usage error, never a gate that passes on a misread number.
+    if (opts.perfGatePct >= 0 || !opts.perfPinLabel.empty() ||
+        !opts.renderDashPath.empty())
+        readPerfEntries(opts.perfBaselinePath);
     if (!opts.insts)
         sim::benchInsts(kDefaultInsts);
 }
@@ -694,8 +699,12 @@ suiteOptions(SuiteOptions &o, bool &list, bool &help)
     };
 }
 
+namespace
+{
+
+/** suiteMain, before its check of standard output. */
 int
-suiteMain(int argc, char **argv)
+runMopsuite(int argc, char **argv)
 {
     SuiteOptions opts;
     opts.perfJsonPath = "BENCH_sweep.json";
@@ -724,6 +733,14 @@ suiteMain(int argc, char **argv)
         std::cerr << "mopsuite: " << e.what() << "\n";
         return 1;
     }
+}
+
+} // namespace
+
+int
+suiteMain(int argc, char **argv)
+{
+    return sim::flushStdout("mopsuite", runMopsuite(argc, argv));
 }
 
 } // namespace mop::sweep

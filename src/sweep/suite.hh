@@ -155,9 +155,10 @@ std::vector<sim::Opt> suiteOptions(SuiteOptions &o, bool &list, bool &help);
 
 /**
  * CLI driver behind the mopsuite binary. Exit codes: 0 clean, 1
- * runtime failure (a failed job, a file that could not be written, or
- * corruption found by --cache-verify), 2 usage error (rejected before
- * any work), 4 perf gate. 3 is retired.
+ * runtime failure (a failed job, a file or stdout that could not be
+ * written, or corruption found by --cache-verify), 2 usage error
+ * (rejected before any work, a malformed perf trajectory included), 4
+ * perf gate. 3 is retired.
  */
 int suiteMain(int argc, char **argv);
 

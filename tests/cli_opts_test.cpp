@@ -11,12 +11,15 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/render.hh"
 #include "sim/cli_opts.hh"
 #include "sim/config.hh"
+#include "sweep/perf_track.hh"
 #include "sweep/suite.hh"
 #include "tool_test.hh"
 
@@ -145,8 +148,13 @@ std::string
 joined(const std::vector<std::string> &args)
 {
     std::string s;
-    for (const std::string &a : args)
-        s += (s.empty() ? "" : " ") + ("'" + a + "'");
+    for (const std::string &a : args) {
+        if (!s.empty())
+            s += ' ';
+        s += '\'';
+        s += a;
+        s += '\'';
+    }
     return s;
 }
 
@@ -453,6 +461,147 @@ TEST(OptionTables, WalkEveryRow)
                               {"moptrace", "render", "a.evt", "--window",
                                "9"}),
                      "moptrace: ", "--window", "--window 9");
+}
+
+TEST(ToolEntries, FailedStdoutWriteIsOneErrorLine)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    // Like table1: a figure that prints a table and plans no run.
+    mop::sweep::Suite::instance().add(
+        {"_test-stdout", "prints a table",
+         [](mop::sweep::Context &, std::ostream &out) { out << "table\n"; }});
+    struct Case
+    {
+        int (*entry)(int, char **);
+        std::vector<std::string> args;
+        const char *err;
+    };
+    const Case cases[] = {
+        {mop::sim::mopsimMain,
+         {"mopsim", "--bench", "gzip", "--machine", "base", "--insts", "2000"},
+         "error: cannot write stdout\n"},
+        {mop::sim::mopsimMain, {"mopsim", "--list"},
+         "error: cannot write stdout\n"},
+        {mop::sim::mopsimMain, {"mopsim", "--help"},
+         "error: cannot write stdout\n"},
+        {mop::sweep::suiteMain,
+         {"mopsuite", "--only", "_test-stdout", "--quiet", "--no-cache",
+          "--perf", ""},
+         "mopsuite: cannot write stdout\n"},
+        {mop::sweep::suiteMain, {"mopsuite", "--list"},
+         "mopsuite: cannot write stdout\n"},
+        {mop::sweep::suiteMain, {"mopsuite", "--help"},
+         "mopsuite: cannot write stdout\n"},
+    };
+    for (const Case &c : cases) {
+        Outcome o = mop::test::runEntryToFull(c.entry, c.args);
+        EXPECT_EQ(o.rc, 1) << joined(c.args);
+        EXPECT_EQ(o.err, c.err) << joined(c.args);
+    }
+}
+
+/** A BENCH_core.json holding one entry line, @p entry. */
+std::string
+trajectory(const std::string &entry)
+{
+    return "{\n  \"schema\": \"mop-core-perf-1\",\n  \"entries\": [\n    " +
+           entry + "\n  ]\n}\n";
+}
+
+TEST(PerfTrajectory, MalformedEntryExits2BeforeAnyRun)
+{
+    mop::sweep::Suite::instance().add(
+        {"_test-sim", "plans one simulation run",
+         [](mop::sweep::Context &ctx, std::ostream &out) {
+             out << ctx.baseIpc("gzip", 32) << "\n";
+         }});
+    const std::string good =
+        "{\"label\": \"x\", \"sim_version\": \"v\", \"jobs\": 1, "
+        "\"insts_per_run\": 2000, \"repeats\": 3, \"ips_median\": 1811986.8, "
+        "\"ips_min\": 1799811.9, \"ips_max\": 1845364.7}";
+    struct Bad
+    {
+        std::string from, to, what;
+    };
+    const Bad cases[] = {
+        {"1811986.8", "\"fast\"", "ips_median"},
+        {"\"repeats\": 3, ", "", "no \"repeats\""},
+        {"2000", "2000x", "insts_per_run"},
+        {"}", "} x", "trailing text"},
+        {"1,", "1 2,", "jobs"},
+        {"1799811.9", "-1", "ips_min"},
+        {"1845364.7", "nan", "ips_max"},
+        {"1845364.7", "1e999", "ips_max"},
+        {"\"jobs\": 1", "\"jobs\": 0", "jobs"},
+        {"\"x\"", "7", "\"label\" is not a string"},
+    };
+    const std::string path = testing::TempDir() + "mop-bad-trajectory.json";
+    const std::string dash = testing::TempDir() + "mop-bad-dash.html";
+    for (const Bad &c : cases) {
+        std::string entry = good;
+        entry.replace(entry.find(c.from), c.from.size(), c.to);
+        std::ofstream(path) << trajectory(entry);
+        const std::vector<std::string> uses[] = {
+            {"--perf-gate", "10"}, {"--perf-pin", "y"}, {"--render-dash", dash}};
+        for (const std::vector<std::string> &use : uses) {
+            std::vector<std::string> args = {
+                "mopsuite", "--only", "_test-sim", "--insts", "2000",
+                "--no-cache", "--quiet", "--perf", "", "--perf-baseline",
+                path};
+            args.insert(args.end(), use.begin(), use.end());
+            expectUsageError(runEntry(mop::sweep::suiteMain, args),
+                             "mopsuite: ", c.what, entry + " " + use[0]);
+        }
+        std::ifstream in(path);
+        std::stringstream kept;
+        kept << in.rdbuf();
+        EXPECT_EQ(kept.str(), trajectory(entry)) << "--perf-pin wrote";
+        EXPECT_FALSE(std::filesystem::exists(dash));
+    }
+    std::ofstream(path) << trajectory(good);
+    const auto entries = mop::sweep::readPerfEntries(path);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].label, "x");
+    EXPECT_EQ(entries[0].instsPerRun, 2000u);
+    EXPECT_DOUBLE_EQ(entries[0].ipsMedian, 1811986.8);
+    std::remove(path.c_str());
+}
+
+TEST(PerfTrajectory, PinnedAndCommittedEntriesRead)
+{
+    // Every entry pinned so far.
+    const auto committed =
+        mop::sweep::readPerfEntries(MOP_SOURCE_DIR "/BENCH_core.json");
+    ASSERT_GE(committed.size(), 2u);
+    for (const auto &e : committed) {
+        EXPECT_FALSE(e.label.empty());
+        EXPECT_LE(e.ipsMin, e.ipsMedian) << e.label;
+        EXPECT_LE(e.ipsMedian, e.ipsMax) << e.label;
+    }
+    // A pin reads back as written, escapes included.
+    const std::string path = testing::TempDir() + "mop-pin-trajectory.json";
+    std::remove(path.c_str());
+    mop::sweep::PerfEntry e;
+    e.label = "a \"quoted\" \\ label";
+    e.simVersion = "v";
+    e.jobs = 2;
+    e.instsPerRun = 2000;
+    e.repeats = 3;
+    e.ipsMedian = 1234567.125;
+    e.ipsMin = 1000000;
+    e.ipsMax = 1500000.5;
+    mop::sweep::appendPerfEntry(path, e);
+    mop::sweep::appendPerfEntry(path, e);
+    const auto read = mop::sweep::readPerfEntries(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(read.size(), 2u);
+    EXPECT_EQ(read[1].label, e.label);
+    EXPECT_EQ(read[1].jobs, 2);
+    EXPECT_EQ(read[1].repeats, 3);
+    EXPECT_EQ(read[1].ipsMedian, e.ipsMedian);
+    EXPECT_EQ(read[1].ipsMin, e.ipsMin);
+    EXPECT_EQ(read[1].ipsMax, e.ipsMax);
 }
 
 } // namespace

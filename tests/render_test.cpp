@@ -10,14 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -528,24 +526,52 @@ TEST(MoptraceJson, FailedStdoutWriteIsOneErrorLine)
     if (!std::filesystem::exists("/dev/full"))
         GTEST_SKIP() << "no /dev/full";
     const std::string path = writeTrace("json_full.evt", kernelEvents());
-    // `moptrace json t.evt > /dev/full`, in this process.
-    std::fflush(stdout);
-    const int saved = ::dup(1);
-    const int full = ::open("/dev/full", O_WRONLY);
-    ASSERT_GE(full, 0);
-    ::dup2(full, 1);
-    ::close(full);
-    ::testing::internal::CaptureStderr();
-    std::string cmd = "moptrace", json = "json", trace = path;
-    char *argv[] = {cmd.data(), json.data(), trace.data()};
-    const int rc = obs::moptraceMain(3, argv);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    std::clearerr(stdout);
-    ::dup2(saved, 1);
-    ::close(saved);
+    test::Outcome r =
+        test::runEntryToFull(obs::moptraceMain, {"moptrace", "json", path});
     std::remove(path.c_str());
-    EXPECT_EQ(rc, 1);
-    EXPECT_EQ(err, "moptrace: json: cannot write stdout\n");
+    EXPECT_EQ(r.rc, 1);
+    EXPECT_EQ(r.err, "moptrace: json: cannot write stdout\n");
+}
+
+TEST(MoptraceCommands, FailedStdoutWriteIsOneErrorLine)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    const std::string path = writeTrace("cmds_full.evt", kernelEvents());
+    const std::string page = "cmds_full.html";
+    // Every command --help lists, with as many traces as it names.
+    const test::Outcome help = runEntry(obs::moptraceMain,
+                                        {"moptrace", "--help"});
+    size_t commands = 0;
+    std::istringstream usage(help.out);
+    for (std::string line; std::getline(usage, line);) {
+        std::istringstream words(line);
+        std::string word, cmd;
+        std::vector<std::string> args = {"moptrace"};
+        while (words >> word) {
+            if (word == "moptrace" && words >> cmd)
+                args.push_back(cmd);
+            else if (!cmd.empty() && word.starts_with('<'))
+                args.push_back(path);
+        }
+        if (cmd.empty())
+            continue;
+        ++commands;
+        if (cmd == "render") {
+            args.push_back("-o");
+            args.push_back(page);
+        }
+        const test::Outcome r = test::runEntryToFull(obs::moptraceMain, args);
+        EXPECT_EQ(r.rc, 1) << cmd;
+        EXPECT_EQ(r.err, "moptrace: " + cmd + ": cannot write stdout\n");
+    }
+    EXPECT_EQ(commands, 6u);
+    const test::Outcome r =
+        test::runEntryToFull(obs::moptraceMain, {"moptrace", "--help"});
+    EXPECT_EQ(r.rc, 1);
+    EXPECT_EQ(r.err, "moptrace: cannot write stdout\n");
+    std::remove(path.c_str());
+    std::remove(page.c_str());
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Shared by the tests of the command-line tools: runEntry runs a
  * tool's entry (mopsimMain, suiteMain, moptraceMain) in the test
- * process and captures what it printed, and JsonChecker checks the
+ * process and captures what it printed, runEntryToFull runs one with
+ * standard output on /dev/full, and JsonChecker checks the
  * syntax of the JSON the tools write (moptrace's Chrome-trace view,
  * rendered pages' data blocks, the dashboard) without an external
  * parser dependency.
@@ -13,8 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -40,6 +46,31 @@ runEntry(int (*entry)(int, char **), std::vector<std::string> args)
     const int rc = entry(int(argv.size()), argv.data());
     std::string out = testing::internal::GetCapturedStdout();
     return {rc, out, testing::internal::GetCapturedStderr()};
+}
+
+/** runEntry with standard output on /dev/full, where every write
+ *  fails (`tool ... > /dev/full`); out stays empty. The caller skips
+ *  the test on a host without /dev/full. */
+inline Outcome
+runEntryToFull(int (*entry)(int, char **), std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    std::fflush(stdout);
+    const int saved = ::dup(1);
+    const int full = ::open("/dev/full", O_WRONLY);
+    EXPECT_GE(full, 0);
+    ::dup2(full, 1);
+    ::close(full);
+    testing::internal::CaptureStderr();
+    const int rc = entry(int(argv.size()), argv.data());
+    std::string err = testing::internal::GetCapturedStderr();
+    std::cout.clear();
+    std::clearerr(stdout);
+    ::dup2(saved, 1);
+    ::close(saved);
+    return {rc, "", err};
 }
 
 /** document() is true when the whole text is one JSON value. */
