@@ -67,21 +67,31 @@ TraceExporter::handOff()
     if (!writer_.joinable())
         writer_ = std::thread(&TraceExporter::writerLoop, this,
                               sched_getcpu());
+    const size_t n = ring_.size();
     std::string err;
+    bool handed = false;
     {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [this] { return !busy_; });
+        std::lock_guard<std::mutex> lk(mu_);
         err = error_;
-        if (err.empty()) {
-            emitted_ += ring_.size();
+        if (err.empty() && !busy_) {
             writing_.swap(ring_);
-            busy_ = true;
+            writingFirst_ = emitted_;
+            busy_ = handed = true;
         }
     }
+    if (handed) {
+        cv_.notify_one();
+        emitted_ += n;
+        ring_.clear();
+        return;
+    }
+    // The writer still holds the previous ring. Waiting for it would
+    // put its wake-up and its time slices on this thread, and on a
+    // shared host those stretch to tens of milliseconds.
+    if (err.empty())
+        err = writeOwnRing();
     if (!err.empty())
         fail(err);
-    cv_.notify_all();
-    ring_.clear();
 }
 
 void
@@ -94,13 +104,12 @@ TraceExporter::writerLoop(int fillerCpu)
         if (!busy_)
             return;
         lk.unlock();
-        std::string err = writeRing(writing_);
+        std::string err = writeRing();
         writing_.clear();
         lk.lock();
         if (error_.empty())
             error_ = std::move(err);
         busy_ = false;
-        cv_.notify_all();
     }
 }
 
@@ -119,22 +128,35 @@ TraceExporter::stopWriter()
 }
 
 std::string
-TraceExporter::writeRing(const std::vector<trace::CycleEvent> &evs)
+TraceExporter::writeRing()
 {
     try {
         // Pack a small private copy, chunk by chunk. Packing the ring
         // in place would leave all its lines dirty in the writer's
         // cache, for the simulating thread to pull back one by one
         // when it refills the ring; that cost as much as the write.
-        for (size_t i = 0; i < evs.size(); i += pack_.size()) {
-            const size_t n = std::min(pack_.size(), evs.size() - i);
-            std::copy_n(evs.begin() + ptrdiff_t(i), n, pack_.begin());
-            bin_->writeInPlace(pack_.data(), n);
+        for (size_t i = 0; i < writing_.size(); i += pack_.size()) {
+            const size_t n = std::min(pack_.size(), writing_.size() - i);
+            std::copy_n(writing_.begin() + ptrdiff_t(i), n, pack_.begin());
+            bin_->writeInPlaceAt(pack_.data(), n, writingFirst_ + i);
         }
         return "";
     } catch (const std::exception &e) {
         return e.what();
     }
+}
+
+std::string
+TraceExporter::writeOwnRing()
+{
+    try {
+        bin_->writeInPlaceAt(ring_.data(), ring_.size(), emitted_);
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+    emitted_ += ring_.size();
+    ring_.clear();
+    return "";
 }
 
 void
@@ -154,10 +176,8 @@ TraceExporter::close()
         return;
     if (std::string err = stopWriter(); !err.empty())
         fail(err);
-    if (std::string err = writeRing(ring_); !err.empty())
+    if (std::string err = writeOwnRing(); !err.empty())
         fail(err);
-    emitted_ += ring_.size();
-    ring_.clear();
     closed_ = true;
     try {
         bin_->close();

@@ -13,9 +13,12 @@
  * Writing happens off the simulating thread: each full ring goes to
  * one writer thread, started with the first full ring and joined by
  * close() (or the destructor), which packs and writes it while the
- * caller fills a second ring. A sink failure on that thread surfaces
- * once, as "trace <path>: ..." from the next push() that hands over a
- * ring or from close().
+ * caller fills a second ring. The caller never waits for the writer:
+ * a ring that fills while the writer still holds the previous one is
+ * written by the caller itself. Every ring has a fixed place in the
+ * file, so the bytes do not depend on which thread wrote it. A sink
+ * failure on that thread surfaces once, as "trace <path>: ..." from
+ * the next push() that fills a ring or from close().
  */
 
 #ifndef MOP_OBS_TRACE_EXPORT_HH
@@ -48,11 +51,11 @@ class TraceExporter
     TraceExporter(const TraceExporter &) = delete;
     TraceExporter &operator=(const TraceExporter &) = delete;
 
-    /** Queue an event; a full ring goes to the writer thread once it
-     *  has written the previous one.
+    /** Queue an event; a full ring goes to the writer thread, or is
+     *  written here if the writer still holds the previous one.
      *  @throws std::runtime_error naming the path if the sink failed
-     *  on an earlier ring; the exporter is then closed, with its
-     *  buffered events lost. */
+     *  on this or an earlier ring; the exporter is then closed, with
+     *  its buffered events lost. */
     void push(const trace::CycleEvent &ev);
 
     /** Write the rest and close the file, after the writer thread has
@@ -71,7 +74,8 @@ class TraceExporter
     static constexpr size_t kPackChunk = 256;
 
     /** Give the full ring to the writer thread (starting it on first
-     *  use) once it is idle; throws an earlier ring's failure. */
+     *  use), or write it here if the writer is busy; throws this or an
+     *  earlier ring's failure. */
     void handOff();
     /** The writer thread; @p fillerCpu is the CPU of the thread that
      *  started it (see avoidCpu in the .cc). */
@@ -79,10 +83,14 @@ class TraceExporter
     /** Join the writer thread, if any; returns its failure ("" if
      *  none). */
     std::string stopWriter();
-    /** Pack and write @p evs to the file; returns the failure, "" if
-     *  none. Runs on the writer thread, and on the caller once the
-     *  writer is joined. */
-    std::string writeRing(const std::vector<trace::CycleEvent> &evs);
+    /** Pack a copy of writing_ and write it as the records from
+     *  writingFirst_ on; returns the failure, "" if none. Runs on the
+     *  writer thread. */
+    std::string writeRing();
+    /** Pack ring_ in place, write it as the records from emitted_ on,
+     *  count and clear it; returns the failure, "" if none. Runs on
+     *  the caller. */
+    std::string writeOwnRing();
     /** Join the writer, release the file without further error
      *  checks, mark the exporter closed and throw @p what. */
     [[noreturn]] void fail(const std::string &what);
@@ -94,11 +102,13 @@ class TraceExporter
     std::vector<trace::CycleEvent> ring_;  ///< filled by push()
     uint64_t emitted_ = 0;
 
-    // Writer thread. It owns writing_, pack_ and the file while busy_
-    // is set; the flags and error_ are guarded by mu_.
+    // Writer thread. It owns writing_, writingFirst_ and pack_ while
+    // busy_ is set; the flags and error_ are guarded by mu_. Both
+    // threads write the file, each at its own records' offsets.
     std::mutex mu_;
     std::condition_variable cv_;
     std::vector<trace::CycleEvent> writing_;
+    uint64_t writingFirst_ = 0;  ///< record index of writing_[0]
     bool busy_ = false;
     bool stop_ = false;
     std::string error_;

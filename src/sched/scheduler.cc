@@ -569,6 +569,7 @@ Scheduler::deliverTag(Tag tag, Cycle now)
     // waiting slots alone.
     const uint64_t *bucket = &consumers_[consumerBit(tag, 0) / 64];
     forEachSetBitAnd(watchBits_, bucket, [&](size_t i) {
+        ++work_.deliverCompares;
         const std::array<Tag, kMaxEntrySrcs> &tags = srcTag_[i];
         EntryState &st = state_[i];
         uint8_t woken = 0;
@@ -613,13 +614,13 @@ Scheduler::deliverBcasts(Cycle now)
         }
         if (b.entry >= 0 && (state_[size_t(b.entry)].flags & kFValid) &&
             cold_[size_t(b.entry)].gen == b.gen) {
-            maybeReapShrunken(b.entry, now);
+            reapIfComplete(b.entry, now);
         }
     });
 }
 
 void
-Scheduler::maybeReapShrunken(int idx, Cycle now)
+Scheduler::reapIfComplete(int idx, Cycle now)
 {
     const EntryState &st = state_[size_t(idx)];
     if ((st.flags & kFValid) && (st.flags & kFIssued) && prefixDone(idx) &&
@@ -669,6 +670,7 @@ Scheduler::recallTag(Tag tag, Cycle now)
     // validBits_ stay fixed while this walk runs.
     const uint64_t *bucket = &consumers_[consumerBit(tag, 0) / 64];
     forEachSetBitAnd(validBits_, bucket, [&](size_t i) {
+        ++work_.recallCompares;
         EntryState &st = state_[i];
         EntryCold &c = cold_[i];
         uint8_t ready = uint8_t(~st.wait) & srcMask(st.numSrcs);
@@ -859,6 +861,7 @@ Scheduler::doSelect(Cycle now, std::vector<MopIssue> *mop_issues)
     // minIssue gate is evaluated here.
     readyScratch_.clear();
     forEachSetBit(readyBits_, [&](size_t i) {
+        ++work_.selectVisits;
         if (minIssue_[i] <= now)
             readyScratch_.push_back(int(i));
     });
@@ -941,12 +944,6 @@ Scheduler::doSelect(Cycle now, std::vector<MopIssue> *mop_issues)
     // from a wrong-path MOP's later ops stay in the useful bucket (a
     // deliberate, documented imprecision — debt is not entry-tagged).
     lastIssueSlotsWp_ = std::min(lastIssueSlots_, issuedNowWp);
-}
-
-void
-Scheduler::collectStallSnapshot(Cycle now, StallSnapshot &snap) const
-{
-    snap = stallSnapshot(now);
 }
 
 void
@@ -1073,7 +1070,9 @@ Scheduler::tick(Cycle now, std::vector<ExecEvent> &completed,
         }
     });
 
-    // Completions: free entries and report executed ops.
+    // Completions: report executed ops and free finished entries
+    // whose broadcast has left the bus (the rest are freed when it
+    // delivers).
     {
         bool any = false;
         compCal_.drain(now, [&](const CompletionEv &ev, int) {
@@ -1087,8 +1086,7 @@ Scheduler::tick(Cycle now, std::vector<ExecEvent> &completed,
             completed.push_back(ev.ev);
             any = true;
             c.opDone |= 1u << unsigned(ev.opIdx);
-            if (prefixDone(ev.entry))
-                freeEntry(ev.entry, now);
+            reapIfComplete(ev.entry, now);
         });
         if (any)
             lastProgress_ = now;
@@ -1558,7 +1556,7 @@ Scheduler::squashAfter(uint64_t seq, Cycle now)
                                                Cycle(schedLatency(int(i)))),
                                   false);
                 }
-                maybeReapShrunken(int(i), now);
+                reapIfComplete(int(i), now);
                 if (!(st.flags & kFValid))
                     return;
             }

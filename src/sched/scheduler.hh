@@ -184,7 +184,8 @@ class Scheduler
     /**
      * Advance one cycle. Delivers wakeups, selects and issues, applies
      * recalls/replays, and reports per-op completions in @p completed
-     * (entries are freed as their ops complete).
+     * (an entry is freed once its ops have completed and its broadcast
+     * has left the bus).
      */
     void tick(Cycle now, std::vector<ExecEvent> &completed,
               std::vector<MopIssue> *mop_issues = nullptr);
@@ -236,6 +237,9 @@ class Scheduler
     uint64_t collisions() const { return collisions_; }
     uint64_t pileupKills() const { return pileupKills_; }
     const stats::Average &occupancyAvg() const { return occAvg_; }
+    /** Entries the deliver, recall and select walks have visited
+     *  (SchedWork); outside addStats, so no output reads them. */
+    const SchedWork &work() const { return work_; }
 
     void addStats(stats::StatGroup &g) const;
 
@@ -303,9 +307,6 @@ class Scheduler
         stallCache_.last = now;
         return stallCache_.snap;
     }
-
-    /** stallSnapshot(now), copied into @p snap. */
-    void collectStallSnapshot(Cycle now, StallSnapshot &snap) const;
 
     /** Arrivals and departures of issue-queue entries, stamped on the
      *  occupancy-sample clock: the number of per-cycle samples taken
@@ -597,10 +598,12 @@ class Scheduler
     /** Append source tag @p t to entry @p idx: its slot, wait bit,
      *  ready time and consumer-index bit. Returns the slot. */
     int addSource(int idx, Tag t);
-    /** Free a squash-shrunken issued entry whose surviving ops have
-     *  all completed once its broadcast has left the bus; no
-     *  completion event remains to free it through the normal path. */
-    void maybeReapShrunken(int idx, Cycle now);
+    /** Free issued entry @p idx once every surviving op has completed
+     *  and its broadcast has left the bus. Called at each completion,
+     *  at its broadcast's delivery and after a squash shrinks it, so
+     *  a wakeup due after the last completion (a scheduling loop
+     *  deeper than dispatch, a delayed broadcast) is never dropped. */
+    void reapIfComplete(int idx, Cycle now);
 
     TagPool pool_;
     const TagHolder *tagHolder_ = nullptr;  ///< not owned
@@ -635,6 +638,7 @@ class Scheduler
     uint64_t pileupKills_ = 0;
     uint64_t insertedOps_ = 0;
     uint64_t insertedEntries_ = 0;
+    SchedWork work_;
     stats::Average occAvg_;
     /** Every insert and free since the last sample carries the same
      *  stamp, so the ledger is brought up to date at each sample (and
@@ -666,7 +670,7 @@ class Scheduler
      *  holds a reference to its tag. */
     std::vector<std::pair<Cycle, Tag>> injRecalls_;
 
-    // Stall-attribution probe state (see collectStallSnapshot).
+    // Stall-attribution probe state (see stallSnapshot).
     bool stallProbe_ = false;
     int lastIssueSlots_ = 0;  ///< useful select slots last doSelect
     int lastIssueSlotsWp_ = 0; ///< of those, wrong-path entry issues

@@ -131,7 +131,7 @@ struct ExecEvent
 
 /**
  * Per-cycle scheduler introspection for the observability layer
- * (src/obs). Filled by Scheduler::collectStallSnapshot() after tick();
+ * (src/obs). Returned by Scheduler::stallSnapshot(now) after tick(now);
  * every non-issued entry falls into exactly one waiting bucket, so the
  * stall-attribution priority ladder can charge each issue slot to a
  * single cause.
@@ -150,6 +150,19 @@ struct StallSnapshot
     int wrongPath = 0;
 
     bool operator==(const StallSnapshot &) const = default;
+};
+
+/**
+ * Host-independent work of the wakeup/select loop, counted in entries
+ * visited since construction (Scheduler::work). The consumer index and
+ * the ready bitmap keep each count proportional to the ops that matter,
+ * not to the queue size. No stat, result or fingerprint reads them.
+ */
+struct SchedWork
+{
+    uint64_t deliverCompares = 0;  ///< entries deliverTag's tag compare saw
+    uint64_t recallCompares = 0;   ///< entries recallTag's tag compare saw
+    uint64_t selectVisits = 0;     ///< entries doSelect's ready walk saw
 };
 
 struct SchedParams

@@ -1,5 +1,8 @@
 #include "trace/trace_file.hh"
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -62,6 +65,11 @@ struct EventRecord
 };
 static_assert(sizeof(EventRecord) == 112,
               "v2 event record must be 112 bytes");
+
+/** Magic, version word and reserved word: record i starts at
+ *  kHeaderBytes + i * sizeof(EventRecord). */
+constexpr size_t kHeaderBytes = sizeof(kEventMagic) + 2 * sizeof(uint32_t);
+
 // EventTraceWriter::writeInPlace packs each record over its source.
 static_assert(sizeof(CycleEvent) == sizeof(EventRecord) &&
                   std::is_trivially_copyable_v<CycleEvent>,
@@ -88,6 +96,16 @@ packEvent(const CycleEvent &ev)
     r.dep1 = ev.dep[1];
     r.mopId = ev.mopId;
     return r;
+}
+
+/** Overwrite each of @p evs with its on-disk record. */
+void
+packInPlace(CycleEvent *evs, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        const EventRecord r = packEvent(evs[i]);
+        std::memcpy(static_cast<void *>(&evs[i]), &r, sizeof(r));
+    }
 }
 
 CycleEvent
@@ -150,6 +168,9 @@ EventTraceWriter::EventTraceWriter(const std::string &path,
     std::fwrite(kEventMagic, 1, sizeof(kEventMagic), f_);
     std::fwrite(&version, sizeof(version), 1, f_);
     std::fwrite(&reserved, sizeof(reserved), 1, f_);
+    // Out at once, so writeInPlaceAt never races the stdio buffer; a
+    // failure stays on the stream for close() to report.
+    std::fflush(f_);
 }
 
 EventTraceWriter::~EventTraceWriter()
@@ -168,13 +189,30 @@ EventTraceWriter::write(const CycleEvent &ev)
 void
 EventTraceWriter::writeInPlace(CycleEvent *evs, size_t n)
 {
-    for (size_t i = 0; i < n; ++i) {
-        const EventRecord r = packEvent(evs[i]);
-        std::memcpy(static_cast<void *>(&evs[i]), &r, sizeof(r));
-    }
+    packInPlace(evs, n);
     if (std::fwrite(evs, sizeof(EventRecord), n, f_) != n)
         throw std::runtime_error("event trace write failed");
     count_ += n;
+}
+
+void
+EventTraceWriter::writeInPlaceAt(CycleEvent *evs, size_t n, uint64_t first)
+{
+    packInPlace(evs, n);
+    const char *p = reinterpret_cast<const char *>(evs);
+    size_t left = n * sizeof(EventRecord);
+    off_t at = off_t(kHeaderBytes + first * sizeof(EventRecord));
+    const int fd = fileno(f_);
+    while (left > 0) {
+        const ssize_t w = ::pwrite(fd, p, left, at);
+        if (w < 0 && errno == EINTR)
+            continue;
+        if (w <= 0)
+            throw std::runtime_error("event trace write failed");
+        p += w;
+        left -= size_t(w);
+        at += off_t(w);
+    }
 }
 
 void

@@ -114,6 +114,15 @@ class EventTraceWriter
      * @throws std::runtime_error if the write fails.
      */
     void writeInPlace(CycleEvent *evs, size_t n);
+    /**
+     * Write @p n records, packed over @p evs as by writeInPlace, as
+     * records @p first .. @p first + n - 1 of the file, with positioned
+     * writes that leave the stream alone. Calls for disjoint ranges may
+     * run on different threads at once; a file written this way takes
+     * no write() or writeInPlace(), and written() does not count it.
+     * @throws std::runtime_error if the write fails.
+     */
+    void writeInPlaceAt(CycleEvent *evs, size_t n, uint64_t first);
     uint64_t written() const { return count_; }
     /** Flush and close; further writes are invalid. Idempotent.
      *  @throws std::runtime_error if any buffered byte failed to reach

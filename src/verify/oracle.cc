@@ -483,9 +483,9 @@ RefScheduler::fuReserve(const SchedOp &op, Cycle c)
 void
 RefScheduler::reapIfComplete(REntry &e)
 {
-    // A squash-shrunken issued entry whose surviving ops have all
-    // completed has no completion left to free it; reap it as soon as
-    // its broadcast has left the bus.
+    // An issued entry whose surviving ops have all completed is freed
+    // once its broadcast has left the bus: at its last completion, at
+    // the broadcast's delivery, or after a squash shrinks it.
     if (e.live && e.issued && entryComplete(e) && !hasBcast(e.uid))
         freeEntry(e);
 }
@@ -740,7 +740,8 @@ RefScheduler::tick(Cycle now, std::vector<sched::ExecEvent> &completed,
         }
     }
 
-    // 5. Completions: report executed ops, free finished entries.
+    // 5. Completions: report executed ops, free finished entries whose
+    //    broadcast has left the bus.
     {
         std::vector<RCompletion> due;
         for (size_t i = 0; i < completions_.size();) {
@@ -757,8 +758,7 @@ RefScheduler::tick(Cycle now, std::vector<sched::ExecEvent> &completed,
                 continue;
             completed.push_back(c.ev);
             e->opDone[size_t(c.opIdx)] = true;
-            if (entryComplete(*e))
-                freeEntry(*e);
+            reapIfComplete(*e);
         }
     }
 }

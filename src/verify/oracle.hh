@@ -242,8 +242,9 @@ class RefScheduler
     void issueEntry(REntry &e, sched::Cycle now,
                     std::vector<RefMopIssue> *mop_issues);
     void doSelect(sched::Cycle now, std::vector<RefMopIssue> *mop_issues);
-    /** Free a shrunken issued entry once its surviving ops completed
-     *  and its broadcast has left (the bug-2 fix, oracle side). */
+    /** Free an issued entry once its surviving ops completed and its
+     *  broadcast has left the bus (completion, delivery and squash all
+     *  call it, as in production). */
     void reapIfComplete(REntry &e);
 
     sched::SchedParams params_;

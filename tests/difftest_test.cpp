@@ -99,6 +99,26 @@ TEST(Difftest, AdversarialMopCorpusHasNoDivergence)
     }
 }
 
+/** Loops deeper than dispatch plus latency broadcast after their
+ *  producer completed: both models must keep such an entry until its
+ *  broadcast has left the bus, and agree on everything after. */
+TEST(Difftest, DeepLoopCorpusHasNoDivergence)
+{
+    const ScriptConfig configs[] = {ScriptConfig{}, adversarialMopConfig()};
+    for (int depth : {3, 6, 8}) {
+        for (const ScriptConfig &cfg : configs) {
+            for (uint64_t seed = 1; seed <= 40; ++seed) {
+                ScheduleScript s = makeRandomScript(seed, cfg);
+                s.params.schedDepth = depth;
+                DivergenceReport rep;
+                ASSERT_TRUE(runLockstep(s, RefQuirks{}, &rep))
+                    << "depth " << depth << " seed " << seed << " cycle "
+                    << rep.cycle << " [" << rep.what << "] " << rep.detail;
+            }
+        }
+    }
+}
+
 /** The same corpora under each non-paper behaviour policy: the oracle
  *  models load-delay scheduling and static pair fusion too, and must
  *  agree with production everywhere. */

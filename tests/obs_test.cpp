@@ -309,6 +309,9 @@ TEST(StallAccounting, InvariantHoldsOnEveryProfile)
 // Trace export.
 // ---------------------------------------------------------------------
 
+/** Events per ring the exporter hands to its writer thread. */
+constexpr uint64_t kExportRing = 4096;
+
 trace::CycleEvent
 makeEvent(uint64_t i)
 {
@@ -339,6 +342,29 @@ TEST(TraceExport, BinaryRoundTripThroughRing)
         exp.close();
         EXPECT_EQ(exp.emitted(), kEvents);
     }
+    auto events = trace::readEventTrace(path);
+    ASSERT_EQ(events.size(), kEvents);
+    for (uint64_t i = 0; i < kEvents; ++i)
+        ASSERT_EQ(events[i], makeEvent(i)) << i;
+    std::remove(path.c_str());
+}
+
+TEST(TraceExport, RingsThatOutrunTheWriterLandInOrder)
+{
+    // Filling a ring here takes microseconds and writing one far
+    // longer, so most hand-offs find the writer still busy and this
+    // thread writes its ring itself, while the writer writes another:
+    // every record must still land at its own place in the file.
+    std::string path = tmpPath("obs_outrun.evt");
+    constexpr uint64_t kEvents = 16 * kExportRing + 123;
+    {
+        obs::TraceExporter exp(path);
+        for (uint64_t i = 0; i < kEvents; ++i)
+            exp.push(makeEvent(i));
+        exp.close();
+        EXPECT_EQ(exp.emitted(), kEvents);
+    }
+    EXPECT_EQ(std::filesystem::file_size(path), 16 + 112 * kEvents);
     auto events = trace::readEventTrace(path);
     ASSERT_EQ(events.size(), kEvents);
     for (uint64_t i = 0; i < kEvents; ++i)
@@ -391,9 +417,6 @@ fullDevicePath(const char *name)
     fs::create_symlink("/dev/full", link);
     return link.string();
 }
-
-/** Events per ring the exporter hands to its writer thread. */
-constexpr uint64_t kExportRing = 4096;
 
 TEST(TraceExport, FullDeviceFailsOnceWithoutAbort)
 {

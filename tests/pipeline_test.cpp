@@ -313,17 +313,18 @@ TEST(TagEcho, CoversOneTagsLivesAndChangesNoResult)
 TEST(Termination, TinyQueuesCompleteOrAreRejected)
 {
     // Every machine x policy x iq 1..4 x mop-size 2..4 x wrong-path x
-    // sched-depth {0, 3}: pipeline::configError (mopsim exits 2 on it)
-    // rejects exactly the cells that cannot finish, building one of
-    // them throws before a cycle runs, and every other cell runs its
-    // budget to the end.
+    // sched-depth {0, 3, 6, 8}: pipeline::configError (mopsim exits 2
+    // on it) rejects exactly the cells that cannot finish, building one
+    // of them throws before a cycle runs, and every other cell runs its
+    // budget to the end. At depths 6 and 8 a broadcast is due after
+    // its producer completes (dispatch 4, plus 1).
     std::vector<RunConfig> grid;
     for (Machine m : sim::allMachines())
         for (sched::PolicyId pol : sched::registeredPolicies())
             for (int iq = 1; iq <= 4; ++iq)
                 for (int size = 2; size <= 4; ++size)
                     for (bool wp : {false, true})
-                        for (int depth : {0, 3}) {
+                        for (int depth : {0, 3, 6, 8}) {
                             RunConfig cfg;
                             cfg.machine = m;
                             cfg.policy = pol;
@@ -333,7 +334,7 @@ TEST(Termination, TinyQueuesCompleteOrAreRejected)
                             cfg.schedDepth = depth;
                             grid.push_back(cfg);
                         }
-    ASSERT_EQ(grid.size(), 864u);
+    ASSERT_EQ(grid.size(), 1728u);
 
     int rejected = 0;
     for (const RunConfig &cfg : grid) {
@@ -355,9 +356,17 @@ TEST(Termination, TinyQueuesCompleteOrAreRejected)
         EXPECT_NO_THROW(r = sim::runBenchmark("gzip", cfg, 2000)) << cell;
         EXPECT_EQ(r.insts, 2000u) << cell;
     }
-    // iq 1 on the two MOP machines (2 x 3 policies x 3 sizes x 2 x 2)
-    // and load-delay on the two select-free machines (2 x 4 x 3 x 2 x 2).
-    EXPECT_EQ(rejected, 168);
+    // iq 1 on the two MOP machines (2 x 3 policies x 3 sizes x 2 x 4)
+    // and load-delay on the two select-free machines (2 x 4 x 3 x 2 x 4).
+    EXPECT_EQ(rejected, 336);
+
+    // A delayed broadcast can also land after its producer completed.
+    RunConfig delayed;
+    delayed.schedDepth = 5;
+    delayed.faults[verify::FaultKind::DelayBcast] = 0.01;
+    pipeline::SimResult r;
+    EXPECT_NO_THROW(r = sim::runBenchmark("gzip", delayed, 2000));
+    EXPECT_GE(r.insts, 2000u);
 }
 
 TEST(Termination, TinyQueuesUnderEveryFaultKindWithObsOn)

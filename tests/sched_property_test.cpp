@@ -206,7 +206,6 @@ runProbedSchedule(Harness &h, std::vector<GenOp> &dag,
                   mop::obs::StallAccounting &acc,
                   const EpisodeSquash *squash = nullptr)
 {
-    sched::StallSnapshot snap;
     size_t fed = 0;
     int guard = 0;
     int since_fed = 0;
@@ -229,8 +228,7 @@ runProbedSchedule(Harness &h, std::vector<GenOp> &dag,
             h.s.squashAfter(squash->seq, h.now);
         Cycle c = h.now;
         h.tick();
-        h.s.collectStallSnapshot(c, snap);
-        acc.charge(snap, mop::obs::StallCause::Frontend);
+        acc.charge(h.s.stallSnapshot(c), mop::obs::StallCause::Frontend);
         h.s.auditStructures();
     }
     return true;
@@ -395,14 +393,12 @@ TEST(SchedStallProbe, SwitchingOnMidRunRebuildsThePlanes)
     ASSERT_NO_THROW(h.s.auditStructures());
 
     mop::obs::StallAccounting acc(h.s.params().issueWidth);
-    sched::StallSnapshot snap;
     for (int c = 0; c < 400 && h.s.occupancy() > 0; ++c) {
         if (c == 20)
             h.s.clearPending(head, h.now);
         Cycle now = h.now;
         h.tick();
-        h.s.collectStallSnapshot(now, snap);
-        acc.charge(snap, mop::obs::StallCause::Frontend);
+        acc.charge(h.s.stallSnapshot(now), mop::obs::StallCause::Frontend);
         ASSERT_NO_THROW(h.s.auditStructures()) << "cycle " << now;
     }
     EXPECT_EQ(h.s.occupancy(), 0);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -401,6 +402,26 @@ TEST_P(Queue, EntriesFreedAfterCompletion)
     EXPECT_TRUE(h.s.canInsert(2));
 }
 
+TEST_P(Queue, WakeupDueAfterCompletionStillWakes)
+{
+    // A scheduling loop deeper than dispatch plus execution broadcasts
+    // after its producer completed (issue + 8 against issue + 5). The
+    // entry is freed only once its broadcast has left the bus, so the
+    // chain still wakes, one link per loop depth.
+    SchedParams p = params(LoopPolicy::Atomic);
+    p.schedDepth = p.dispatchDepth + 4;
+    Harness h(p);
+    h.s.insert(Harness::alu(0, 0), h.now);
+    h.s.insert(Harness::alu(1, 1, 0), h.now);
+    h.s.insert(Harness::alu(2, 2, 1), h.now);
+    h.runUntilIdle();
+    h.assertDataflow({{0, 1}, {1, 2}});
+    EXPECT_LT(h.completeAt(0), h.issuedAt(0) + Cycle(p.schedDepth));
+    EXPECT_EQ(h.issuedAt(1), h.issuedAt(0) + Cycle(p.schedDepth));
+    EXPECT_EQ(h.issuedAt(2), h.issuedAt(1) + Cycle(p.schedDepth));
+    EXPECT_NO_THROW(h.s.auditStructures());
+}
+
 TEST_P(Queue, MopSharesOneEntry)
 {
     SchedParams p = params(LoopPolicy::TwoCycle);
@@ -687,6 +708,87 @@ TEST(ConsumerIndex, SquashShrunkMopKeepsLeftoverBits)
     EXPECT_EQ(alias.done.at(0).issued, 12u);
     EXPECT_EQ(alias.done.at(2).issued, 14u);
     EXPECT_EQ(alias.s.replayInvalidations(), 2u);
+}
+
+// --- wakeup/select work against queue size ---------------------------
+
+constexpr uint64_t kStreamOps = 4096;
+
+/**
+ * Drive the scaling stream through a TwoCycle queue of @p entries and
+ * store its work counts in @p work. The stream is kStreamOps
+ * single-cycle ops, up to four inserted a cycle while there is room,
+ * each depending on the op four before it, so four chains keep the
+ * queue full. With @p loads every 7th op is a load that misses for 20
+ * cycles, whose speculative wakeup is recalled.
+ */
+void
+runScalingStream(int entries, bool loads, sched::SchedWork &work)
+{
+    SchedParams p;
+    p.policy = LoopPolicy::TwoCycle;
+    p.numEntries = entries;
+    sched::Scheduler s(p);
+    s.setLoadLatencyFn([](uint64_t) { return 20; });
+    std::vector<ExecEvent> completed;
+    Cycle now = 0;
+    uint64_t seq = 0, done = 0;
+    while (done < kStreamOps) {
+        ASSERT_LT(now, 100000u) << "IQ " << entries << " stalled";
+        for (int w = 0; w < 4 && seq < kStreamOps && s.canInsert(); ++w) {
+            const bool load = loads && seq % 7 == 0;
+            s.insert(Harness::op(seq, load ? OpClass::Load : OpClass::IntAlu,
+                                 Tag(seq),
+                                 seq >= 4 ? Tag(seq - 4) : sched::kNoTag),
+                     now);
+            ++seq;
+        }
+        completed.clear();
+        s.tick(now, completed);
+        done += completed.size();
+        ++now;
+    }
+    work = s.work();
+}
+
+TEST(SchedWork, WakeupSelectWorkDoesNotGrowWithTheQueue)
+{
+    // Section 2.2's loop at IQ 32, 128 and 512. The consumer index
+    // limits deliver and recall to a tag's bucket, and select walks
+    // only the ready bitmap. Per op, without loads (one delivered tag
+    // each), deliver compares 1.0 / 1.0 / 1.9 entries and select
+    // visits 1.0; with the missing loads, recall compares 0.29 / 0.29 /
+    // 0.55. Walking the whole waiting or valid bitmap instead gives
+    // 22 / 115 / 441, 16 / 62 / 226 and 9 / 36 / 135. Every bound sits
+    // between the two.
+    const auto perOp = [](uint64_t n) { return double(n) / kStreamOps; };
+    for (bool loads : {false, true}) {
+        std::map<int, sched::SchedWork> w;
+        for (int entries : {32, 128, 512}) {
+            SCOPED_TRACE("IQ " + std::to_string(entries) +
+                         (loads ? " with loads" : ""));
+            ASSERT_NO_FATAL_FAILURE(
+                runScalingStream(entries, loads, w[entries]));
+            const sched::SchedWork &c = w[entries];
+            // Floors: every op after the first four waits on one tag,
+            // and every op is seen by the walk that selects it.
+            EXPECT_GE(c.deliverCompares, kStreamOps - 4);
+            EXPECT_LE(perOp(c.deliverCompares), 4.0);
+            EXPECT_LE(perOp(c.recallCompares), 2.0);
+            EXPECT_GE(c.selectVisits, kStreamOps);
+            EXPECT_LE(perOp(c.selectVisits), 2.0);
+            if (!loads)
+                EXPECT_EQ(c.recallCompares, 0u);
+            else
+                EXPECT_GT(c.recallCompares, 0u);
+        }
+        // 16x the queue: at most 3x the deliver and recall work (bucket
+        // aliasing doubles it at 512) and 1.5x the select work.
+        const sched::SchedWork &small = w[32], &big = w[512];
+        EXPECT_LE(big.deliverCompares, 3 * small.deliverCompares);
+        EXPECT_LE(big.recallCompares, 3 * small.recallCompares);
+        EXPECT_LE(2 * big.selectVisits, 3 * small.selectVisits);
+    }
 }
 
 TEST(TagPool, BoundCoversBothMapsAndEveryEntrySlot)
