@@ -2,7 +2,6 @@
 
 #include <sched.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -33,8 +32,7 @@ avoidCpu(int cpu)
 
 TraceExporter::TraceExporter(const std::string &path, uint32_t version)
     : path_(path),
-      bin_(std::make_unique<trace::EventTraceWriter>(path, version)),
-      pack_(kPackChunk)
+      bin_(std::make_unique<trace::EventTraceWriter>(path, version))
 {
     ring_.reserve(kRingCap);
     writing_.reserve(kRingCap);
@@ -81,17 +79,17 @@ TraceExporter::handOff()
     }
     if (handed) {
         cv_.notify_one();
-        emitted_ += n;
-        ring_.clear();
-        return;
+    } else {
+        // The writer still holds the previous ring. Waiting for it
+        // would put its wake-up and its time slices on this thread, and
+        // on a shared host those stretch to tens of milliseconds.
+        if (err.empty())
+            err = writeRing(ring_, emitted_);
+        if (!err.empty())
+            fail(err);
     }
-    // The writer still holds the previous ring. Waiting for it would
-    // put its wake-up and its time slices on this thread, and on a
-    // shared host those stretch to tens of milliseconds.
-    if (err.empty())
-        err = writeOwnRing();
-    if (!err.empty())
-        fail(err);
+    emitted_ += n;
+    ring_.clear();
 }
 
 void
@@ -104,7 +102,7 @@ TraceExporter::writerLoop(int fillerCpu)
         if (!busy_)
             return;
         lk.unlock();
-        std::string err = writeRing();
+        std::string err = writeRing(writing_, writingFirst_);
         writing_.clear();
         lk.lock();
         if (error_.empty())
@@ -128,35 +126,15 @@ TraceExporter::stopWriter()
 }
 
 std::string
-TraceExporter::writeRing()
+TraceExporter::writeRing(const std::vector<trace::CycleEvent> &evs,
+                         uint64_t first)
 {
     try {
-        // Pack a small private copy, chunk by chunk. Packing the ring
-        // in place would leave all its lines dirty in the writer's
-        // cache, for the simulating thread to pull back one by one
-        // when it refills the ring; that cost as much as the write.
-        for (size_t i = 0; i < writing_.size(); i += pack_.size()) {
-            const size_t n = std::min(pack_.size(), writing_.size() - i);
-            std::copy_n(writing_.begin() + ptrdiff_t(i), n, pack_.begin());
-            bin_->writeInPlaceAt(pack_.data(), n, writingFirst_ + i);
-        }
+        bin_->write(evs.data(), evs.size(), first);
         return "";
     } catch (const std::exception &e) {
         return e.what();
     }
-}
-
-std::string
-TraceExporter::writeOwnRing()
-{
-    try {
-        bin_->writeInPlaceAt(ring_.data(), ring_.size(), emitted_);
-    } catch (const std::exception &e) {
-        return e.what();
-    }
-    emitted_ += ring_.size();
-    ring_.clear();
-    return "";
 }
 
 void
@@ -174,10 +152,13 @@ TraceExporter::close()
 {
     if (closed_)
         return;
-    if (std::string err = stopWriter(); !err.empty())
+    std::string err = stopWriter();
+    if (err.empty())
+        err = writeRing(ring_, emitted_);
+    if (!err.empty())
         fail(err);
-    if (std::string err = writeOwnRing(); !err.empty())
-        fail(err);
+    emitted_ += ring_.size();
+    ring_.clear();
     closed_ = true;
     try {
         bin_->close();

@@ -12,8 +12,8 @@
  *
  * Writing happens off the simulating thread: each full ring goes to
  * one writer thread, started with the first full ring and joined by
- * close() (or the destructor), which packs and writes it while the
- * caller fills a second ring. The caller never waits for the writer:
+ * close() (or the destructor), which writes it while the caller
+ * fills a second ring. The caller never waits for the writer:
  * a ring that fills while the writer still holds the previous one is
  * written by the caller itself. Every ring has a fixed place in the
  * file, so the bytes do not depend on which thread wrote it. A sink
@@ -70,8 +70,6 @@ class TraceExporter
 
   private:
     static constexpr size_t kRingCap = 4096;
-    /** Records packed per write. */
-    static constexpr size_t kPackChunk = 256;
 
     /** Give the full ring to the writer thread (starting it on first
      *  use), or write it here if the writer is busy; throws this or an
@@ -83,14 +81,11 @@ class TraceExporter
     /** Join the writer thread, if any; returns its failure ("" if
      *  none). */
     std::string stopWriter();
-    /** Pack a copy of writing_ and write it as the records from
-     *  writingFirst_ on; returns the failure, "" if none. Runs on the
-     *  writer thread. */
-    std::string writeRing();
-    /** Pack ring_ in place, write it as the records from emitted_ on,
-     *  count and clear it; returns the failure, "" if none. Runs on
-     *  the caller. */
-    std::string writeOwnRing();
+    /** Write @p evs as the records from @p first on; returns the
+     *  failure, "" if none. The writer thread calls it for writing_,
+     *  the caller for ring_. */
+    std::string writeRing(const std::vector<trace::CycleEvent> &evs,
+                          uint64_t first);
     /** Join the writer, release the file without further error
      *  checks, mark the exporter closed and throw @p what. */
     [[noreturn]] void fail(const std::string &what);
@@ -98,13 +93,12 @@ class TraceExporter
     std::string path_;
     bool closed_ = false;
     std::unique_ptr<trace::EventTraceWriter> bin_;
-    std::vector<trace::CycleEvent> pack_;  ///< pack buffer
     std::vector<trace::CycleEvent> ring_;  ///< filled by push()
     uint64_t emitted_ = 0;
 
-    // Writer thread. It owns writing_, writingFirst_ and pack_ while
-    // busy_ is set; the flags and error_ are guarded by mu_. Both
-    // threads write the file, each at its own records' offsets.
+    // Writer thread. It owns writing_ and writingFirst_ while busy_ is
+    // set; the flags and error_ are guarded by mu_. Both threads write
+    // the file, each at its own records' offsets.
     std::mutex mu_;
     std::condition_variable cv_;
     std::vector<trace::CycleEvent> writing_;

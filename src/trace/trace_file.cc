@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -40,98 +41,26 @@ struct EventRecordV1
 static_assert(sizeof(EventRecordV1) == 64,
               "v1 event record must be 64 bytes");
 
-/** On-disk v2 cycle-event record, 112 bytes: the v1 prefix plus the
- *  full lifecycle (fetch/queue-ready/wakeup-ready), dependence edges
- *  and MOP-pairing id. */
-struct EventRecord
-{
-    uint8_t kind;
-    uint8_t op;
-    uint8_t flags;
-    uint8_t pad[5];
-    uint64_t seq;
-    uint64_t pc;
-    uint64_t insert;
-    uint64_t issue;
-    uint64_t execStart;
-    uint64_t complete;
-    uint64_t commit;
-    uint64_t fetch;
-    uint64_t queueReady;
-    uint64_t ready;
-    uint64_t dep0;
-    uint64_t dep1;
-    uint64_t mopId;
-};
-static_assert(sizeof(EventRecord) == 112,
-              "v2 event record must be 112 bytes");
-
 /** Magic, version word and reserved word: record i starts at
- *  kHeaderBytes + i * sizeof(EventRecord). */
+ *  kHeaderBytes + i * sizeof(CycleEvent). */
 constexpr size_t kHeaderBytes = sizeof(kEventMagic) + 2 * sizeof(uint32_t);
 
-// EventTraceWriter::writeInPlace packs each record over its source.
-static_assert(sizeof(CycleEvent) == sizeof(EventRecord) &&
-                  std::is_trivially_copyable_v<CycleEvent>,
-              "a cycle event must be reusable as its on-disk record");
-
-EventRecord
-packEvent(const CycleEvent &ev)
-{
-    EventRecord r{};
-    r.kind = uint8_t(ev.kind);
-    r.op = ev.op;
-    r.flags = ev.flags;
-    r.seq = ev.seq;
-    r.pc = ev.pc;
-    r.insert = ev.insert;
-    r.issue = ev.issue;
-    r.execStart = ev.execStart;
-    r.complete = ev.complete;
-    r.commit = ev.commit;
-    r.fetch = ev.fetch;
-    r.queueReady = ev.queueReady;
-    r.ready = ev.ready;
-    r.dep0 = ev.dep[0];
-    r.dep1 = ev.dep[1];
-    r.mopId = ev.mopId;
-    return r;
-}
-
-/** Overwrite each of @p evs with its on-disk record. */
-void
-packInPlace(CycleEvent *evs, size_t n)
-{
-    for (size_t i = 0; i < n; ++i) {
-        const EventRecord r = packEvent(evs[i]);
-        std::memcpy(static_cast<void *>(&evs[i]), &r, sizeof(r));
-    }
-}
+// A v2/v3 record is a CycleEvent, byte for byte: the writer writes the
+// caller's events as they are, and the reader reads into its output.
+static_assert(sizeof(CycleEvent) == 112, "v2 event record must be 112 bytes");
+static_assert(std::is_trivially_copyable_v<CycleEvent> &&
+                  std::is_standard_layout_v<CycleEvent>,
+              "a cycle event must be readable and writable as bytes");
+static_assert(std::has_unique_object_representations_v<CycleEvent>,
+              "every byte of a record must belong to a field");
+static_assert(offsetof(CycleEvent, seq) == 8 &&
+                  offsetof(CycleEvent, fetch) == 64 &&
+                  offsetof(CycleEvent, dep) == 88 &&
+                  offsetof(CycleEvent, mopId) == 104,
+              "v2 record fields moved");
 
 CycleEvent
-unpackEvent(const EventRecord &r)
-{
-    CycleEvent ev;
-    ev.kind = CycleEvent::Kind(r.kind);
-    ev.op = r.op;
-    ev.flags = r.flags;
-    ev.seq = r.seq;
-    ev.pc = r.pc;
-    ev.insert = r.insert;
-    ev.issue = r.issue;
-    ev.execStart = r.execStart;
-    ev.complete = r.complete;
-    ev.commit = r.commit;
-    ev.fetch = r.fetch;
-    ev.queueReady = r.queueReady;
-    ev.ready = r.ready;
-    ev.dep = {r.dep0, r.dep1};
-    ev.mopId = r.mopId;
-    return ev;
-}
-
-CycleEvent
-unpackEventV1(const EventRecordV1 &r)
+fromRecordV1(const EventRecordV1 &r)
 {
     CycleEvent ev;
     ev.kind = CycleEvent::Kind(r.kind);
@@ -168,7 +97,7 @@ EventTraceWriter::EventTraceWriter(const std::string &path,
     std::fwrite(kEventMagic, 1, sizeof(kEventMagic), f_);
     std::fwrite(&version, sizeof(version), 1, f_);
     std::fwrite(&reserved, sizeof(reserved), 1, f_);
-    // Out at once, so writeInPlaceAt never races the stdio buffer; a
+    // Out at once, so write() never races the stdio buffer; a
     // failure stays on the stream for close() to report.
     std::fflush(f_);
 }
@@ -180,28 +109,11 @@ EventTraceWriter::~EventTraceWriter()
 }
 
 void
-EventTraceWriter::write(const CycleEvent &ev)
+EventTraceWriter::write(const CycleEvent *evs, size_t n, uint64_t first)
 {
-    CycleEvent one = ev;
-    writeInPlace(&one, 1);
-}
-
-void
-EventTraceWriter::writeInPlace(CycleEvent *evs, size_t n)
-{
-    packInPlace(evs, n);
-    if (std::fwrite(evs, sizeof(EventRecord), n, f_) != n)
-        throw std::runtime_error("event trace write failed");
-    count_ += n;
-}
-
-void
-EventTraceWriter::writeInPlaceAt(CycleEvent *evs, size_t n, uint64_t first)
-{
-    packInPlace(evs, n);
     const char *p = reinterpret_cast<const char *>(evs);
-    size_t left = n * sizeof(EventRecord);
-    off_t at = off_t(kHeaderBytes + first * sizeof(EventRecord));
+    size_t left = n * sizeof(CycleEvent);
+    off_t at = off_t(kHeaderBytes + first * sizeof(CycleEvent));
     const int fd = fileno(f_);
     while (left > 0) {
         const ssize_t w = ::pwrite(fd, p, left, at);
@@ -226,7 +138,7 @@ EventTraceWriter::close()
         throw std::runtime_error("event trace write failed");
 }
 
-EventTraceReader::EventTraceReader(const std::string &path)
+EventTraceReader::EventTraceReader(const std::string &path) : path_(path)
 {
     f_ = std::fopen(path.c_str(), "rb");
     if (!f_)
@@ -262,29 +174,29 @@ EventTraceReader::~EventTraceReader()
 bool
 EventTraceReader::next(CycleEvent &out)
 {
-    if (version_ == kEventVersionV1) {
-        EventRecordV1 r;
-        size_t n = std::fread(&r, 1, sizeof(r), f_);
-        if (n == 0)
-            return false;
-        if (n < sizeof(r)) {
-            throw std::runtime_error(
-                "truncated v1 event record: got " + std::to_string(n) +
-                " bytes, expected " + std::to_string(sizeof(r)));
-        }
-        out = unpackEventV1(r);
-        return true;
-    }
-    EventRecord r;
-    size_t n = std::fread(&r, 1, sizeof(r), f_);
+    const bool v1 = version_ == kEventVersionV1;
+    EventRecordV1 r1;
+    void *rec = v1 ? static_cast<void *>(&r1) : static_cast<void *>(&out);
+    const size_t want = v1 ? sizeof(r1) : sizeof(out);
+    const size_t n = std::fread(rec, 1, want, f_);
     if (n == 0)
         return false;
-    if (n < sizeof(r)) {
-        throw std::runtime_error(
-            "truncated event record: got " + std::to_string(n) +
-            " bytes, expected " + std::to_string(sizeof(r)));
-    }
-    out = unpackEvent(r);
+    auto bad = [&](const std::string &what) {
+        return std::runtime_error("event trace " + path_ + ": record " +
+                                  std::to_string(index_) + ": " + what);
+    };
+    if (n < want)
+        throw bad("truncated: got " + std::to_string(n) +
+                  " bytes, expected " + std::to_string(want));
+    if (v1)
+        out = fromRecordV1(r1);
+    if (out.kind != CycleEvent::Kind::Uop &&
+        out.kind != CycleEvent::Kind::Counter)
+        throw bad("kind " + std::to_string(unsigned(out.kind)) +
+                  " is neither uop (0) nor counter (1)");
+    if (!v1 && out.reserved != decltype(out.reserved){})
+        throw bad("nonzero reserved byte");
+    ++index_;
     return true;
 }
 

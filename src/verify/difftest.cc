@@ -90,8 +90,7 @@ policyIdEnumName(sched::PolicyId id)
 struct ItemState
 {
     bool inserted = false;
-    bool dead = false;        ///< squashed before completing
-    bool completed = false;
+    bool dead = false;        ///< squashed
     bool pendingHead = false; ///< window currently open
     bool referencable = false;
     uint64_t seq = 0;
@@ -447,7 +446,6 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
     // recall walks then see every entry with a source as a candidate
     // and the exact tag compare alone decides, as in a full-queue scan.
     std::map<uint64_t, int> loadLat;
-    std::map<uint64_t, size_t> seqToItem;
     {
         constexpr Tag kTagStride = Tag(sched::Scheduler::kConsumerBuckets);
         uint64_t seq = 0;
@@ -457,7 +455,6 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
             if (it.kind != ScriptItem::Kind::Op)
                 continue;
             st[i].seq = ++seq;
-            seqToItem[st[i].seq] = i;
             if (it.op != isa::OpClass::Branch) {
                 st[i].tag = tag;
                 tag += kTagStride;
@@ -576,11 +573,6 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
             return diverge("occupancy",
                            std::to_string(prod.occupancy()) + " vs " +
                                std::to_string(ref.occupancy()));
-        for (const auto &e : evP) {
-            auto it = seqToItem.find(e.seq);
-            if (it != seqToItem.end())
-                st[it->second].completed = true;
-        }
         if (prodTicks && skip_idle) {
             Cycle t = prod.nextEventCycle(now);
             if (t > now + 1)
@@ -705,8 +697,11 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
             // skip-idle campaign catches exactly that omission.
             if (!quirks.skipFoldIgnoresSquash)
                 prodSkipUntil = 0;
+            // Every squashed item is dead, completed or not: the squash
+            // frees one that completed but has not broadcast yet, so no
+            // later op may name its tag.
             for (ItemState &o : st) {
-                if (o.inserted && !o.completed && o.seq > boundary) {
+                if (o.inserted && o.seq > boundary) {
                     o.dead = true;
                     o.pendingHead = false;
                 }
@@ -755,6 +750,7 @@ runLockstepImpl(const ScheduleScript &script, const RefQuirks &quirks,
         if (++guard > 30000) {
             // Equal occupancy every compared tick: the models agree on
             // the stall (a genuinely deadlocked script), not a bug.
+            rep.stalled = true;
             return true;
         }
     }

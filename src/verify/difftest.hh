@@ -99,6 +99,9 @@ struct ScriptConfig
 struct DivergenceReport
 {
     bool diverged = false;
+    /** The drain guard stopped an agreeing run that never emptied
+     *  (both models stalled alike); diverged stays false. */
+    bool stalled = false;
     sched::Cycle cycle = 0;
     std::string what;    ///< comparator channel, e.g. "completed.seq"
     std::string detail;  ///< human-readable production-vs-oracle values

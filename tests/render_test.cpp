@@ -420,8 +420,7 @@ writeTrace(const char *name, const std::vector<trace::CycleEvent> &events,
 {
     std::string path = tmpPath(name);
     trace::EventTraceWriter w(path, version);
-    for (const auto &ev : events)
-        w.write(ev);
+    w.write(events.data(), events.size(), 0);
     w.close();
     return path;
 }

@@ -117,7 +117,7 @@ TEST(EventTraceVersion, V2RoundTripPreservesLifecycle)
     in.mopId = 6;
     {
         EventTraceWriter w(path);
-        w.write(in);
+        w.write(&in, 1, 0);
     }
     EventTraceReader rd(path);
     EXPECT_EQ(rd.version(), 2u);
@@ -127,10 +127,19 @@ TEST(EventTraceVersion, V2RoundTripPreservesLifecycle)
     std::remove(path.c_str());
 }
 
+/** The whole of the file at @p path. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 TEST(EventTraceWriter, BatchWriteMatchesSingleWrites)
 {
-    // writeInPlace packs the records over its input: the file must be
-    // byte-for-byte what one write() per event produces.
+    // Each record has a fixed place in the file: positioned writes of
+    // single records, in any order, must give byte for byte what one
+    // call for all of them gives.
     std::vector<CycleEvent> evs(5);
     for (size_t i = 0; i < evs.size(); ++i) {
         evs[i].kind = i % 2 ? CycleEvent::Kind::Counter
@@ -144,35 +153,76 @@ TEST(EventTraceWriter, BatchWriteMatchesSingleWrites)
     std::string one = tmpPath("single.evt"), batch = tmpPath("batch.evt");
     {
         EventTraceWriter w(one);
-        for (const CycleEvent &ev : evs)
-            w.write(ev);
+        for (size_t i : {3, 0, 4, 1, 2})
+            w.write(&evs[i], 1, i);
         w.close();
     }
-    std::vector<CycleEvent> packed = evs;
     {
         EventTraceWriter w(batch);
-        w.writeInPlace(packed.data(), packed.size());
-        EXPECT_EQ(w.written(), evs.size());
+        w.write(evs.data(), evs.size(), 0);
         w.close();
     }
-    auto bytes = [](const std::string &path) {
-        std::ifstream in(path, std::ios::binary);
-        return std::string(std::istreambuf_iterator<char>(in), {});
-    };
-    EXPECT_EQ(bytes(one), bytes(batch));
+    EXPECT_EQ(fileBytes(one), fileBytes(batch));
     EXPECT_EQ(readEventTrace(batch), evs);
     std::remove(one.c_str());
     std::remove(batch.c_str());
+}
+
+TEST(EventTraceWriter, RecordBytesArePinned)
+{
+    // A v2 record is a CycleEvent byte for byte. The hex below is what
+    // the writer wrote for this event while it still packed a separate
+    // on-disk struct field by field: every field distinct,
+    // little-endian, the five reserved bytes zero. The static_asserts
+    // in trace_file.cc pin the offsets; this pins the bytes.
+    CycleEvent ev;
+    ev.kind = CycleEvent::Kind::Counter;
+    ev.op = 0x23;
+    ev.flags = 0xa5;
+    ev.seq = 0x0102030405060708ULL;
+    ev.pc = 0x1112131415161718ULL;
+    ev.insert = 0x2122232425262728ULL;
+    ev.issue = 0x3132333435363738ULL;
+    ev.execStart = 0x4142434445464748ULL;
+    ev.complete = 0x5152535455565758ULL;
+    ev.commit = 0x6162636465666768ULL;
+    ev.fetch = 0x7172737475767778ULL;
+    ev.queueReady = 0x8182838485868788ULL;
+    ev.ready = 0x9192939495969798ULL;
+    ev.dep = {0xa1a2a3a4a5a6a7a8ULL, 0xb1b2b3b4b5b6b7b8ULL};
+    ev.mopId = 0xc1c2c3c4c5c6c7c8ULL;
+    const std::string path = tmpPath("pinned.evt");
+    {
+        EventTraceWriter w(path);
+        w.write(&ev, 1, 0);
+        w.close();
+    }
+    const std::string bytes = fileBytes(path);
+    ASSERT_EQ(bytes.size(), 16u + 112u);
+    std::string hex;
+    for (size_t i = 16; i < bytes.size(); ++i) {
+        char b[3];
+        std::snprintf(b, sizeof b, "%02x", unsigned(uint8_t(bytes[i])));
+        hex += b;
+    }
+    EXPECT_EQ(hex, "0123a500000000000807060504030201"
+                   "18171615141312112827262524232221"
+                   "38373635343332314847464544434241"
+                   "58575655545352516867666564636261"
+                   "78777675747372718887868584838281"
+                   "9897969594939291a8a7a6a5a4a3a2a1"
+                   "b8b7b6b5b4b3b2b1c8c7c6c5c4c3c2c1");
+    EXPECT_EQ(readEventTrace(path), std::vector<CycleEvent>{ev});
+    std::remove(path.c_str());
 }
 
 TEST(EventTraceWriter, CloseReportsAFailedFinalFlush)
 {
     if (!std::filesystem::exists("/dev/full"))
         GTEST_SKIP() << "no /dev/full";
-    // One record fits the stdio buffer, so nothing fails until close()
-    // pushes it to the device; that loss must be reported, once.
+    // The header's flush fails at once, and the failure stays on the
+    // stream: close() must report that loss, once.
     EventTraceWriter w("/dev/full");
-    w.write(CycleEvent{});
     EXPECT_THROW(w.close(), std::runtime_error);
     EXPECT_NO_THROW(w.close());
 }
@@ -222,8 +272,9 @@ TEST(EventTraceVersion, ThrowsOnTruncatedRecordBothVersions)
     // v2: cut the only 112-byte record short.
     std::string path = tmpPath("shortv2.evt");
     {
+        const CycleEvent ev{};
         EventTraceWriter w(path);
-        w.write(CycleEvent{});
+        w.write(&ev, 1, 0);
     }
     ASSERT_EQ(truncate(path.c_str(), 16 + 112 - 5), 0);
     {
@@ -246,6 +297,58 @@ TEST(EventTraceVersion, ThrowsOnTruncatedRecordBothVersions)
         EXPECT_THROW(rd.next(ev), std::runtime_error);
     }
     std::remove(path.c_str());
+}
+
+/** A three-record v2 trace whose byte @p offset of record 2 is set to
+ *  @p value; the reader must deliver records 0 and 1 and then refuse
+ *  record 2 with an error naming the file and the record. */
+void
+expectRecord2Rejected(const char *name, size_t offset, char value,
+                      const std::string &why)
+{
+    const std::string path = tmpPath(name);
+    std::vector<CycleEvent> evs(3);
+    for (size_t i = 0; i < evs.size(); ++i)
+        evs[i].seq = i;
+    {
+        EventTraceWriter w(path);
+        w.write(evs.data(), evs.size(), 0);
+        w.close();
+    }
+    {
+        std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(std::streamoff(16 + 2 * 112 + offset));
+        f.put(value);
+    }
+    EventTraceReader rd(path);
+    CycleEvent ev;
+    ASSERT_TRUE(rd.next(ev));
+    EXPECT_EQ(ev, evs[0]);
+    ASSERT_TRUE(rd.next(ev));
+    EXPECT_EQ(ev, evs[1]);
+    try {
+        rd.next(ev);
+        FAIL() << "record 2 must be rejected";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "event trace " + path + ": record 2: " + why);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(EventTraceReader, RejectsAKindThatIsNeitherUopNorCounter)
+{
+    // analyzeCritPath skips a record that is not a Uop, while
+    // summarizeTrace counts anything but a Counter as a µop: a kind
+    // byte of 7 would read as both.
+    expectRecord2Rejected("badkind.evt", 0, 7,
+                          "kind 7 is neither uop (0) nor counter (1)");
+}
+
+TEST(EventTraceReader, RejectsANonzeroReservedByte)
+{
+    // Every v2/v3 writer zeroed the five bytes after flags.
+    expectRecord2Rejected("badpad.evt", 3, 1, "nonzero reserved byte");
 }
 
 TEST(MatrixRender, ShowsMarksAndFlags)

@@ -160,7 +160,7 @@ TEST(WrongPathTrace, V3RoundTripPreservesTheWrongPathFlag)
         ev.fetch = 10;
         ev.insert = 12;
         ev.commit = 30;  // squash cycle, not a commit
-        wr.write(ev);
+        wr.write(&ev, 1, 0);
         wr.close();
     }
     trace::EventTraceReader rd(path);
